@@ -210,6 +210,7 @@ def _cmd_run(config: ExperimentConfig, args) -> int:
                       report_every=config.caps.report_every)
     extra["trajectory_csv"] = str(out / "trajectory.csv")
     extra["steps"] = steps
+    extra["stationary_from"] = traj.stationary_from
 
     reports.append(check_lemma_inequalities(traj))
     if args.eps is not None:
@@ -263,14 +264,14 @@ def _cmd_sweep(config: ExperimentConfig, args) -> int:
     if traj is not None:
         trajectory_to_csv(traj, out / "residuals.csv",
                           report_every=config.caps.report_every)
-    (out / "sweep.json").write_text(json.dumps(
-        {"rows": rows, "checks": [r.to_json_dict() for r in reports],
-         "verdict": _worst(reports)}, sort_keys=True) + "\n", encoding="utf-8")
+    doc = json.dumps({
+        "rows": rows, "checks": [r.to_json_dict() for r in reports],
+        "stationary_from": traj.stationary_from if traj is not None else None,
+        "verdict": _worst(reports)}, sort_keys=True)
+    (out / "sweep.json").write_text(doc + "\n", encoding="utf-8")
 
     if args.json:
-        print(json.dumps({"rows": rows,
-                          "checks": [r.to_json_dict() for r in reports],
-                          "verdict": _worst(reports)}, sort_keys=True))
+        print(doc)
     else:
         print(",".join(header))
         for line in lines[1:]:

@@ -97,6 +97,8 @@ def check_point(space: SpaceModel, p: Point) -> None:
 # raw kernels.  The disk and the Euclidean plane use complex numbers, other
 # Euclidean dimensions use plain tuples; the iteration loop works on these
 # representations and wraps back into Point at recording boundaries.
+# Every combine returns x itself when x == y: a degenerate geodesic is its
+# endpoint, bitwise, which the iteration's stationarity cut-off relies on.
 
 def uses_complex(space: SpaceModel) -> bool:
     return space.kind == POINCARE_DISK or space.dim == 2
@@ -145,6 +147,8 @@ def _e_dist_c(x: complex, y: complex) -> float:
 
 
 def _e_combine_c(x: complex, y: complex, t: float) -> complex:
+    if x == y:
+        return x
     return (1.0 - t) * x + t * y
 
 
@@ -153,6 +157,8 @@ def _e_dist_t(x: tuple, y: tuple) -> float:
 
 
 def _e_combine_t(x: tuple, y: tuple, t: float) -> tuple:
+    if x == y:
+        return x
     s = 1.0 - t
     return tuple(s * a + t * b for a, b in zip(x, y))
 

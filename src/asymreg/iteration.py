@@ -8,6 +8,11 @@ runner records the residuals d(x_n, T x_n) densely for every step, the inner
 residuals d(x_n, T y_n) one per step, and the points themselves at a
 configurable stride (dense storage of long orbits is the memory hog, the
 residual arrays are cheap).
+
+The runner stops at the first step n where T x_n == x_n bitwise.  Every raw
+combine returns x when both endpoints are equal, so every later step
+repeats step n exactly; the rest of each array is filled with its constant
+value, and the stored points past n are the same Point object.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ class Trajectory:
     inner_ref_distances: np.ndarray | None = None  # d(y_n, z), dense
     t_inner_ref_distances: np.ndarray | None = None  # d(T y_n, z), dense
     store_every: int = 1
+    stationary_from: int | None = None  # first n < steps with T x_n == x_n
 
     @property
     def steps(self) -> int:
@@ -92,7 +98,8 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
 
     With `record_ref_distances` and a reference point z, also records
     d(x_n, z), d(y_n, z) and d(T y_n, z) densely, which lets the audit checks
-    work on downsampled orbits.
+    work on downsampled orbits.  The loop stops at the first bitwise fixed
+    point x_n (recorded as `stationary_from`) and fills the constant tail.
     """
     check_point(space, x0)
     if steps < 0:
@@ -126,9 +133,13 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
     inner_points: list[Point] = []
 
     x = to_raw(space, x0)
+    stop = steps
     for n in range(steps):
         tx = f(x)
         r = dist_fn(x, tx)
+        if r == 0.0 and tx == x:
+            stop = n
+            break
         residuals[n] = r
 
         if s_const is not None:
@@ -167,13 +178,23 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
         if lam != 0.0:
             x = combine_fn(x, ty, lam)
 
+    # From `stop` on, x_n = y_n = x and T y_n = tx; without a cut-off these
+    # slices hold only the final index.
     tx = f(x)
-    residuals[steps] = dist_fn(x, tx)
+    r = dist_fn(x, tx)
+    residuals[stop:] = r
+    inner[stop:] = r
     if record:
-        ref_d[steps] = dist_fn(x, z)
+        ref_d[stop:] = y_ref_d[stop:] = dist_fn(x, z)
+        ty_ref_d[stop:] = dist_fn(tx, z)
+    p = from_raw(space, x)
+    for n in range(-(-stop // store_every) * store_every, steps, store_every):
+        stored.append(n)
+        points.append(p)
+        inner_points.append(p)
     if not stored or stored[-1] != steps:
         stored.append(steps)
-        points.append(from_raw(space, x))
+        points.append(p)
 
     return Trajectory(
         space=space, mapping=m, schedule=schedule, start=x0,
@@ -184,6 +205,7 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
         ref_distances=ref_d, inner_ref_distances=y_ref_d,
         t_inner_ref_distances=ty_ref_d,
         store_every=store_every,
+        stationary_from=stop if stop < steps else None,
     )
 
 

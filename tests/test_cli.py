@@ -92,6 +92,7 @@ def test_run_writes_artifacts(tmp_path, capsys):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["verdict"] == "pass"
     assert report["rate"]["phi"] == 2052
+    assert report["stationary_from"] == 20
     with open(out_dir / "trajectory.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["n"] == "0"
@@ -102,13 +103,15 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert "PASS" in out
 
 
-def test_run_fixed_steps_without_eps(tmp_path):
+def test_run_fixed_steps_without_eps(tmp_path, capsys):
     out_dir = tmp_path / "out"
     ident = str(CONFIG_DIR / "identity_euclidean.json")
-    assert main(["run", "--config", ident, "--steps", "500",
+    assert main(["run", "--config", ident, "--steps", "500", "--json",
                  "--out", str(out_dir)]) == 0
     report = json.loads((out_dir / "report.json").read_text())
     assert "rate" not in report
+    assert report["stationary_from"] == 0
+    assert json.loads(capsys.readouterr().out)["stationary_from"] == 0
     with open(out_dir / "trajectory.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert int(rows[-1]["n"]) == 500
@@ -146,6 +149,7 @@ def test_sweep_with_step_cap(tmp_path, capsys):
     doc = json.loads((out_dir / "sweep.json").read_text())
     assert [entry["eps"] for entry in doc["rows"]] == [0.5, 0.25, 0.125, 0.0625]
     assert doc["verdict"] == "unverified-at-scale"
+    assert doc["stationary_from"] == 20
     assert (out_dir / "residuals.csv").exists()
 
 

@@ -1,11 +1,20 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import asymreg as ar
-from asymreg.geometry import DISK_MARGIN, from_raw, to_raw, uses_complex
+from asymreg.geometry import (
+    DISK_MARGIN,
+    _e_combine_c,
+    _e_combine_t,
+    _p_combine,
+    from_raw,
+    to_raw,
+    uses_complex,
+)
 
 E2 = ar.euclidean(2)
 E3 = ar.euclidean(3)
@@ -80,6 +89,34 @@ def test_disk_combine_is_constant_speed(cx, cy, t):
     d = ar.dist(D, x, y)
     assert ar.dist(D, x, m) == pytest.approx(t * d, rel=1e-9, abs=1e-9)
     assert ar.dist(D, m, y) == pytest.approx((1 - t) * d, rel=1e-9, abs=1e-9)
+
+
+def _bits(coords) -> bytes:
+    return struct.pack(f"{len(coords)}d", *coords)
+
+
+# (1 - t) x + t x rounds away from x for some of these coordinates at every t
+# but 0.999, e.g. 0.3 at t = 0.1, 0.1 at t = 0.3 and 1/3 at t = 1/3.
+DEGENERATE_T = (0.1, 0.3, 1 / 3, 0.999)
+DEGENERATE_COORDS = ((0.3, 0.1), (1 / 3, -0.45), (0.2, 0.6), (-0.8, 2 / 3))
+
+
+@pytest.mark.parametrize("t", DEGENERATE_T)
+def test_degenerate_combine_returns_x_bitwise(t):
+    for a, b in DEGENERATE_COORDS:
+        z = complex(a, b)
+        out = _e_combine_c(z, complex(a, b), t)
+        assert _bits((out.real, out.imag)) == _bits((a, b))
+        tup = (a, b, a * b, b, a)
+        assert _bits(_e_combine_t(tup, tuple(tup), t)) == _bits(tup)
+        w = complex(a / 2, b / 2)
+        out = _p_combine(w, complex(a / 2, b / 2), t)
+        assert _bits((out.real, out.imag)) == _bits((w.real, w.imag))
+        for space, coords in ((E2, (a, b)), (ar.euclidean(5), tup),
+                              (D, (a / 2, b / 2))):
+            x = ar.make_point(space, coords)
+            out = ar.combine(space, x, ar.make_point(space, coords), t)
+            assert _bits(out.coords) == _bits(x.coords)
 
 
 def test_disk_combine_frozen():

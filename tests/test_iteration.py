@@ -6,8 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import CONFIG_DIR
 
 import asymreg as ar
+from asymreg.geometry import from_raw, raw_ops, to_raw
+from asymreg.iteration import _seq_scalar_plan
+from asymreg.mappings import raw_apply_fn
 
 E2 = ar.euclidean(2)
 D = ar.poincare_disk()
@@ -204,3 +208,141 @@ def test_trajectory_csv_to_path(tmp_path):
     text = target.read_text()
     assert text.startswith("n,residual,inner_residual")
     assert len(text.strip().splitlines()) == 5
+
+
+# ---------------------------------------------------------------------------
+# stationarity cut-off against the uncut loop
+
+# First step whose residual is exactly 0.0; rotation_poincare never gets there.
+STATIONARY_FROM = {
+    "identity_euclidean": 0,
+    "rotation_pi_euclidean": 20,
+    "ishikawa_geometric_s_euclidean": 46,
+    "projection_poincare": 53,
+    "reflection_average_euclidean": 1075,
+    "rotation_half_pi_euclidean": 2148,
+    "rotation_poincare": None,
+}
+
+
+def uncut_orbit(config, steps, store_every):
+    """The runner's loop body without the stationarity break."""
+    space, sched = config.space, config.schedule
+    dist_fn, combine_fn = raw_ops(space)
+    f = raw_apply_fn(space, config.mapping)
+    lam_const, lam_geo, lam_fn = _seq_scalar_plan(sched.lambda_seq)
+    s_const, s_geo, s_fn = _seq_scalar_plan(sched.s_seq)
+    lam_run, lam_ratio = lam_geo if lam_geo else (0.0, 0.0)
+    s_run, s_ratio = s_geo if s_geo else (0.0, 0.0)
+    z = to_raw(space, ar.reference_point(config))
+    out = {k: np.empty(steps + 1) for k in ("residuals", "ref_distances")}
+    out.update({k: np.empty(steps) for k in (
+        "inner_residuals", "inner_ref_distances", "t_inner_ref_distances")})
+    stored, points, inner_points = [], [], []
+    x = to_raw(space, config.start)
+    for n in range(steps):
+        tx = f(x)
+        r = dist_fn(x, tx)
+        out["residuals"][n] = r
+        if s_const is not None:
+            s = s_const
+        elif s_fn is None:
+            s = s_run
+            s_run *= s_ratio
+        else:
+            s = s_fn(n)
+        if s == 0.0:
+            y, ty = x, tx
+            out["inner_residuals"][n] = r
+        else:
+            y = combine_fn(x, tx, s)
+            ty = f(y)
+            out["inner_residuals"][n] = dist_fn(x, ty)
+        out["ref_distances"][n] = dist_fn(x, z)
+        out["inner_ref_distances"][n] = dist_fn(y, z)
+        out["t_inner_ref_distances"][n] = dist_fn(ty, z)
+        if n % store_every == 0:
+            stored.append(n)
+            points.append(from_raw(space, x))
+            inner_points.append(from_raw(space, y))
+        if lam_const is not None:
+            lam = lam_const
+        elif lam_fn is None:
+            lam = lam_run
+            lam_run *= lam_ratio
+        else:
+            lam = lam_fn(n)
+        if lam != 0.0:
+            x = combine_fn(x, ty, lam)
+    out["residuals"][steps] = dist_fn(x, f(x))
+    out["ref_distances"][steps] = dist_fn(x, z)
+    if not stored or stored[-1] != steps:
+        stored.append(steps)
+        points.append(from_raw(space, x))
+    out.update(stored_indices=stored, points=points, inner_points=inner_points)
+    return out
+
+
+def assert_matches_uncut(traj, config):
+    ref = uncut_orbit(config, traj.steps, traj.store_every)
+    for key in ("residuals", "inner_residuals", "ref_distances",
+                "inner_ref_distances", "t_inner_ref_distances"):
+        got = getattr(traj, key)
+        assert got.tobytes() == ref[key].tobytes(), key
+    assert traj.stored_indices.tolist() == ref["stored_indices"]
+    assert traj.points == ref["points"]
+    assert traj.inner_points == ref["inner_points"]
+
+
+@pytest.fixture(scope="module")
+def all_configs():
+    return {p.stem: ar.load_config(p) for p in sorted(CONFIG_DIR.glob("*.json"))}
+
+
+@pytest.mark.parametrize("name", sorted(STATIONARY_FROM))
+def test_cutoff_matches_uncut_loop_dense(all_configs, name):
+    traj = ar.trajectory_for(all_configs[name], 10_000, dense=True,
+                             record_ref=True)
+    assert traj.store_every == 1
+    assert traj.stationary_from == STATIONARY_FROM[name]
+    assert_matches_uncut(traj, all_configs[name])
+
+
+@pytest.mark.parametrize("name", sorted(STATIONARY_FROM))
+def test_cutoff_matches_uncut_loop_strided(all_configs, name):
+    # the largest horizon with the auto stride of 2
+    traj = ar.trajectory_for(all_configs[name], 199_999, record_ref=True)
+    assert traj.store_every == 2
+    assert traj.stationary_from == STATIONARY_FROM[name]
+    assert_matches_uncut(traj, all_configs[name])
+    stop = traj.stationary_from
+    if stop is not None:
+        # the tail repeats one Point object
+        tail = [p for n, p in zip(traj.stored_indices, traj.points) if n >= stop]
+        assert len({id(p) for p in tail}) == 1
+
+
+def test_cutoff_edge_cases(all_configs):
+    ident = all_configs["identity_euclidean"]
+    traj = ar.trajectory_for(ident, 0, record_ref=True)
+    assert traj.stationary_from is None and traj.steps == 0
+    assert_matches_uncut(traj, ident)
+
+    traj = ar.trajectory_for(ident, 7, dense=True, record_ref=True)
+    assert traj.stationary_from == 0
+    assert np.all(traj.residuals == 0.0)
+    assert_matches_uncut(traj, ident)
+
+    rot = all_configs["rotation_pi_euclidean"]        # x_20 is fixed
+    for steps, cut in ((21, 20), (20, None)):         # cut on the last step
+        traj = ar.trajectory_for(rot, steps, dense=True, record_ref=True)
+        assert traj.stationary_from == cut
+        assert_matches_uncut(traj, rot)
+
+    for every in (3, 7):                              # 20 % every != 0
+        traj = ar.run_trajectory(rot.space, rot.mapping, rot.start,
+                                 rot.schedule, 50, store_every=every,
+                                 ref_point=ar.reference_point(rot),
+                                 record_ref_distances=True)
+        assert traj.stationary_from == 20
+        assert_matches_uncut(traj, rot)
