@@ -41,7 +41,6 @@ from .mappings import (
     validate_afp,
 )
 from .moduli import (
-    DescriptorError,
     Schedule,
     ScheduleError,
     SequenceDescriptor,
@@ -85,9 +84,15 @@ def _err(path: str, message: str) -> ConfigError:
     return ConfigError(f"{path}: {message}")
 
 
-def _get(data: dict, key: str, path: str, required: bool = True, default=None):
+def _object(data, path: str) -> dict:
+    """data, once checked to be a JSON object; every section passes here
+    before its fields are read."""
     if not isinstance(data, dict):
         raise _err(path, f"expected an object, got {type(data).__name__}")
+    return data
+
+
+def _get(data: dict, key: str, path: str, required: bool = True, default=None):
     if key in data:
         return data[key]
     if required:
@@ -147,15 +152,20 @@ def _unknown_keys(data: dict, allowed: set[str], path: str) -> None:
 # ---------------------------------------------------------------------------
 # sections
 
-def _parse_space(data, path: str) -> SpaceModel:
+def _kind(data: dict, path: str) -> str:
     kind = _get(data, "kind", path)
+    if not isinstance(kind, str):
+        raise _err(f"{path}.kind", f"expected a string, got {kind!r}")
+    return kind
+
+
+def _parse_space(data, path: str) -> SpaceModel:
+    data = _object(data, path)
+    kind = _kind(data, path)
     _unknown_keys(data, {"kind", "dim", "modulus"}, path)
     modulus = None
     if "modulus" in data:
-        try:
-            modulus = descriptor_from_dict(data["modulus"])
-        except DescriptorError as exc:
-            raise _err(f"{path}.modulus", str(exc)) from exc
+        modulus = _parse_descriptor(data["modulus"], f"{path}.modulus")
     if kind == EUCLIDEAN:
         dim = _as_int(data.get("dim", 2), f"{path}.dim", minimum=1)
         return euclidean(dim, modulus or eta_quadratic())
@@ -167,7 +177,8 @@ def _parse_space(data, path: str) -> SpaceModel:
 
 
 def _parse_domain(data, path: str) -> DomainSpec:
-    kind = _get(data, "kind", path)
+    data = _object(data, path)
+    kind = _kind(data, path)
     if kind == WHOLE_SPACE:
         _unknown_keys(data, {"kind"}, path)
         return DomainSpec(WHOLE_SPACE)
@@ -189,7 +200,8 @@ _MAPPING_FIELDS = {
 
 
 def _parse_mapping(data, path: str) -> MappingSpec:
-    kind = _get(data, "kind", path)
+    data = _object(data, path)
+    kind = _kind(data, path)
     if kind not in _MAPPING_FIELDS:
         raise _err(f"{path}.kind", f"unknown mapping kind {kind!r}")
     fields = _MAPPING_FIELDS[kind]
@@ -210,18 +222,19 @@ def _parse_mapping(data, path: str) -> MappingSpec:
 def _parse_sequence(data, path: str) -> SequenceDescriptor:
     try:
         return sequence_from_dict(data)
-    except (DescriptorError, ValueError) as exc:
+    except (ValueError, TypeError) as exc:
         raise _err(path, str(exc)) from exc
 
 
 def _parse_descriptor(data, path: str):
     try:
         return descriptor_from_dict(data)
-    except (DescriptorError, ValueError) as exc:
+    except (ValueError, TypeError) as exc:
         raise _err(path, str(exc)) from exc
 
 
 def _parse_schedule(data, path: str) -> Schedule:
+    data = _object(data, path)
     _unknown_keys(data, {"lambda", "s", "theta", "L", "N0", "gamma"}, path)
     schedule = Schedule(
         lambda_seq=_parse_sequence(_get(data, "lambda", path), f"{path}.lambda"),
@@ -240,6 +253,7 @@ def _parse_schedule(data, path: str) -> Schedule:
 
 
 def config_from_dict(data: dict, *, validate: bool = True) -> ExperimentConfig:
+    data = _object(data, "config")
     _unknown_keys(data, {"space", "mapping", "start", "schedule", "afp",
                          "eps_grid", "seed", "caps"}, "config")
     space = _parse_space(_get(data, "space", "config"), "config.space")
@@ -250,7 +264,7 @@ def config_from_dict(data: dict, *, validate: bool = True) -> ExperimentConfig:
     except GeometryError as exc:
         raise _err("config.start", str(exc)) from exc
 
-    afp_data = _get(data, "afp", "config")
+    afp_data = _object(_get(data, "afp", "config"), "config.afp")
     _unknown_keys(afp_data, {"b", "fixed_point"}, "config.afp")
     b = _as_number(_get(afp_data, "b", "config.afp"), "config.afp.b", positive=True)
     if "fixed_point" in afp_data:
@@ -278,7 +292,7 @@ def config_from_dict(data: dict, *, validate: bool = True) -> ExperimentConfig:
                    "config.seed", minimum=0)
     caps = Caps()
     if "caps" in data:
-        caps_data = data["caps"]
+        caps_data = _object(data["caps"], "config.caps")
         _unknown_keys(caps_data, {"max_steps", "report_every"}, "config.caps")
         caps = Caps(
             max_steps=_as_int(caps_data.get("max_steps", DEFAULT_MAX_STEPS),

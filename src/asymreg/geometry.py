@@ -97,8 +97,10 @@ def check_point(space: SpaceModel, p: Point) -> None:
 # raw kernels.  The disk and the Euclidean plane use complex numbers, other
 # Euclidean dimensions use plain tuples; the iteration loop works on these
 # representations and wraps back into Point at recording boundaries.
-# Every combine returns x itself when x == y: a degenerate geodesic is its
-# endpoint, bitwise, which the iteration's stationarity cut-off relies on.
+# Every combine returns x itself when t == 0 or x == y: a degenerate
+# geodesic is its endpoint, bitwise, which the iteration's stationarity
+# cut-off and its lambda_n = 0 steps rely on.  The fused dist_combine kernels
+# return d(x, y) alongside; on the disk they share one Mobius translation.
 
 def uses_complex(space: SpaceModel) -> bool:
     return space.kind == POINCARE_DISK or space.dim == 2
@@ -129,17 +131,26 @@ def _p_dist(x: complex, y: complex) -> float:
     return 2.0 * math.atanh(min(abs(w), _ATANH_GUARD))
 
 
-def _p_combine(x: complex, y: complex, t: float) -> complex:
-    if t == 0.0 or x == y:
-        return x
-    if t == 1.0:
-        return y
+def _p_dist_combine(x: complex, y: complex, t: float) -> tuple[float, complex]:
+    """(d(x, y), (1 - t) x (+) t y) from one Mobius translation u of y."""
     u = (y - x) / (1.0 - x.conjugate() * y)
     ru = abs(u)
+    a = math.atanh(min(ru, _ATANH_GUARD))
+    d = 2.0 * a
+    if t == 0.0 or x == y:
+        return d, x
+    if t == 1.0:
+        return d, y
     if ru == 0.0:
+        return d, x
+    m = u * (math.tanh(t * a) / ru)
+    return d, _clamp_disk((x + m) / (1.0 + x.conjugate() * m))
+
+
+def _p_combine(x: complex, y: complex, t: float) -> complex:
+    if t == 0.0 or x == y:      # answer known without the translation
         return x
-    m = u * (math.tanh(t * math.atanh(min(ru, _ATANH_GUARD))) / ru)
-    return _clamp_disk((x + m) / (1.0 + x.conjugate() * m))
+    return _p_dist_combine(x, y, t)[1]
 
 
 def _e_dist_c(x: complex, y: complex) -> float:
@@ -147,9 +158,13 @@ def _e_dist_c(x: complex, y: complex) -> float:
 
 
 def _e_combine_c(x: complex, y: complex, t: float) -> complex:
-    if x == y:
+    if t == 0.0 or x == y:
         return x
     return (1.0 - t) * x + t * y
+
+
+def _e_dist_combine_c(x: complex, y: complex, t: float) -> tuple[float, complex]:
+    return abs(x - y), _e_combine_c(x, y, t)
 
 
 def _e_dist_t(x: tuple, y: tuple) -> float:
@@ -157,10 +172,14 @@ def _e_dist_t(x: tuple, y: tuple) -> float:
 
 
 def _e_combine_t(x: tuple, y: tuple, t: float) -> tuple:
-    if x == y:
+    if t == 0.0 or x == y:
         return x
     s = 1.0 - t
     return tuple(s * a + t * b for a, b in zip(x, y))
+
+
+def _e_dist_combine_t(x: tuple, y: tuple, t: float) -> tuple[float, tuple]:
+    return math.dist(x, y), _e_combine_t(x, y, t)
 
 
 def raw_ops(space: SpaceModel):
@@ -170,6 +189,17 @@ def raw_ops(space: SpaceModel):
     if space.dim == 2:
         return _e_dist_c, _e_combine_c
     return _e_dist_t, _e_combine_t
+
+
+def raw_dist_combine(space: SpaceModel):
+    """dist_combine(x, y, t) -> (d(x, y), (1 - t) x (+) t y) on the raw
+    representation, sharing the work of both; bitwise equal to the pair
+    (dist_fn(x, y), combine_fn(x, y, t)) of raw_ops."""
+    if space.kind == POINCARE_DISK:
+        return _p_dist_combine
+    if space.dim == 2:
+        return _e_dist_combine_c
+    return _e_dist_combine_t
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ with s_n = 0 giving the one-stage averaged scheme as a special case.  The
 runner records the residuals d(x_n, T x_n) densely for every step, the inner
 residuals d(x_n, T y_n) one per step, and the points themselves at a
 configurable stride (dense storage of long orbits is the memory hog, the
-residual arrays are cheap).
+residual arrays are cheap).  Each step takes d(x_n, T y_n) and x_{n+1} from
+one fused dist_combine call, which on the disk is one Mobius translation.
+Stored points are kept as raw coordinates, one float64 array per list,
+up to the cut-off below; `Trajectory.points` and `inner_points` build Point
+objects on first access.
 
 The runner stops at the first step n where T x_n == x_n bitwise.  Every raw
 combine returns x when both endpoints are equal, so every later step
@@ -17,12 +21,22 @@ value, and the stored points past n are the same Point object.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
-from .geometry import Point, SpaceModel, check_point, from_raw, raw_ops, to_raw
+from .geometry import (
+    Point,
+    SpaceModel,
+    check_point,
+    from_raw,
+    raw_dist_combine,
+    raw_ops,
+    to_raw,
+    uses_complex,
+)
 from .mappings import ApproxFixedPointSpec, MappingSpec, raw_apply_fn
 from .moduli import (
     SEQ_CONSTANT,
@@ -33,6 +47,9 @@ from .moduli import (
 
 # Orbits longer than this stride their stored points automatically.
 _DENSE_POINT_LIMIT = 100_000
+# trajectory_to_csv builds and writes this many rows at a time, which keeps
+# its memory small next to the orbit arrays.
+_CSV_CHUNK_ROWS = 1 << 12
 
 
 class IterationError(ValueError):
@@ -41,6 +58,10 @@ class IterationError(ValueError):
 
 @dataclass
 class Trajectory:
+    """A recorded orbit.  The state is constant from index stop on, where
+    stop is stationary_from or, when the cut-off never fired, steps; the
+    stored points from stop on are all final_point."""
+
     space: SpaceModel
     mapping: MappingSpec
     schedule: Schedule
@@ -48,8 +69,9 @@ class Trajectory:
     residuals: np.ndarray               # d(x_n, T x_n), n = 0 .. steps
     inner_residuals: np.ndarray         # d(x_n, T y_n), n = 0 .. steps-1
     stored_indices: np.ndarray          # indices n whose points were kept
-    points: list[Point]                 # x_n at stored_indices
-    inner_points: list[Point]           # y_n at stored_indices with n < steps
+    point_coords: np.ndarray            # x_n at the stored n < stop, a row each
+    inner_point_coords: np.ndarray      # y_n at the same n
+    final_point: Point                  # x_n, and y_n, at the stored n >= stop
     afp: ApproxFixedPointSpec | None = None
     ref_point: Point | None = None
     ref_distances: np.ndarray | None = None        # d(x_n, z), dense
@@ -61,6 +83,21 @@ class Trajectory:
     @property
     def steps(self) -> int:
         return len(self.residuals) - 1
+
+    @cached_property
+    def points(self) -> list[Point]:
+        """x_n at stored_indices."""
+        return self._points(self.point_coords, len(self.stored_indices))
+
+    @cached_property
+    def inner_points(self) -> list[Point]:
+        """y_n at the stored indices below steps."""
+        return self._points(self.inner_point_coords, len(self.stored_indices) - 1)
+
+    def _points(self, coords: np.ndarray, count: int) -> list[Point]:
+        kind = self.space.kind
+        out = [Point(kind, tuple(row)) for row in coords.tolist()]
+        return out + [self.final_point] * (count - len(out))
 
 
 def ishikawa_step(space: SpaceModel, m: MappingSpec, x: Point,
@@ -110,6 +147,7 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
         raise IterationError("store_every must be >= 1")
 
     dist_fn, combine_fn = raw_ops(space)
+    dist_combine = raw_dist_combine(space)
     f = raw_apply_fn(space, m)
 
     lam_const, lam_geo, lam_fn = _seq_scalar_plan(schedule.lambda_seq)
@@ -129,19 +167,12 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
         ref_d = y_ref_d = ty_ref_d = None
 
     stored: list[int] = []
-    points: list[Point] = []
-    inner_points: list[Point] = []
+    xs: list = []           # raw x_n at the stored n < stop
+    ys: list = []           # raw y_n at the same indices
 
     x = to_raw(space, x0)
     stop = steps
     for n in range(steps):
-        tx = f(x)
-        r = dist_fn(x, tx)
-        if r == 0.0 and tx == x:
-            stop = n
-            break
-        residuals[n] = r
-
         if s_const is not None:
             s = s_const
         elif s_fn is None:
@@ -149,25 +180,6 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
             s_run *= s_ratio
         else:
             s = s_fn(n)
-
-        if s == 0.0:
-            y = x
-            ty = tx
-            inner[n] = r
-        else:
-            y = combine_fn(x, tx, s)
-            ty = f(y)
-            inner[n] = dist_fn(x, ty)
-
-        if record:
-            ref_d[n] = dist_fn(x, z)
-            y_ref_d[n] = dist_fn(y, z)
-            ty_ref_d[n] = dist_fn(ty, z)
-        if n % store_every == 0:
-            stored.append(n)
-            points.append(from_raw(space, x))
-            inner_points.append(from_raw(space, y))
-
         if lam_const is not None:
             lam = lam_const
         elif lam_fn is None:
@@ -175,8 +187,32 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
             lam_run *= lam_ratio
         else:
             lam = lam_fn(n)
-        if lam != 0.0:
-            x = combine_fn(x, ty, lam)
+
+        tx = f(x)
+        if s == 0.0:
+            r, x_next = dist_combine(x, tx, lam)
+            y = x
+            ty = tx
+            inner[n] = r
+        else:
+            r = dist_fn(x, tx)
+            y = combine_fn(x, tx, s)
+            ty = f(y)
+            inner[n], x_next = dist_combine(x, ty, lam)
+        if r == 0.0 and tx == x:
+            stop = n
+            break
+        residuals[n] = r
+
+        if record:
+            ref_d[n] = dist_fn(x, z)
+            y_ref_d[n] = dist_fn(y, z)
+            ty_ref_d[n] = dist_fn(ty, z)
+        if n % store_every == 0:
+            stored.append(n)
+            xs.append(x)
+            ys.append(y)
+        x = x_next
 
     # From `stop` on, x_n = y_n = x and T y_n = tx; without a cut-off these
     # slices hold only the final index.
@@ -187,26 +223,31 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
     if record:
         ref_d[stop:] = y_ref_d[stop:] = dist_fn(x, z)
         ty_ref_d[stop:] = dist_fn(tx, z)
-    p = from_raw(space, x)
-    for n in range(-(-stop // store_every) * store_every, steps, store_every):
-        stored.append(n)
-        points.append(p)
-        inner_points.append(p)
+    stored.extend(range(-(-stop // store_every) * store_every, steps, store_every))
     if not stored or stored[-1] != steps:
         stored.append(steps)
-        points.append(p)
 
     return Trajectory(
         space=space, mapping=m, schedule=schedule, start=x0,
         residuals=residuals, inner_residuals=inner,
         stored_indices=np.asarray(stored, dtype=np.int64),
-        points=points, inner_points=inner_points,
+        point_coords=_coords(space, xs), inner_point_coords=_coords(space, ys),
+        final_point=from_raw(space, x),
         afp=afp, ref_point=ref_point,
         ref_distances=ref_d, inner_ref_distances=y_ref_d,
         t_inner_ref_distances=ty_ref_d,
         store_every=store_every,
         stationary_from=stop if stop < steps else None,
     )
+
+
+def _coords(space: SpaceModel, raws: list) -> np.ndarray:
+    """Raw points as a (len(raws), dim) float64 array."""
+    if uses_complex(space):
+        return np.array(raws, dtype=np.complex128).view(np.float64).reshape(-1, 2)
+    flat = np.fromiter(chain.from_iterable(raws), dtype=np.float64,
+                       count=len(raws) * space.dim)
+    return flat.reshape(-1, space.dim)
 
 
 def partial_sums_alpha(schedule: Schedule, n: int):
@@ -221,25 +262,28 @@ def partial_sums_alpha(schedule: Schedule, n: int):
 
 def trajectory_to_csv(traj: Trajectory, target, report_every: int = 1) -> None:
     """Write rows n, residual, inner_residual (blank on the final row) and,
-    when reference distances were recorded, dist_to_ref."""
+    when reference distances were recorded, dist_to_ref, in the csv
+    module's default dialect (CRLF line ends)."""
     if report_every < 1:
         raise IterationError("report_every must be >= 1")
+    header = ["n", "residual", "inner_residual"]
+    columns = [traj.residuals, traj.inner_residuals]
+    if traj.ref_distances is not None:
+        header.append("dist_to_ref")
+        columns.append(traj.ref_distances)
+    rows = range(0, traj.steps + 1, report_every)
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
     handle = open(target, "w", newline="") if own else target
     try:
-        writer = csv.writer(handle)
-        header = ["n", "residual", "inner_residual"]
-        with_ref = traj.ref_distances is not None
-        if with_ref:
-            header.append("dist_to_ref")
-        writer.writerow(header)
-        steps = traj.steps
-        for n in range(0, steps + 1, report_every):
-            row = [n, repr(float(traj.residuals[n])),
-                   repr(float(traj.inner_residuals[n])) if n < steps else ""]
-            if with_ref:
-                row.append(repr(float(traj.ref_distances[n])))
-            writer.writerow(row)
+        handle.write(",".join(header) + "\r\n")
+        for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
+            part = rows[lo:lo + _CSV_CHUNK_ROWS]
+            # zip stops at the n column; the "" fills inner_residual on the
+            # final row, which has no inner residual
+            fields = [map(str, part)] + [
+                chain(map(repr, col[part.start:part.stop:report_every].tolist()), ("",))
+                for col in columns]
+            handle.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
     finally:
         if own:
             handle.close()

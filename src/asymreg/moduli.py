@@ -76,7 +76,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise DescriptorError(f"zero denominator in {value!r}") from None
     if isinstance(value, float):
         if not math.isfinite(value):
             raise DescriptorError(f"non-finite value {value!r}")
@@ -716,8 +719,8 @@ _DESCRIPTOR_BUILDERS = {
 
 
 def descriptor_from_dict(data: dict) -> ModulusDescriptor:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise DescriptorError("descriptor must be a dict with a 'kind' tag")
+    if not isinstance(data, dict) or not isinstance(data.get("kind"), str):
+        raise DescriptorError("descriptor must be a dict with a string 'kind' tag")
     kind = data["kind"]
     if kind not in _DESCRIPTOR_BUILDERS:
         raise DescriptorError(f"unknown descriptor kind {kind!r}")
@@ -754,8 +757,8 @@ def sequence_to_dict(seq: SequenceDescriptor) -> dict:
 
 
 def sequence_from_dict(data: dict) -> SequenceDescriptor:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise DescriptorError("sequence must be a dict with a 'kind' tag")
+    if not isinstance(data, dict) or not isinstance(data.get("kind"), str):
+        raise DescriptorError("sequence must be a dict with a string 'kind' tag")
     kind = data["kind"]
     fields = {SEQ_CONSTANT: ("value",), SEQ_GEOMETRIC: ("c", "q"),
               SEQ_TABULATED: ("values", "tail")}.get(kind)

@@ -1,8 +1,11 @@
+import json
 import math
+import re
 
 import pytest
 
 import asymreg as ar
+from asymreg.cli import main
 
 from conftest import CONFIG_DIR, GOLDEN_NAMES
 
@@ -120,6 +123,35 @@ def mutate(**patches):
 def test_bad_config_errors_name_the_path(patch, fragment):
     with pytest.raises(ar.ConfigError, match=fragment):
         ar.config_from_dict(mutate(**patch))
+
+
+@pytest.mark.parametrize("data,prefix", [
+    (mutate(afp=5), "config.afp: expected an object"),
+    (mutate(caps=[1]), "config.caps: expected an object"),
+    (None, "config: expected an object"),
+    ([1, 2], "config: expected an object"),
+    (mutate(schedule=[1]), "config.schedule: expected an object"),
+    (mutate(schedule="x"), "config.schedule: expected an object"),
+    (mutate(mapping__kind=[1]), "config.mapping.kind: expected a string"),
+    (mutate(schedule__theta__kind=[1]), "config.schedule.theta: "),
+    (mutate(schedule__lambda__value="1/0"), "config.schedule.lambda: "),
+    (mutate(schedule__theta__a="1/0"), "config.schedule.theta: "),
+    (mutate(space__modulus={"kind": "EtaQuadratic", "denominator": None}),
+     "config.space.modulus: "),
+    (mutate(space__modulus={"kind": "EtaQuadratic", "denominator": "x"}),
+     "config.space.modulus: "),
+], ids=["afp-int", "caps-list", "null", "top-level-list", "schedule-list",
+        "schedule-str", "mapping-kind-list", "theta-kind-list",
+        "sequence-zero-denominator", "theta-zero-denominator",
+        "modulus-denominator-null", "modulus-denominator-str"])
+def test_wrongly_typed_fields_are_config_errors(tmp_path, capsys, data, prefix):
+    text = json.dumps(data)
+    with pytest.raises(ar.ConfigError, match=f"^{re.escape(prefix)}"):
+        ar.loads_config(text)
+    target = tmp_path / "typed.json"
+    target.write_text(text)
+    assert main(["rate", "--config", str(target), "--eps", "0.5"]) == 2
+    assert prefix in capsys.readouterr().err
 
 
 def test_disk_requires_dim_two():

@@ -1,4 +1,6 @@
+import cmath
 import math
+import random
 import struct
 
 import pytest
@@ -7,11 +9,14 @@ from hypothesis import strategies as st
 
 import asymreg as ar
 from asymreg.geometry import (
+    _ATANH_GUARD,
     DISK_MARGIN,
     _e_combine_c,
     _e_combine_t,
     _p_combine,
     from_raw,
+    raw_dist_combine,
+    raw_ops,
     to_raw,
     uses_complex,
 )
@@ -23,11 +28,13 @@ D = ar.poincare_disk()
 
 
 def disk_dist_oracle(x, y):
-    """Independent distance formula: acosh(1 + 2|x-y|^2 / ((1-|x|^2)(1-|y|^2)))."""
+    """Independent distance formula: acosh(1 + q), q = 2|x-y|^2 / ((1-|x|^2)(1-|y|^2)),
+    evaluated as log1p(q + sqrt(q (q + 2))) so that 1 + q does not round q away."""
     dx = (x[0] - y[0]) ** 2 + (x[1] - y[1]) ** 2
     nx = 1.0 - (x[0] ** 2 + x[1] ** 2)
     ny = 1.0 - (y[0] ** 2 + y[1] ** 2)
-    return math.acosh(1.0 + 2.0 * dx / (nx * ny))
+    q = 2.0 * dx / (nx * ny)
+    return math.log1p(q + math.sqrt(q * (q + 2.0)))
 
 
 disk_coords = st.builds(
@@ -190,3 +197,142 @@ def test_euclidean_w2_property(ax, ay, bx, by, t):
     m = ar.combine(E2, x, y, t)
     d = ar.dist(E2, x, y)
     assert ar.dist(E2, x, m) == pytest.approx(t * d, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# fused dist_combine kernels against the separate formulas they replace
+
+def _ref_clamp_disk(z):
+    n2 = z.real * z.real + z.imag * z.imag
+    if n2 >= 1.0 - DISK_MARGIN:
+        return z * math.sqrt((1.0 - 2.0 * DISK_MARGIN) / n2)
+    return z
+
+
+def _ref_p_dist(x, y):
+    w = (y - x) / (1.0 - x.conjugate() * y)
+    return 2.0 * math.atanh(min(abs(w), _ATANH_GUARD))
+
+
+def _ref_p_combine(x, y, t):
+    if t == 0.0 or x == y:
+        return x
+    if t == 1.0:
+        return y
+    u = (y - x) / (1.0 - x.conjugate() * y)
+    ru = abs(u)
+    if ru == 0.0:
+        return x
+    m = u * (math.tanh(t * math.atanh(min(ru, _ATANH_GUARD))) / ru)
+    return _ref_clamp_disk((x + m) / (1.0 + x.conjugate() * m))
+
+
+def _ref_p_clamps(x, y, t):
+    """Whether _ref_p_combine(x, y, t) goes through the clamp."""
+    if t == 0.0 or t == 1.0 or x == y:
+        return False
+    u = (y - x) / (1.0 - x.conjugate() * y)
+    ru = abs(u)
+    m = u * (math.tanh(t * math.atanh(min(ru, _ATANH_GUARD))) / ru)
+    z = (x + m) / (1.0 + x.conjugate() * m)
+    return z.real * z.real + z.imag * z.imag >= 1.0 - DISK_MARGIN
+
+
+def _ref_e_combine_c(x, y, t):
+    if x == y:
+        return x
+    return (1.0 - t) * x + t * y
+
+
+def _ref_e_combine_t(x, y, t):
+    if x == y:
+        return x
+    s = 1.0 - t
+    return tuple(s * a + t * b for a, b in zip(x, y))
+
+
+REF_OPS = {
+    "disk": (D, _ref_p_dist, _ref_p_combine),
+    "plane": (E2, lambda x, y: abs(x - y), _ref_e_combine_c),
+    "R5": (ar.euclidean(5), math.dist, _ref_e_combine_t),
+}
+KERNEL_T = (0.0, 1.0, 0.5, 1 / 3, 1e-300)
+
+
+def _raw_bits(v) -> bytes:
+    if isinstance(v, complex):
+        return _bits((v.real, v.imag))
+    if isinstance(v, tuple):
+        return _bits(v)
+    return _bits((v,))
+
+
+def _disk_pair(rng, near_margin=False):
+    def point():
+        if near_margin:
+            r = math.sqrt(1.0 - DISK_MARGIN - rng.uniform(0.0, 1e-13))
+        else:
+            r = math.tanh(rng.uniform(0.0, 8.0) / 2)
+        return r, rng.uniform(0.0, 2 * math.pi)
+    (r1, a1), (r2, _) = point(), point()
+    gap = rng.choice((1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.0)) if near_margin \
+        else rng.uniform(0.0, 2 * math.pi)
+    return cmath.rect(r1, a1), cmath.rect(r2, a1 + gap)
+
+
+def _kernel_cases(name, rng):
+    """(x, y, t) triples: seeded pairs at the listed and at random t, x == y,
+    and on the disk pairs at the margin and pairs past the atanh guard."""
+    pairs = []
+    for _ in range(150):
+        if name == "disk":
+            pairs.append(_disk_pair(rng))
+        elif name == "plane":
+            pairs.append((complex(rng.uniform(-5, 5), rng.uniform(-5, 5)),
+                          complex(rng.uniform(-5, 5), rng.uniform(-5, 5))))
+        else:
+            pairs.append((tuple(rng.uniform(-5, 5) for _ in range(5)),
+                          tuple(rng.uniform(-5, 5) for _ in range(5))))
+    pairs += [(x, tuple(list(x)) if isinstance(x, tuple) else complex(x.real, x.imag))
+              for x, _ in pairs[:30]]                       # x == y, not x is y
+    if name == "disk":
+        pairs += [_disk_pair(rng, near_margin=True) for _ in range(300)]
+        r = math.sqrt(1.0 - DISK_MARGIN - 1e-14)
+        for a in (0.0, 0.3, 2.0):                           # |u| rounds to 1
+            pairs += [(cmath.rect(r, a), cmath.rect(r, a + math.pi)),
+                      (cmath.rect(r, a), cmath.rect(r, a + math.pi / 2))]
+    for x, y in pairs:
+        for t in KERNEL_T + (rng.random(),):
+            yield x, y, t
+
+
+@pytest.mark.parametrize("name", sorted(REF_OPS))
+def test_dist_combine_matches_separate_formulas_bitwise(name):
+    space, ref_dist, ref_combine = REF_OPS[name]
+    fused = raw_dist_combine(space)
+    dist_fn, combine_fn = raw_ops(space)
+    clamped = guarded = equal = 0
+    for x, y, t in _kernel_cases(name, random.Random(2024)):
+        d, z = fused(x, y, t)
+        want = (_raw_bits(ref_dist(x, y)), _raw_bits(ref_combine(x, y, t)))
+        assert (_raw_bits(d), _raw_bits(z)) == want, (x, y, t)
+        assert (_raw_bits(dist_fn(x, y)),
+                _raw_bits(combine_fn(x, y, t))) == want, (x, y, t)
+        equal += x == y
+        if name == "disk":
+            clamped += _ref_p_clamps(x, y, t)
+            guarded += abs((y - x) / (1.0 - x.conjugate() * y)) >= _ATANH_GUARD
+    assert equal > 0
+    if name == "disk":
+        assert clamped > 0 and guarded > 0
+
+
+def test_dist_combine_t0_returns_x_itself():
+    # At t = 0 every kernel returns x; (1 - 0) x + 0 y differs from x only in
+    # the sign of a zero coordinate, which the formula turns into +0.0.
+    for space, x, y in ((E2, complex(-0.0, 1.5), complex(2.0, -1.0)),
+                        (ar.euclidean(5), (-0.0, 1.0, 2.0, 3.0, 4.0),
+                         (1.0, 1.0, 1.0, 1.0, 1.0))):
+        d, z = raw_dist_combine(space)(x, y, 0.0)
+        assert z is x
+        assert d == raw_ops(space)[0](x, y)

@@ -1,5 +1,6 @@
 import cmath
 import csv
+import dataclasses
 import io
 import math
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from conftest import CONFIG_DIR
 
 import asymreg as ar
+from asymreg import iteration
 from asymreg.geometry import from_raw, raw_ops, to_raw
 from asymreg.iteration import _seq_scalar_plan
 from asymreg.mappings import raw_apply_fn
@@ -210,6 +212,42 @@ def test_trajectory_csv_to_path(tmp_path):
     assert len(text.strip().splitlines()) == 5
 
 
+def csv_writer_reference(traj, target, report_every):
+    """The row-by-row csv.writer output that trajectory_to_csv reproduces."""
+    with open(target, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        header = ["n", "residual", "inner_residual"]
+        with_ref = traj.ref_distances is not None
+        if with_ref:
+            header.append("dist_to_ref")
+        writer.writerow(header)
+        steps = traj.steps
+        for n in range(0, steps + 1, report_every):
+            row = [n, repr(float(traj.residuals[n])),
+                   repr(float(traj.inner_residuals[n])) if n < steps else ""]
+            if with_ref:
+                row.append(repr(float(traj.ref_distances[n])))
+            writer.writerow(row)
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_trajectory_csv_matches_csv_writer_bytes(tmp_path, monkeypatch,
+                                                 disk_config, chunk):
+    monkeypatch.setattr(iteration, "_CSV_CHUNK_ROWS", chunk)
+    fp = ar.reference_point(disk_config)
+    for steps in (0, 1, 999, 3_000):
+        for record in (False, True):
+            traj = ar.run_trajectory(disk_config.space, disk_config.mapping,
+                                     disk_config.start, disk_config.schedule,
+                                     steps, ref_point=fp,
+                                     record_ref_distances=record)
+            for every in (1, 3, 1000, 5_000):
+                got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+                ar.trajectory_to_csv(traj, got, report_every=every)
+                csv_writer_reference(traj, want, every)
+                assert got.read_bytes() == want.read_bytes(), (steps, record, every)
+
+
 # ---------------------------------------------------------------------------
 # stationarity cut-off against the uncut loop
 
@@ -322,6 +360,26 @@ def test_cutoff_matches_uncut_loop_strided(all_configs, name):
         assert len({id(p) for p in tail}) == 1
 
 
+def test_points_are_built_once_from_the_coordinate_arrays(all_configs):
+    traj = ar.trajectory_for(all_configs["rotation_pi_euclidean"], 50,
+                             dense=True)                  # x_20 is fixed
+    assert "points" not in vars(traj) and "inner_points" not in vars(traj)
+    assert traj.point_coords.shape == traj.inner_point_coords.shape == (20, 2)
+    assert traj.points is traj.points                     # cached
+    assert len(traj.points) == 51 and len(traj.inner_points) == 50
+    assert [p.coords for p in traj.points[:20]] == \
+        [tuple(row) for row in traj.point_coords.tolist()]
+    assert [p.coords for p in traj.inner_points[:20]] == \
+        [tuple(row) for row in traj.inner_point_coords.tolist()]
+    assert all(p is traj.final_point for p in traj.points[20:] + traj.inner_points[20:])
+    assert len({id(p) for p in traj.points[:20]}) == 20
+
+    traj = ar.trajectory_for(all_configs["rotation_poincare"], 50, dense=True)
+    assert traj.stationary_from is None
+    assert traj.point_coords.shape == traj.inner_point_coords.shape == (50, 2)
+    assert traj.points[-1] is traj.final_point and len(traj.inner_points) == 50
+
+
 def test_cutoff_edge_cases(all_configs):
     ident = all_configs["identity_euclidean"]
     traj = ar.trajectory_for(ident, 0, record_ref=True)
@@ -346,3 +404,63 @@ def test_cutoff_edge_cases(all_configs):
                                  record_ref_distances=True)
         assert traj.stationary_from == 20
         assert_matches_uncut(traj, rot)
+
+
+def _variant(config, mapping=None, start=None, dim=None):
+    """config with its mapping fields, start point or Euclidean dimension
+    replaced, parsed again so the result is a validated config."""
+    data = ar.config_to_dict(config)
+    data["mapping"].update(mapping or {})
+    if dim is not None:
+        data["space"]["dim"] = dim
+        data["mapping"]["center"] = [0.0] * dim
+        data["afp"]["fixed_point"] = [0.0] * dim
+    if start is not None:
+        data["start"] = start
+    return ar.config_from_dict(data)
+
+
+@pytest.fixture(scope="module")
+def live_disk_config(all_configs):
+    # orbit-live's shape: a disk rotation about the centre 0 by an angle in
+    # [pi/4, 3pi/5], from an off-axis start; its residual never reaches 0
+    return _variant(all_configs["rotation_poincare"],
+                    mapping={"angle": 0.43 * math.pi}, start=[0.21, -0.33])
+
+
+def test_live_disk_rotation_matches_uncut_loop(live_disk_config):
+    assert live_disk_config.mapping.center == (0.0, 0.0)
+    traj = ar.trajectory_for(live_disk_config, 10_000, dense=True, record_ref=True)
+    assert traj.store_every == 1 and traj.stationary_from is None
+    assert_matches_uncut(traj, live_disk_config)
+    traj = ar.trajectory_for(live_disk_config, 199_999, record_ref=True)
+    assert traj.store_every == 2 and traj.stationary_from is None
+    assert_matches_uncut(traj, live_disk_config)
+
+
+@pytest.mark.parametrize("name", ["live-disk", "ishikawa_geometric_s_euclidean",
+                                  "rotation_half_pi_euclidean-R5"])
+def test_zero_lambda_tail_matches_uncut_loop(all_configs, live_disk_config, name):
+    if name == "live-disk":
+        base = live_disk_config
+    elif name.endswith("-R5"):
+        base = _variant(all_configs[name[:-3]], dim=5,
+                        start=[0.3, -0.2, 0.1, 0.25, -0.15])
+    else:
+        base = all_configs[name]
+    # lambda_n = 0 at n = 3 and from n = 5 on: x_n stops moving while
+    # T x_n != x_n, so every step from 5 on takes the t == 0 return
+    lam = ar.seq_tabulated([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), 0,
+                            Fraction(1, 2)], 0)
+    old = base.schedule
+    sched = ar.Schedule(lam, old.s_seq, old.theta, old.L, old.N0, old.gamma)
+    config = dataclasses.replace(base, schedule=sched)
+    for steps, every in ((2_000, 1), (2_001, 3)):
+        traj = ar.run_trajectory(config.space, config.mapping, config.start,
+                                 sched, steps, store_every=every,
+                                 ref_point=ar.reference_point(config),
+                                 record_ref_distances=True)
+        assert traj.stationary_from is None
+        assert traj.residuals[-1] > 0.0
+        assert np.all(traj.residuals[5:] == traj.residuals[5])
+        assert_matches_uncut(traj, config)
