@@ -14,8 +14,11 @@ returns delta(k) = theta(P + k + N0), a window bound ensuring some index in
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import asymreg as ar
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # ---------------------------------------------------------------------------
 print("The reference configuration: lambda = 1/2, s = 0, theta(n) = 4n,")
@@ -44,7 +47,7 @@ print(f"  quadratic: P = {rr.P};  hilbert: P = {ar.compute_phi(ri_h).P}")
 # ---------------------------------------------------------------------------
 print("\nSoundness at desk scale: simulate an orbit matching the inputs and")
 print("verify the residual really is below eps on the window [phi, phi+1000].")
-cfg = ar.load_config("configs/rotation_half_pi_euclidean.json")
+cfg = ar.load_config(CONFIGS / "rotation_half_pi_euclidean.json")
 for eps in (0.5, 0.25, 0.125):
     rrate, rep = ar.check_phi_soundness(cfg, eps)
     hit = rrate.empirical_first_hit

@@ -7,10 +7,13 @@ failure.  The same battery is what the acceptance tests run at full scale.
 """
 
 import dataclasses
+from pathlib import Path
 
 import asymreg as ar
 
-cfg = ar.load_config("configs/ishikawa_geometric_s_euclidean.json")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+cfg = ar.load_config(CONFIGS / "ishikawa_geometric_s_euclidean.json")
 print("Configuration: Ishikawa iteration, rotation by pi in the plane,")
 print("lambda = 1/2, s_n = 2^-(n+1), theta(n) = 4n, geometric-tail gamma.\n")
 

@@ -272,18 +272,32 @@ def trajectory_to_csv(traj: Trajectory, target, report_every: int = 1) -> None:
         header.append("dist_to_ref")
         columns.append(traj.ref_distances)
     rows = range(0, traj.steps + 1, report_every)
+    # The rows from the cut-off up to the final one differ only in n; the
+    # final row has a blank inner_residual and takes the general path.
+    stop = traj.stationary_from
+    split = len(rows) if stop is None else -(-stop // report_every)
+    tail, last = rows[split:-1], rows[split:][-1:]
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
     handle = open(target, "w", newline="") if own else target
     try:
         handle.write(",".join(header) + "\r\n")
-        for lo in range(0, len(rows), _CSV_CHUNK_ROWS):
-            part = rows[lo:lo + _CSV_CHUNK_ROWS]
-            # zip stops at the n column; the "" fills inner_residual on the
-            # final row, which has no inner residual
-            fields = [map(str, part)] + [
-                chain(map(repr, col[part.start:part.stop:report_every].tolist()), ("",))
-                for col in columns]
-            handle.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+        for lo in range(0, split, _CSV_CHUNK_ROWS):
+            _write_rows(handle, rows[lo:min(lo + _CSV_CHUNK_ROWS, split)], columns)
+        if tail:
+            suffix = "".join("," + repr(col[stop].item()) for col in columns) + "\r\n"
+            for lo in range(0, len(tail), _CSV_CHUNK_ROWS):
+                handle.write(suffix.join(map(str, tail[lo:lo + _CSV_CHUNK_ROWS])) + suffix)
+        if last:
+            _write_rows(handle, last, columns)
     finally:
         if own:
             handle.close()
+
+
+def _write_rows(handle, part: range, columns: list[np.ndarray]) -> None:
+    # zip stops at the n column; the "" fills inner_residual on the final
+    # row, which has no inner residual
+    fields = [map(str, part)] + [
+        chain(map(repr, col[part.start:part.stop:part.step].tolist()), ("",))
+        for col in columns]
+    handle.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")

@@ -17,8 +17,10 @@ round-trip through files.  The families:
   d(x, y) <= n implies d(x, Ty) <= omega(n).
 
 Constructors for theta and gamma work in exact rational arithmetic via
-fractions.Fraction; floats only enter at the verification boundary
-(verify_theta / verify_gamma, which sample the defining inequalities).
+fractions.Fraction.  verify_theta checks its defining inequality in integer
+arithmetic, exactly or (for geometric lambda) through a lower bound that is
+never too high; floats only enter in verify_gamma, which samples its windows
+with a 1e-9 slack.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -382,7 +385,7 @@ def eval_eta1(desc: ModulusDescriptor, r: float, k: int) -> int:
     if desc.kind == ETA1_AFFINE:
         return desc.param("a") * k + desc.param("b")
     if desc.kind == TABULATED:
-        return _table_lookup(desc, k)
+        return _table_fn(desc)(k)
     if desc.kind == ETA1_SHIFT:
         return eval_eta1(desc.param("inner"), r, k + desc.param("shift"))
     if desc.kind == ETA2_FROM_ETA3:
@@ -412,7 +415,7 @@ def eval_eta3(desc: ModulusDescriptor, q: Fraction, k: int) -> int:
     if desc.kind == ETA3_AFFINE:
         return desc.param("a") * k + desc.param("b")
     if desc.kind == TABULATED:
-        return _table_lookup(desc, k)
+        return _table_fn(desc)(k)
     raise DescriptorError(f"{desc.kind!r} is not an eta3 descriptor")
 
 
@@ -420,17 +423,29 @@ def eval_nat(desc: ModulusDescriptor, n: int) -> int:
     """Evaluate a natural -> natural descriptor (theta, omega, tables)."""
     if n < 0:
         raise DescriptorDomainError("argument must be a natural")
+    return _nat_fn(desc)(n)
+
+
+def nat_values(desc: ModulusDescriptor, n_max: int) -> list[int]:
+    """eval_nat at n = 0 .. n_max, with the descriptor's parameters read once."""
+    return list(map(_nat_fn(desc), range(n_max + 1)))
+
+
+def _nat_fn(desc: ModulusDescriptor) -> Callable[[int], int]:
     if desc.kind == THETA_LINEAR:
-        return max(0, ceil_frac(desc.param("a") * n + desc.param("b")))
+        # ceil((p/q) n + r/s) = ceil((p s n + r q) / (q s))
+        a, b = desc.param("a"), desc.param("b")
+        step, base = a.numerator * b.denominator, b.numerator * a.denominator
+        den = a.denominator * b.denominator
+        return lambda n: max(0, -(-(step * n + base) // den))
     if desc.kind == OMEGA_AFFINE:
-        return max(0, desc.param("slope") * n + desc.param("shift"))
+        slope, shift = desc.param("slope"), desc.param("shift")
+        return lambda n: max(0, slope * n + shift)
     if desc.kind == TABULATED:
-        return _table_lookup(desc, n)
+        if any(v < 0 for _, v in desc.param("points")):
+            raise DescriptorDomainError("a natural-valued table holds a negative value")
+        return _table_fn(desc)
     raise DescriptorError(f"{desc.kind!r} is not a natural-valued descriptor")
-
-
-eval_theta = eval_nat
-eval_omega = eval_nat
 
 
 def eval_gamma(desc: ModulusDescriptor, delta) -> int:
@@ -457,11 +472,15 @@ def eval_gamma(desc: ModulusDescriptor, delta) -> int:
     raise DescriptorError(f"{desc.kind!r} is not a gamma descriptor")
 
 
-def _table_lookup(desc: ModulusDescriptor, arg: int) -> int:
-    for k, v in desc.param("points"):
-        if k == arg:
-            return v
-    raise DescriptorDomainError(f"argument {arg} outside the table")
+def _table_fn(desc: ModulusDescriptor) -> Callable[[int], int]:
+    table = dict(desc.param("points"))
+
+    def lookup(arg: int) -> int:
+        try:
+            return table[arg]
+        except KeyError:
+            raise DescriptorDomainError(f"argument {arg} outside the table") from None
+    return lookup
 
 
 def declared_monotonicity(desc: ModulusDescriptor) -> dict[str, str]:
@@ -541,16 +560,17 @@ def seq_value(seq: SequenceDescriptor, n: int) -> Fraction:
     raise DescriptorError(f"unknown sequence kind {seq.kind!r}")
 
 
-def seq_values_float(seq: SequenceDescriptor, count: int) -> np.ndarray:
-    """First `count` terms as float64, without exact big-denominator blowup."""
+def seq_values_float(seq: SequenceDescriptor, count: int, start: int = 0) -> np.ndarray:
+    """Terms start .. start+count-1 as float64, without exact big-denominator
+    blowup."""
     if seq.kind == SEQ_CONSTANT:
         return np.full(count, float(seq.param("value")))
     if seq.kind == SEQ_GEOMETRIC:
         c, q = float(seq.param("c")), float(seq.param("q"))
         with np.errstate(under="ignore"):
-            return c * np.power(q, np.arange(count, dtype=np.float64))
+            return c * np.power(q, np.arange(start, start + count, dtype=np.float64))
     if seq.kind == SEQ_TABULATED:
-        values = [float(v) for v in seq.param("values")[:count]]
+        values = [float(v) for v in seq.param("values")[start:start + count]]
         pad = count - len(values)
         if pad > 0:
             values.extend([float(seq.param("tail"))] * pad)
@@ -569,6 +589,58 @@ def seq_sup_from(seq: SequenceDescriptor, n0: int) -> Fraction:
         candidates = [seq.param("tail")] + list(values[n0:])
         return max(candidates)
     raise DescriptorError(f"unknown sequence kind {seq.kind!r}")
+
+
+def seq_mass(seq: SequenceDescriptor) -> Callable[[int], tuple[int, int]]:
+    """t -> (num, den) with num / den <= S(t) = sum_{k=0..t} lambda_k (1 - lambda_k),
+    for t >= -1.  Equal to S(t) for Constant and Tabulated lambda.  For
+    Geometric lambda a lower bound from an outward-rounded q^(t+1): it never
+    exceeds S(t), and errs by about 2^-100 or less.  Neither its time nor its
+    memory grows with t."""
+    if seq.kind in (SEQ_CONSTANT, SEQ_TABULATED):
+        # den S(t) = prefix[j] + (t + 1 - j) per_tail, j = min(t + 1, len(values))
+        values = seq.param("values") if seq.kind == SEQ_TABULATED else ()
+        tail = seq.param("tail" if seq.kind == SEQ_TABULATED else "value")
+        terms = [v * (1 - v) for v in values]
+        tail_term = tail * (1 - tail)
+        den = math.lcm(tail_term.denominator, *(x.denominator for x in terms))
+        prefix = [int(x * den) for x in accumulate(terms, initial=Fraction(0))]
+        last, per_tail = len(values), int(tail_term * den)
+
+        def exact(t: int) -> tuple[int, int]:
+            j = t + 1 if t < last else last
+            return prefix[j] + (t + 1 - j) * per_tail, den
+        return exact
+    if seq.kind == SEQ_GEOMETRIC:
+        # S(t) = (a - b) - (a u - b u^2) with u = q^(t+1), a = c / (1 - q),
+        # b = c^2 / (1 - q^2).  a u - b u^2 grows with u up to (1 + q) / (2 c),
+        # which is at least q + 1 / (2 d) for q = p / d.  So an upper bound
+        # u <= hi / 2^bits <= q + 2^-bits bounds S(t) from below.
+        c, q = seq.param("c"), seq.param("q")
+        a, b = c / (1 - q), c * c / (1 - q * q)
+        den = math.lcm(a.denominator, b.denominator)
+        an, bn = int(a * den), int(b * den)
+        p, d = q.numerator, q.denominator
+        bits = 128 + 2 * d.bit_length() + math.ceil(a).bit_length()
+
+        def lower(t: int) -> tuple[int, int]:
+            hi = _pow_ceil(p, d, t + 1, bits)
+            num = ((an - bn) << 2 * bits) - ((an * hi) << bits) + bn * hi * hi
+            return max(0, num), den << 2 * bits
+        return lower
+    raise DescriptorError(f"unknown sequence kind {seq.kind!r}")
+
+
+def _pow_ceil(p: int, d: int, k: int, bits: int) -> int:
+    """An integer hi >= (p/d)^k 2^bits for 0 <= p < d, by squaring with every
+    product rounded up; hi <= ceil(p 2^bits / d) when k >= 1."""
+    base, acc = -(-(p << bits) // d), 1 << bits
+    while k > 0:
+        if k & 1:
+            acc = -(-(acc * base) >> bits)
+        base = -(-(base * base) >> bits)
+        k >>= 1
+    return acc
 
 
 @dataclass(frozen=True)
@@ -618,35 +690,36 @@ def validate_schedule(schedule: Schedule) -> None:
         raise ScheduleError("gamma must be antitone in the precision")
 
 
-def lambda_terms_float(schedule: Schedule, count: int) -> np.ndarray:
-    lam = seq_values_float(schedule.lambda_seq, count)
-    return lam * (1.0 - lam)
-
-
-def alpha_terms_float(schedule: Schedule, count: int) -> np.ndarray:
-    lam = seq_values_float(schedule.lambda_seq, count)
-    s = seq_values_float(schedule.s_seq, count)
+def alpha_terms_float(schedule: Schedule, count: int, start: int = 0) -> np.ndarray:
+    """s_k (1 - lambda_k) for k = start .. start+count-1, as float64."""
+    lam = seq_values_float(schedule.lambda_seq, count, start)
+    s = seq_values_float(schedule.s_seq, count, start)
     return s * (1.0 - lam)
 
 
 # ---------------------------------------------------------------------------
-# witness verification (floats, 1e-9 slack)
+# witness verification: theta in integers, gamma in floats with a 1e-9 slack
 
 def verify_theta(schedule: Schedule, n_max: int = 10_000) -> CheckReport:
-    """Check sum_{k=0..theta(n)} lambda_k (1 - lambda_k) >= n for n <= n_max."""
+    """Check sum_{k=0..theta(n)} lambda_k (1 - lambda_k) >= n for n <= n_max
+    with seq_mass, in memory O(n_max) whatever theta(n_max) is.  The check is
+    exact for Constant and Tabulated lambda; for Geometric lambda it never
+    passes a witness that misses, and fails one that clears n by less than
+    about 2^-100."""
     report = CheckReport("theta-witness")
     if n_max < 1:
         raise DescriptorDomainError("n_max must be >= 1")
     try:
-        indices = [schedule.theta_at(n) for n in range(n_max + 1)]
+        thetas = nat_values(schedule.theta, n_max)
     except (DescriptorError, DescriptorDomainError) as exc:
-        report.fail({"error": str(exc)}, 0.0, 0.0, SLACK)
+        report.fail({"error": str(exc)}, 0.0, 0.0, 0.0)
         return report
-    csum = np.cumsum(lambda_terms_float(schedule, max(indices) + 1))
+    mass = seq_mass(schedule.lambda_seq)
     report.samples = n_max + 1
-    for n, t in enumerate(indices):
-        if csum[t] < n - SLACK:
-            report.fail({"n": n, "theta_n": t}, float(csum[t]), float(n), SLACK)
+    for n, t in enumerate(thetas):
+        num, den = mass(t)
+        if num < n * den:
+            report.fail({"n": n, "theta_n": t}, num / den, float(n), 0.0)
             break
     return report
 
@@ -663,11 +736,12 @@ def verify_gamma(schedule: Schedule, deltas: Sequence, n_max: int = 10_000) -> C
     except (DescriptorError, DescriptorDomainError) as exc:
         report.fail({"error": str(exc)}, 0.0, 0.0, SLACK)
         return report
-    need = max(gammas) + n_max + 1
-    alpha = np.cumsum(alpha_terms_float(schedule, need))
     report.samples = len(gammas) * (n_max + 1)
     for delta, g in zip(deltas, gammas):
-        window = alpha[g:g + n_max + 1] - alpha[g]
+        # alpha_{g+n} - alpha_g sums the terms at g+1 .. g+n
+        terms = alpha_terms_float(schedule, n_max + 1, start=g)
+        terms[0] = 0.0
+        window = np.cumsum(terms)
         worst = int(np.argmax(window))
         if window[worst] > float(delta) + SLACK:
             report.fail({"delta": float(delta), "gamma": g, "n": worst},

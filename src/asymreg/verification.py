@@ -358,10 +358,12 @@ def check_lemma_inequalities(traj: Trajectory, ref_point: Point | None = None) -
 
 
 def _bulk_fail(report: CheckReport, name: str, lhs: np.ndarray,
-               rhs: np.ndarray, slack: float) -> None:
+               rhs: np.ndarray, slack: float, offset: int = 0) -> None:
+    """Fail the first ten n with lhs[n] > rhs[n] + slack, reported at index
+    offset + n, and count the rest as suppressed."""
     bad = np.nonzero(lhs > rhs + slack)[0]
     for n in bad[:10]:
-        report.fail({"inequality": name, "n": int(n)},
+        report.fail({"inequality": name, "n": offset + int(n)},
                     float(lhs[n]), float(rhs[n]), slack)
     if len(bad) > 10:
         report.suppressed_failures += len(bad) - 10
@@ -425,14 +427,10 @@ def check_phi_soundness(config: ExperimentConfig, eps: float,
     traj = _covering_trajectory(config, end, trajectory)
     res = traj.residuals
 
-    tol = eps * (1.0 + SLACK)
     window = res[rr.phi:end + 1]
     report.samples += len(window)
-    bad = np.nonzero(window > tol)[0]
-    for j in bad[:10]:
-        report.fail({"n": int(rr.phi + j)}, float(window[j]), tol, SLACK * eps)
-    if len(bad) > 10:
-        report.suppressed_failures += len(bad) - 10
+    _bulk_fail(report, "residual", window, np.full(len(window), eps), SLACK * eps,
+               offset=rr.phi)
     boundary = int(np.count_nonzero(np.abs(window - eps) <= SLACK * eps))
     if boundary:
         report.note(f"{boundary} residual(s) within 1e-9 of the eps boundary")

@@ -1,5 +1,5 @@
 """Every demo script runs to completion against the package in src/, from
-the repository root, where its relative config paths point."""
+a directory outside the repository."""
 
 import os
 import pathlib
@@ -17,11 +17,11 @@ def test_demos_are_present():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.stem for p in DEMOS])
-def test_demo_runs(demo):
+def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.strip()

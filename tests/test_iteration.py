@@ -248,6 +248,32 @@ def test_trajectory_csv_matches_csv_writer_bytes(tmp_path, monkeypatch,
                 assert got.read_bytes() == want.read_bytes(), (steps, record, every)
 
 
+# Orbits whose cut-off fires at 0, at 20 (inside a block of 7 rows, and
+# not a multiple of report_every 3 or 7), at 1,075, and on the last step
+# (20 of 21 steps).
+CSV_CUTS = [("identity_euclidean", 50), ("rotation_pi_euclidean", 999),
+            ("rotation_pi_euclidean", 21), ("reflection_average_euclidean", 3_000)]
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+@pytest.mark.parametrize("name,steps", CSV_CUTS)
+def test_trajectory_csv_matches_csv_writer_bytes_past_the_cutoff(
+        tmp_path, monkeypatch, all_configs, chunk, name, steps):
+    monkeypatch.setattr(iteration, "_CSV_CHUNK_ROWS", chunk)
+    config = all_configs[name]
+    for record in (False, True):
+        traj = ar.run_trajectory(config.space, config.mapping, config.start,
+                                 config.schedule, steps,
+                                 ref_point=ar.reference_point(config),
+                                 record_ref_distances=record)
+        assert traj.stationary_from == STATIONARY_FROM[name]
+        for every in (1, 3, 7, 1000, 5_000):
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            ar.trajectory_to_csv(traj, got, report_every=every)
+            csv_writer_reference(traj, want, every)
+            assert got.read_bytes() == want.read_bytes(), (record, every)
+
+
 # ---------------------------------------------------------------------------
 # stationarity cut-off against the uncut loop
 

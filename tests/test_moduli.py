@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,8 @@ from asymreg.moduli import (
     ceil_log2_frac,
     ceil_neg_log2,
     eval_eta_exact,
+    nat_values,
+    seq_mass,
     sequence_lower_bound,
     seq_sup_from,
 )
@@ -351,6 +354,220 @@ def test_verify_gamma_passes_and_fails():
                       sched.N0, ar.gamma_shifted(sched.gamma, -1))
     rep = ar.verify_gamma(bad, deltas, n_max=500)
     assert not rep.passed
+
+
+# ---------------------------------------------------------------------------
+# the exact theta check: its parts, a float reference, and its memory
+
+@settings(max_examples=50)
+@given(st.integers(0, 10**6), st.integers(1, 10**6), st.integers(0, 10**6),
+       st.integers(1, 10**6))
+def test_nat_values_match_eval_nat_for_theta_linear(p, q, r, s):
+    desc = ar.theta_linear(Fraction(p, q), Fraction(r, s))
+    assert nat_values(desc, 300) == [ar.eval_nat(desc, n) for n in range(301)]
+
+
+def test_nat_values_match_eval_nat():
+    for desc in (ar.theta_linear(4), ar.theta_linear(0, Fraction(5, 2)),
+                 ar.omega_affine(3, -7), ar.omega_affine(0, 2),
+                 ar.tabulated([(2, 9), (0, 1), (1, 4)])):
+        assert nat_values(desc, 2) == [ar.eval_nat(desc, n) for n in range(3)]
+    table = ar.tabulated([(0, 1), (1, 4), (3, 9)])
+    with pytest.raises(ar.DescriptorDomainError, match="argument 2 outside"):
+        nat_values(table, 5)
+    with pytest.raises(ar.DescriptorError):
+        nat_values(ar.gamma_zero(), 5)
+
+
+MASS_SEQUENCES = [
+    ar.seq_constant(Fraction(1, 3)),
+    ar.seq_constant(0),
+    ar.seq_tabulated([Fraction(1, 2), Fraction(1, 5), 0, Fraction(9, 10)],
+                     Fraction(1, 7)),
+    ar.seq_tabulated([Fraction(1, 2)], 0),
+    ar.seq_tabulated([Fraction(1, 2)] * 30 + [Fraction(1, 3)] * 10, 0),
+    ar.seq_geometric(Fraction(1, 2), Fraction(1, 2)),
+    ar.seq_geometric(1, Fraction(9, 10)),
+    ar.seq_geometric(Fraction(3, 4), Fraction(19, 20)),
+    ar.seq_geometric(Fraction(4, 5), Fraction(3, 5)),  # S_inf = 1 exactly
+    ar.seq_geometric(0, Fraction(1, 2)),
+]
+
+
+@pytest.mark.parametrize("seq", MASS_SEQUENCES, ids=lambda q: q.kind)
+def test_seq_mass_matches_exact_partial_sums(seq):
+    mass = seq_mass(seq)
+    assert mass(-1)[0] == 0
+    total = Fraction(0)
+    for t in range(200):
+        lam = ar.seq_value(seq, t)
+        total += lam * (1 - lam)
+        got = Fraction(*mass(t))
+        if seq.kind == "Geometric":
+            assert 0 <= total - got < Fraction(1, 2**100), t
+        else:
+            assert got == total, t
+
+
+def test_geometric_mass_is_a_tight_lower_bound_far_out():
+    c, q = Fraction(1, 2), Fraction(2999, 3000)
+    mass = seq_mass(ar.seq_geometric(c, q))
+    for t in (1000, 7454, 7455, 20_000):
+        u = q ** (t + 1)
+        exact = c * (1 - u) / (1 - q) - c * c * (1 - u * u) / (1 - q * q)
+        assert 0 <= exact - Fraction(*mass(t)) < Fraction(1, 2**100), t
+
+
+def test_geometric_mass_stays_below_the_limit_at_huge_t():
+    # S_inf = c (1 + q - c) / (1 - q^2) = 90/19 for c = 1, q = 9/10
+    mass = seq_mass(ar.seq_geometric(1, Fraction(9, 10)))
+    for t in (10**6, 10**12, 10**100):
+        got = Fraction(*mass(t))
+        assert Fraction(90, 19) - Fraction(1, 2**100) < got < Fraction(90, 19)
+
+
+def test_verify_theta_geometric_cost_does_not_grow_with_the_exponent():
+    # S_inf = 1124.9..., and theta(n) = 8n clears every n <= 1000; an exact
+    # q^(theta(1000) + 1) would have about 10^5 bits
+    sched = ar.Schedule(ar.seq_geometric(Fraction(1, 2), Fraction(2999, 3000)),
+                        ar.seq_constant(0), ar.theta_linear(8), 1, 0, ar.gamma_zero())
+    assert ar.verify_theta(sched, n_max=1000).passed
+    assert not ar.verify_theta(sched, n_max=1125).passed
+
+
+def test_verify_theta_geometric_passes_n_zero_at_a_zero_mass():
+    # lambda_0 = c = 1 gives S(0) = 0 exactly, which clears n = 0
+    sched = ar.Schedule(ar.seq_geometric(1, Fraction(9, 10)), ar.seq_constant(0),
+                        ar.tabulated([(0, 0), (1, 50)]), 1, 0, ar.gamma_zero())
+    assert ar.verify_theta(sched, n_max=1).passed
+
+
+def test_negative_table_theta_fails_the_witness_check():
+    # theta(1) = -5 must not read S(-5) from the end of the prefix table
+    lam = ar.seq_tabulated([Fraction(1, 2)] * 8, Fraction(1, 2))
+    theta = ar.descriptor_from_dict({"kind": "Tabulated", "points": [[0, 0], [1, -5]]})
+    sched = ar.Schedule(lam, ar.seq_constant(0), theta, 1, 0, ar.gamma_zero())
+    rep = ar.verify_theta(sched, n_max=1)
+    assert not rep.passed
+    assert "negative" in dict(rep.failures[0].inputs)["error"]
+    with pytest.raises(ar.DescriptorDomainError, match="negative"):
+        ar.eval_nat(theta, 0)
+
+
+def float_verify_theta(schedule, n_max):
+    """The float check verify_theta replaced: a cumsum of theta(n_max) + 1
+    terms and a 1e-9 slack.  Returns the first failing n (None for a pass)
+    and the first n whose float margin |csum - n| is 1e-6 or less."""
+    thetas = [ar.eval_nat(schedule.theta, n) for n in range(n_max + 1)]
+    lam = ar.seq_values_float(schedule.lambda_seq, max(thetas) + 1)
+    csum = np.cumsum(lam * (1.0 - lam))
+    close = next((n for n, t in enumerate(thetas) if abs(csum[t] - n) <= 1e-6), None)
+    failing = next((n for n, t in enumerate(thetas) if csum[t] < n - 1e-9), None)
+    return failing, close
+
+
+DIFF_LAMBDAS = [
+    ar.seq_constant(Fraction(1, 2)),
+    ar.seq_constant(Fraction(1, 3)),
+    ar.seq_constant(Fraction(3, 7)),
+    ar.seq_constant(Fraction(1, 50)),
+    ar.seq_tabulated([Fraction(1, 10), Fraction(9, 10), Fraction(1, 2), 0],
+                     Fraction(1, 4)),
+    ar.seq_tabulated([Fraction(1, 2)] * 5, Fraction(1, 20)),
+    ar.seq_geometric(1, Fraction(9, 10)),
+    ar.seq_geometric(Fraction(1, 2), Fraction(1, 2)),
+]
+DIFF_THETAS = [
+    ar.theta_linear(4),
+    ar.theta_linear(Fraction(9, 2)),
+    ar.theta_linear(Fraction(9, 2), Fraction(1, 3)),
+    ar.theta_linear(Fraction(7, 2), 3),
+    ar.theta_linear(Fraction(49, 12)),
+    ar.theta_linear(40),
+    ar.theta_linear(55, 10),
+    ar.theta_linear(Fraction(1, 2)),
+    ar.tabulated([(n, 4 * n + n % 3) for n in range(201)]),
+    ar.tabulated([(n, 60 * n * n) for n in range(201)]),
+]
+
+
+def test_verify_theta_matches_the_float_check():
+    compared = 0
+    for lam in DIFF_LAMBDAS:
+        for theta in DIFF_THETAS:
+            sched = ar.Schedule(lam, ar.seq_constant(0), theta, 1, 0, ar.gamma_zero())
+            failing, close = float_verify_theta(sched, 200)
+            rep = ar.verify_theta(sched, n_max=200)
+            got = dict(rep.failures[0].inputs)["n"] if rep.failures else None
+            assert rep.samples == 201
+            if close is None or (failing is not None and failing < close):
+                # every float margin up to the verdict exceeds 1e-6
+                compared += 1
+                assert got == failing, (lam, theta)
+                if failing is not None:
+                    failure = rep.failures[0]
+                    assert dict(failure.inputs)["theta_n"] == ar.eval_nat(theta, failing)
+                    assert failure.rhs == failing
+            elif got is not None:
+                assert got >= close, (lam, theta)
+    assert compared >= 60
+
+
+def test_verify_theta_rejects_a_witness_the_float_slack_let_through():
+    # (theta(1) + 1) lam (1 - lam) = 4 (1/4 - 10^-12) = 1 - 4 10^-12 < 1
+    lam = ar.seq_constant(Fraction(1, 2) - Fraction(1, 10**6))
+    sched = ar.Schedule(lam, ar.seq_constant(0), ar.tabulated([(0, 0), (1, 3)]),
+                        1, 0, ar.gamma_zero())
+    assert float_verify_theta(sched, 1)[0] is None
+    rep = ar.verify_theta(sched, n_max=1)
+    assert not rep.passed
+    failure = rep.failures[0]
+    assert dict(failure.inputs) == {"n": 1, "theta_n": 3}
+    assert failure.lhs == pytest.approx(1 - 4e-12, abs=1e-15)
+    assert failure.lhs < 1.0
+
+
+def test_verify_theta_passes_a_witness_that_meets_n_exactly():
+    # S(4n - 1) = 4n (1/2)(1/2) = n: equality is enough
+    lam = ar.seq_tabulated([Fraction(1, 2)] * 3, Fraction(1, 2))
+    exact = ar.tabulated([(n, max(0, 4 * n - 1)) for n in range(51)])
+    short = ar.tabulated([(n, max(0, 4 * n - 2)) for n in range(51)])
+    for seq in (ar.seq_constant(Fraction(1, 2)), lam):
+        sched = ar.Schedule(seq, ar.seq_constant(0), exact, 1, 0, ar.gamma_zero())
+        assert ar.verify_theta(sched, n_max=50).passed
+        sched = ar.Schedule(seq, ar.seq_constant(0), short, 1, 0, ar.gamma_zero())
+        assert dict(ar.verify_theta(sched, n_max=50).failures[0].inputs)["n"] == 1
+
+
+def traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_theta_memory_does_not_grow_with_theta():
+    # theta(1000) = 1,001,001: the float check held that many terms (16 MB)
+    lam = Fraction(1, 1000)
+    sched = ar.Schedule(ar.seq_constant(lam), ar.seq_constant(0),
+                        ar.theta_for_constant_lambda(lam), 1, 0, ar.gamma_zero())
+    rep, peak = traced_peak(ar.verify_theta, sched, n_max=1000)
+    assert rep.passed
+    assert peak < 1 << 20
+
+
+def test_verify_gamma_memory_does_not_grow_with_gamma():
+    # gamma + 10^6 is a valid, wasteful modulus; its windows start past 10^6
+    sched = geometric_schedule()
+    late = ar.Schedule(sched.lambda_seq, sched.s_seq, sched.theta, sched.L,
+                       sched.N0, ar.gamma_shifted(sched.gamma, 10**6))
+    deltas = [Fraction(1, 2) ** k for k in range(1, 6)]
+    rep, peak = traced_peak(ar.verify_gamma, late, deltas, n_max=1000)
+    assert rep.passed
+    assert rep.samples == 5 * 1001
+    assert peak < 1 << 20
 
 
 def test_gamma_witness_minimality():
