@@ -19,14 +19,13 @@ import json
 import sys
 from pathlib import Path
 
-from .config import Caps, ConfigError, ExperimentConfig, load_config
+from .config import HARD_STEP_CAP, Caps, ConfigError, ExperimentConfig, load_config
 from .geometry import EUCLIDEAN
 from .iteration import run_trajectory, trajectory_to_csv
 from .moduli import eta_to_eta1
 from .rates import RateError, compute_delta, compute_phi, epsilon_shortcut, inputs_for
 from .report import FAIL, PASS, UNVERIFIED_AT_SCALE, CheckReport
 from .verification import (
-    HARD_STEP_CAP,
     check_dyadic_uc_implication,
     check_lemma_inequalities,
     check_phi_soundness,
@@ -126,6 +125,16 @@ def _emit(reports, as_json: bool, extra: dict | None = None) -> None:
         print(r.summary_line())
 
 
+def _cut_off(traj) -> dict:
+    """Where the orbit runner's cut-off fired: x_{c+p} == x_c bitwise for
+    c = period_from and p = period.  For p = 1, c is also stationary_from,
+    and the state is constant from c on; for p > 1, c is the repeat the
+    runner detected, not necessarily the first index of the cycle.  All
+    three are None when no repeat was found or nothing ran."""
+    return {key: getattr(traj, key, None)
+            for key in ("stationary_from", "period_from", "period")}
+
+
 def _worst(reports) -> str:
     verdicts = {r.verdict for r in reports}
     if FAIL in verdicts:
@@ -210,7 +219,7 @@ def _cmd_run(config: ExperimentConfig, args) -> int:
                       report_every=config.caps.report_every)
     extra["trajectory_csv"] = str(out / "trajectory.csv")
     extra["steps"] = steps
-    extra["stationary_from"] = traj.stationary_from
+    extra.update(_cut_off(traj))
 
     reports.append(check_lemma_inequalities(traj))
     if args.eps is not None:
@@ -266,8 +275,7 @@ def _cmd_sweep(config: ExperimentConfig, args) -> int:
                           report_every=config.caps.report_every)
     doc = json.dumps({
         "rows": rows, "checks": [r.to_json_dict() for r in reports],
-        "stationary_from": traj.stationary_from if traj is not None else None,
-        "verdict": _worst(reports)}, sort_keys=True)
+        **_cut_off(traj), "verdict": _worst(reports)}, sort_keys=True)
     (out / "sweep.json").write_text(doc + "\n", encoding="utf-8")
 
     if args.json:

@@ -52,7 +52,8 @@ from .moduli import (
     validate_schedule,
 )
 
-DEFAULT_MAX_STEPS = 10_000_000
+# The most steps any orbit runs, and the default of caps.max_steps.
+HARD_STEP_CAP = 10_000_000
 
 
 class ConfigError(ValueError):
@@ -61,7 +62,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Caps:
-    max_steps: int = DEFAULT_MAX_STEPS
+    max_steps: int = HARD_STEP_CAP
     report_every: int = 1
 
 
@@ -295,7 +296,7 @@ def config_from_dict(data: dict, *, validate: bool = True) -> ExperimentConfig:
         caps_data = _object(data["caps"], "config.caps")
         _unknown_keys(caps_data, {"max_steps", "report_every"}, "config.caps")
         caps = Caps(
-            max_steps=_as_int(caps_data.get("max_steps", DEFAULT_MAX_STEPS),
+            max_steps=_as_int(caps_data.get("max_steps", HARD_STEP_CAP),
                               "config.caps.max_steps", minimum=1),
             report_every=_as_int(caps_data.get("report_every", 1),
                                  "config.caps.report_every", minimum=1),

@@ -13,17 +13,27 @@ Stored points are kept as raw coordinates, one float64 array per list,
 up to the cut-off below; `Trajectory.points` and `inner_points` build Point
 objects on first access.
 
-The runner stops at the first step n where T x_n == x_n bitwise.  Every raw
-combine returns x when both endpoints are equal, so every later step
-repeats step n exactly; the rest of each array is filled with its constant
-value, and the stored points past n are the same Point object.
+The runner stops at the first detected bitwise repeat of the orbit state.
+Once lambda_n and s_n are constant, a step is a fixed function of x_n, so
+x_{c+p} == x_c bitwise makes every recorded value repeat the block [c, c+p)
+from c+p on.  In floating point the residual of a converging orbit often
+stalls near 1e-323 while x_n runs through a short cycle of subnormal states
+with T x_n != x_n.  Each step compares x_{n+1} with x_n, which finds period
+1 at its exact index, and with one checkpoint state that moves to the
+current index after windows of 2, 4, 8, ... steps, which finds any period p
+once the window reaches p (R. P. Brent, BIT 20, 1980).  Before the schedule
+is constant the runner stops only where T x_n == x_n: every raw combine
+returns x when both endpoints are equal, so that state is fixed whatever
+the schedule does next.  The arrays are filled from the block, and the
+stored points from c on share the p Points of `Trajectory.cycle`.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, cycle, islice
 
 import numpy as np
 
@@ -41,8 +51,9 @@ from .mappings import ApproxFixedPointSpec, MappingSpec, raw_apply_fn
 from .moduli import (
     SEQ_CONSTANT,
     SEQ_GEOMETRIC,
+    SEQ_TABULATED,
+    DescriptorError,
     Schedule,
-    seq_value,
 )
 
 # Orbits longer than this stride their stored points automatically.
@@ -58,9 +69,11 @@ class IterationError(ValueError):
 
 @dataclass
 class Trajectory:
-    """A recorded orbit.  The state is constant from index stop on, where
-    stop is stationary_from or, when the cut-off never fired, steps; the
-    stored points from stop on are all final_point."""
+    """A recorded orbit.  From index tail_from on, the state runs through
+    `cycle`: x_n = cycle[(n - tail_from) % len(cycle)], and y_n likewise
+    through `inner_cycle`.  tail_from is period_from when the cut-off fired;
+    otherwise it is steps, `cycle` holds x_steps alone and `inner_cycle` is
+    empty."""
 
     space: SpaceModel
     mapping: MappingSpec
@@ -69,35 +82,54 @@ class Trajectory:
     residuals: np.ndarray               # d(x_n, T x_n), n = 0 .. steps
     inner_residuals: np.ndarray         # d(x_n, T y_n), n = 0 .. steps-1
     stored_indices: np.ndarray          # indices n whose points were kept
-    point_coords: np.ndarray            # x_n at the stored n < stop, a row each
+    point_coords: np.ndarray            # x_n at the stored n < tail_from, a row each
     inner_point_coords: np.ndarray      # y_n at the same n
-    final_point: Point                  # x_n, and y_n, at the stored n >= stop
+    cycle: tuple[Point, ...]            # x_n, n = tail_from .. tail_from+p-1
+    inner_cycle: tuple[Point, ...]      # y_n at the same n
     afp: ApproxFixedPointSpec | None = None
     ref_point: Point | None = None
     ref_distances: np.ndarray | None = None        # d(x_n, z), dense
     inner_ref_distances: np.ndarray | None = None  # d(y_n, z), dense
     t_inner_ref_distances: np.ndarray | None = None  # d(T y_n, z), dense
     store_every: int = 1
-    stationary_from: int | None = None  # first n < steps with T x_n == x_n
+    # The cut-off: x_{c+p} == x_c bitwise for c = period_from, p = period,
+    # with c + p <= steps.  For p = 1, c is the first n with T x_n == x_n, or
+    # once lambda_n and s_n are constant, the first n with x_{n+1} == x_n.
+    # For p > 1, c is where the checkpoint caught the repeat, which can lie
+    # past the first index of the cycle.  None when no repeat was found.
+    period_from: int | None = None
+    period: int | None = None
 
     @property
     def steps(self) -> int:
         return len(self.residuals) - 1
 
+    @property
+    def stationary_from(self) -> int | None:
+        """period_from when the period is 1: x_n is constant from there on."""
+        return self.period_from if self.period == 1 else None
+
+    @property
+    def tail_from(self) -> int:
+        return self.steps if self.period_from is None else self.period_from
+
     @cached_property
     def points(self) -> list[Point]:
         """x_n at stored_indices."""
-        return self._points(self.point_coords, len(self.stored_indices))
+        return self._points(self.point_coords, len(self.stored_indices), self.cycle)
 
     @cached_property
     def inner_points(self) -> list[Point]:
         """y_n at the stored indices below steps."""
-        return self._points(self.inner_point_coords, len(self.stored_indices) - 1)
+        return self._points(self.inner_point_coords, len(self.stored_indices) - 1,
+                            self.inner_cycle)
 
-    def _points(self, coords: np.ndarray, count: int) -> list[Point]:
+    def _points(self, coords: np.ndarray, count: int,
+                ring: tuple[Point, ...]) -> list[Point]:
         kind = self.space.kind
         out = [Point(kind, tuple(row)) for row in coords.tolist()]
-        return out + [self.final_point] * (count - len(out))
+        tail = self.stored_indices[len(out):count] - self.tail_from
+        return out + [ring[k] for k in (tail % len(ring)).tolist()]
 
 
 def ishikawa_step(space: SpaceModel, m: MappingSpec, x: Point,
@@ -116,13 +148,31 @@ def ishikawa_step(space: SpaceModel, m: MappingSpec, x: Point,
     return from_raw(space, x_next), from_raw(space, y)
 
 
-def _seq_scalar_plan(seq):
-    """(constant_value, geometric_pair, fallback) for fast in-loop evaluation."""
+def _seq_scalar_plan(seq, limit: int):
+    """(head, tail, const_from): the float value at step n is head[n] for
+    n < const_from and tail from there on.  A Constant has no head and a
+    Tabulated one its table.  A Geometric is the running product
+    v_{n+1} = v_n * q from v_0 = c, rounded at every step (so not c * q**n),
+    up to the first v_n with v_n * q == v_n (it has underflowed to 0.0 or
+    stuck at a subnormal) or to `limit` terms."""
     if seq.kind == SEQ_CONSTANT:
-        return float(seq.param("value")), None, None
+        return array("d"), float(seq.param("value")), 0
+    if seq.kind == SEQ_TABULATED:
+        head = array("d", map(float, seq.param("values")))
+        return head, float(seq.param("tail")), len(head)
     if seq.kind == SEQ_GEOMETRIC:
-        return None, (float(seq.param("c")), float(seq.param("q"))), None
-    return None, None, lambda n: float(seq_value(seq, n))
+        head, v, q = array("d"), float(seq.param("c")), float(seq.param("q"))
+        while len(head) < limit and v * q != v:
+            head.append(v)
+            v *= q
+        return head, v, len(head)
+    raise DescriptorError(f"unknown sequence kind {seq.kind!r}")
+
+
+def _same_bits(a, b) -> bool:
+    """Whether a and b, already ==, are equal to the bit: == takes -0.0 for
+    0.0, repr does not, and a float's repr round-trips exactly."""
+    return repr(a) == repr(b)
 
 
 def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
@@ -135,8 +185,9 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
 
     With `record_ref_distances` and a reference point z, also records
     d(x_n, z), d(y_n, z) and d(T y_n, z) densely, which lets the audit checks
-    work on downsampled orbits.  The loop stops at the first bitwise fixed
-    point x_n (recorded as `stationary_from`) and fills the constant tail.
+    work on downsampled orbits.  The loop stops at the first detected bitwise
+    repeat x_{c+p} == x_c (recorded as `period_from` and `period`) and fills
+    the rest of the orbit from the block [c, c+p).
     """
     check_point(space, x0)
     if steps < 0:
@@ -150,10 +201,9 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
     dist_combine = raw_dist_combine(space)
     f = raw_apply_fn(space, m)
 
-    lam_const, lam_geo, lam_fn = _seq_scalar_plan(schedule.lambda_seq)
-    s_const, s_geo, s_fn = _seq_scalar_plan(schedule.s_seq)
-    lam_run, lam_ratio = lam_geo if lam_geo else (0.0, 0.0)
-    s_run, s_ratio = s_geo if s_geo else (0.0, 0.0)
+    lam_head, lam_tail, lam_k = _seq_scalar_plan(schedule.lambda_seq, steps)
+    s_head, s_tail, s_k = _seq_scalar_plan(schedule.s_seq, steps)
+    const_from = max(lam_k, s_k)        # a step is a fixed map of x_n from here
 
     residuals = np.empty(steps + 1)
     inner = np.empty(steps)
@@ -166,27 +216,21 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
     else:
         ref_d = y_ref_d = ty_ref_d = None
 
-    stored: list[int] = []
-    xs: list = []           # raw x_n at the stored n < stop
+    xs: list = []           # raw x_n at the stored n
     ys: list = []           # raw y_n at the same indices
 
     x = to_raw(space, x0)
-    stop = steps
+    period_from = period = None
+    # The checkpoint x_{mark_at}: set to x_n at n = const_from, and moved to
+    # x_n whenever n reaches move_at, after windows of 2, 4, 8, ... steps.
+    mark = mark_at = None
+    window, move_at = 1, const_from
     for n in range(steps):
-        if s_const is not None:
-            s = s_const
-        elif s_fn is None:
-            s = s_run
-            s_run *= s_ratio
-        else:
-            s = s_fn(n)
-        if lam_const is not None:
-            lam = lam_const
-        elif lam_fn is None:
-            lam = lam_run
-            lam_run *= lam_ratio
-        else:
-            lam = lam_fn(n)
+        if n == move_at:
+            mark, mark_at, window = x, n, 2 * window
+            move_at = n + window
+        lam = lam_head[n] if n < lam_k else lam_tail
+        s = s_head[n] if n < s_k else s_tail
 
         tx = f(x)
         if s == 0.0:
@@ -199,9 +243,6 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
             y = combine_fn(x, tx, s)
             ty = f(y)
             inner[n], x_next = dist_combine(x, ty, lam)
-        if r == 0.0 and tx == x:
-            stop = n
-            break
         residuals[n] = r
 
         if record:
@@ -209,36 +250,62 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
             y_ref_d[n] = dist_fn(y, z)
             ty_ref_d[n] = dist_fn(ty, z)
         if n % store_every == 0:
-            stored.append(n)
             xs.append(x)
             ys.append(y)
+
+        # Before const_from only a fixed point, T x_n == x_n, is a repeat
+        # whose block the later steps reproduce.
+        if x_next == x and (n >= const_from or tx == x) and _same_bits(x_next, x):
+            period_from, period, mark = n, 1, x
+            break
+        if x_next == mark and _same_bits(x_next, mark):
+            period_from, period = mark_at, n + 1 - mark_at
+            break
         x = x_next
 
-    # From `stop` on, x_n = y_n = x and T y_n = tx; without a cut-off these
-    # slices hold only the final index.
-    tx = f(x)
-    r = dist_fn(x, tx)
-    residuals[stop:] = r
-    inner[stop:] = r
-    if record:
-        ref_d[stop:] = y_ref_d[stop:] = dist_fn(x, z)
-        ty_ref_d[stop:] = dist_fn(tx, z)
-    stored.extend(range(-(-stop // store_every) * store_every, steps, store_every))
-    if not stored or stored[-1] != steps:
-        stored.append(steps)
+    if period is None:
+        # no repeat: only the final index is left, and x_steps is the tail
+        residuals[steps] = dist_fn(x, f(x))
+        if record:
+            ref_d[steps] = dist_fn(x, z)
+        tail_from, ring, inner_ring = steps, [x], []
+    else:
+        for arr in (residuals, inner, ref_d, y_ref_d, ty_ref_d):
+            if arr is not None:
+                _repeat(arr, period_from, period)
+        # p steps from the checkpoint x_c give the cycle's states
+        tail_from, ring, inner_ring, x = period_from, [], [], mark
+        for _ in range(period):
+            y = combine_fn(x, f(x), s_tail)
+            ring.append(x)
+            inner_ring.append(y)
+            x = combine_fn(x, f(y), lam_tail)
+    kept = -(-tail_from // store_every)     # the stored n < tail_from
+    del xs[kept:], ys[kept:]
 
     return Trajectory(
         space=space, mapping=m, schedule=schedule, start=x0,
         residuals=residuals, inner_residuals=inner,
-        stored_indices=np.asarray(stored, dtype=np.int64),
+        stored_indices=np.append(np.arange(0, steps, store_every), steps),
         point_coords=_coords(space, xs), inner_point_coords=_coords(space, ys),
-        final_point=from_raw(space, x),
+        cycle=tuple(from_raw(space, v) for v in ring),
+        inner_cycle=tuple(from_raw(space, v) for v in inner_ring),
         afp=afp, ref_point=ref_point,
         ref_distances=ref_d, inner_ref_distances=y_ref_d,
         t_inner_ref_distances=ty_ref_d,
         store_every=store_every,
-        stationary_from=stop if stop < steps else None,
+        period_from=period_from, period=period,
     )
+
+
+def _repeat(arr: np.ndarray, c: int, p: int) -> None:
+    """Fill arr from index c + p on with the block arr[c:c+p], repeated, by
+    copies that double in length and allocate nothing."""
+    k = c + p
+    while k < len(arr):
+        width = min(k - c, len(arr) - k)       # arr[c:k] is whole blocks
+        arr[k:k + width] = arr[c:c + width]
+        k += width
 
 
 def _coords(space: SpaceModel, raws: list) -> np.ndarray:
@@ -272,10 +339,11 @@ def trajectory_to_csv(traj: Trajectory, target, report_every: int = 1) -> None:
         header.append("dist_to_ref")
         columns.append(traj.ref_distances)
     rows = range(0, traj.steps + 1, report_every)
-    # The rows from the cut-off up to the final one differ only in n; the
-    # final row has a blank inner_residual and takes the general path.
-    stop = traj.stationary_from
-    split = len(rows) if stop is None else -(-stop // report_every)
+    # From the cut-off c up to the final row, row n repeats the fields of
+    # row c + (n - c) % p; the final row has a blank inner_residual and takes
+    # the general path.
+    c, p = traj.tail_from, len(traj.cycle)
+    split = -(-c // report_every)
     tail, last = rows[split:-1], rows[split:][-1:]
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
     handle = open(target, "w", newline="") if own else target
@@ -284,9 +352,17 @@ def trajectory_to_csv(traj: Trajectory, target, report_every: int = 1) -> None:
         for lo in range(0, split, _CSV_CHUNK_ROWS):
             _write_rows(handle, rows[lo:min(lo + _CSV_CHUNK_ROWS, split)], columns)
         if tail:
-            suffix = "".join("," + repr(col[stop].item()) for col in columns) + "\r\n"
+            suffixes = ["".join("," + repr(col[c + j].item()) for col in columns) + "\r\n"
+                        for j in range(p)]
             for lo in range(0, len(tail), _CSV_CHUNK_ROWS):
-                handle.write(suffix.join(map(str, tail[lo:lo + _CSV_CHUNK_ROWS])) + suffix)
+                part = tail[lo:lo + _CSV_CHUNK_ROWS]
+                text = [""] * (2 * len(part))
+                text[::2] = map(str, part)
+                # the suffixes of p rows in a row repeat: p is a multiple
+                # of their period p / gcd(p, report_every)
+                text[1::2] = islice(cycle([suffixes[(n - c) % p] for n in part[:p]]),
+                                    len(part))
+                handle.write("".join(text))
         if last:
             _write_rows(handle, last, columns)
     finally:

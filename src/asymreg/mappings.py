@@ -32,6 +32,7 @@ from .geometry import (
     raw_ops,
     to_raw,
 )
+from .moduli import SLACK
 
 IDENTITY = "Identity"
 EUCLIDEAN_ROTATION = "EuclideanRotation"
@@ -41,8 +42,6 @@ METRIC_PROJECTION = "MetricProjection"
 
 WHOLE_SPACE = "WholeSpace"
 CLOSED_BALL = "ClosedBall"
-
-_TOL = 1e-9
 
 
 class MappingError(ValueError):
@@ -185,7 +184,7 @@ def in_domain(space: SpaceModel, m: MappingSpec, x: Point) -> bool:
         return True
     center = make_point(space, m.domain.center)
     r = m.domain.radius
-    return dist(space, x, center) <= r * (1.0 + _TOL) + _TOL
+    return dist(space, x, center) <= r * (1.0 + SLACK) + SLACK
 
 
 def apply_map(space: SpaceModel, m: MappingSpec, x: Point) -> Point:
@@ -237,7 +236,7 @@ def validate_afp(space: SpaceModel, m: MappingSpec, afp: ApproxFixedPointSpec) -
         delta = 10.0 ** (-k)
         y = witness_point(afp, delta)
         d_xy = dist(space, afp.x, y)
-        if d_xy > afp.b * (1.0 + _TOL) + 1e-12:
+        if d_xy > afp.b * (1.0 + SLACK) + 1e-12:
             raise WitnessError(
                 f"witness at delta={delta:g} lies {d_xy!r} from the start, beyond b={afp.b!r}")
         res = dist(space, y, apply_map(space, m, y))
@@ -253,7 +252,7 @@ def derived_bound(space: SpaceModel, m: MappingSpec, afp: ApproxFixedPointSpec) 
     validate_afp(space, m, afp)
     cap = 2.0 * afp.b
     res = dist(space, afp.x, apply_map(space, m, afp.x))
-    if res > cap + _TOL:
+    if res > cap + SLACK:
         raise WitnessError(
             f"start residual {res!r} exceeds the derived bound 2b = {cap!r}")
     return cap

@@ -35,6 +35,8 @@ import numpy as np
 
 from .report import CheckReport
 
+# The tolerance of every float check in the library: witness windows here,
+# the mapping domain and witness checks, and the verification samplers.
 SLACK = 1e-9
 
 # Descriptor kinds.  The strings double as the tags used in config files.

@@ -19,7 +19,7 @@ import random
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import HARD_STEP_CAP, ExperimentConfig
 from .geometry import (
     EUCLIDEAN,
     POINCARE_DISK,
@@ -32,6 +32,7 @@ from .geometry import (
 from .iteration import Trajectory, run_trajectory
 from .mappings import MappingSpec, apply_map, declared_fixed_point
 from .moduli import (
+    SLACK,
     ModulusDescriptor,
     as_fraction,
     eval_eta,
@@ -43,9 +44,6 @@ from .moduli import (
 )
 from .rates import RateError, RateReport, compute_delta, compute_phi, epsilon_shortcut, inputs_for
 from .report import CheckReport
-
-SLACK = 1e-9
-HARD_STEP_CAP = 10_000_000
 
 EUCLID_SAMPLE_RADIUS = 10.0
 DISK_SAMPLE_RADIUS = 5.0  # hyperbolic distance to the origin

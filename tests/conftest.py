@@ -1,8 +1,14 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 import asymreg as ar
+
+# Examples that run the CLI take milliseconds to seconds, and longer on a
+# loaded machine: no deadline, and a failure prints the blob that replays it.
+settings.register_profile("asymreg", deadline=None, print_blob=True)
+settings.load_profile("asymreg")
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 

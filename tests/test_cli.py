@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -149,8 +150,36 @@ def test_sweep_with_step_cap(tmp_path, capsys):
     doc = json.loads((out_dir / "sweep.json").read_text())
     assert [entry["eps"] for entry in doc["rows"]] == [0.5, 0.25, 0.125, 0.0625]
     assert doc["verdict"] == "unverified-at-scale"
-    assert doc["stationary_from"] == 20
+    assert (doc["stationary_from"], doc["period_from"], doc["period"]) == (20, 20, 1)
     assert (out_dir / "residuals.csv").exists()
+
+
+def test_run_and_sweep_report_where_the_orbit_repeats(tmp_path, capsys):
+    # rotation_poincare: x_n is constant from 2,145 on, at a residual of
+    # 1e-323 with T x_n != x_n
+    out_dir = tmp_path / "run"
+    assert main(["run", "--config", DISK, "--steps", "3000", "--json",
+                 "--out", str(out_dir)]) == 0
+    cut = {"stationary_from": 2145, "period_from": 2145, "period": 1}
+    report = json.loads((out_dir / "report.json").read_text())
+    assert {key: report[key] for key in cut} == cut
+    assert report["verdict"] == "pass"
+    doc = json.loads(capsys.readouterr().out)
+    assert {key: doc[key] for key in cut} == cut
+
+    # a plane rotation by 0.67 pi runs through 4 states from 2,046 on
+    data = ar.config_to_dict(ar.load_config(CONFIG_DIR / "rotation_half_pi_euclidean.json"))
+    data["mapping"]["angle"] = 0.67 * math.pi
+    data["start"] = [0.6, -0.2]
+    data["eps_grid"] = [0.5]
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(path), "--json",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    cut = {"stationary_from": None, "period_from": 2046, "period": 4}
+    doc = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+    assert {key: doc[key] for key in cut} == cut
+    assert doc == json.loads(capsys.readouterr().out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
+import copy
+import io
 import json
 import math
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asymreg as ar
 from asymreg.cli import main
@@ -85,7 +90,7 @@ def base_dict():
 
 def test_base_dict_is_valid():
     cfg = ar.config_from_dict(base_dict())
-    assert cfg.caps.max_steps == ar.DEFAULT_MAX_STEPS
+    assert cfg.caps.max_steps == ar.HARD_STEP_CAP
     assert cfg.caps.report_every == 1
     assert cfg.seed == 0
 
@@ -231,3 +236,73 @@ def test_top_level_unknown_key_rejected():
     d["extra"] = 1
     with pytest.raises(ar.ConfigError, match="extra"):
         ar.config_from_dict(d)
+
+
+# ---------------------------------------------------------------------------
+# any JSON value in place of any field of a golden config
+
+GOLDEN_DOCS = {name: json.loads((CONFIG_DIR / f"{name}.json").read_text())
+               for name in ALL_NAMES}
+
+
+def _field_paths(value, path=()):
+    """The root and every object member and array entry below it."""
+    yield path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return
+    for key, child in children:
+        yield from _field_paths(child, path + (key,))
+
+
+FIELDS = [(name, path) for name, doc in GOLDEN_DOCS.items()
+          for path in _field_paths(doc)]
+
+# Python's json module reads and writes NaN and Infinity, so they are JSON
+# values to the config loader.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8)
+
+CONFIG_ERROR = re.compile(r"config(\.\w+|\[\d+\])*: ")
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(FIELDS), JSON_VALUES)
+def test_any_json_value_in_any_field_loads_or_names_its_path(fuzz_dir, field, value):
+    name, path = field
+    doc = _replaced(GOLDEN_DOCS[name], path, value)
+    try:
+        ar.config_from_dict(doc)
+        want = {0, 1}
+    except ar.ConfigError as exc:
+        assert CONFIG_ERROR.match(str(exc)), str(exc)
+        want = {2}
+    config = fuzz_dir / "config.json"
+    config.write_text(json.dumps(doc))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        codes = {main(["rate", "--config", str(config), "--eps", "0.5", "--k", "3"]),
+                 main(["run", "--config", str(config), "--steps", "20",
+                       "--out", str(fuzz_dir / "out")])}
+    assert codes <= want

@@ -3,7 +3,9 @@ import csv
 import dataclasses
 import io
 import math
+from array import array
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from conftest import CONFIG_DIR
 import asymreg as ar
 from asymreg import iteration
 from asymreg.geometry import from_raw, raw_ops, to_raw
-from asymreg.iteration import _seq_scalar_plan
 from asymreg.mappings import raw_apply_fn
 
 E2 = ar.euclidean(2)
@@ -249,24 +250,26 @@ def test_trajectory_csv_matches_csv_writer_bytes(tmp_path, monkeypatch,
 
 
 # Orbits whose cut-off fires at 0, at 20 (inside a block of 7 rows, and
-# not a multiple of report_every 3 or 7), at 1,075, and on the last step
-# (20 of 21 steps).
+# not a multiple of report_every 3 or 7), at 1,075, on the last step (20 of
+# 21 steps), at 2,145 with a residual of 1e-323, not 0, and at 4,094 with
+# period 10, whose block holds 4 distinct rows.
 CSV_CUTS = [("identity_euclidean", 50), ("rotation_pi_euclidean", 999),
-            ("rotation_pi_euclidean", 21), ("reflection_average_euclidean", 3_000)]
+            ("rotation_pi_euclidean", 21), ("reflection_average_euclidean", 3_000),
+            ("rotation_poincare", 3_000), ("plane-ishikawa-0.3pi", 5_000)]
 
 
 @pytest.mark.parametrize("chunk", [7, 1 << 16])
 @pytest.mark.parametrize("name,steps", CSV_CUTS)
 def test_trajectory_csv_matches_csv_writer_bytes_past_the_cutoff(
-        tmp_path, monkeypatch, all_configs, chunk, name, steps):
+        tmp_path, monkeypatch, cut_configs, chunk, name, steps):
     monkeypatch.setattr(iteration, "_CSV_CHUNK_ROWS", chunk)
-    config = all_configs[name]
+    config = cut_configs[name]
     for record in (False, True):
         traj = ar.run_trajectory(config.space, config.mapping, config.start,
                                  config.schedule, steps,
                                  ref_point=ar.reference_point(config),
                                  record_ref_distances=record)
-        assert traj.stationary_from == STATIONARY_FROM[name]
+        assert (traj.period_from, traj.period) == CUTS[name]
         for every in (1, 3, 7, 1000, 5_000):
             got, want = tmp_path / "got.csv", tmp_path / "want.csv"
             ar.trajectory_to_csv(traj, got, report_every=every)
@@ -277,7 +280,8 @@ def test_trajectory_csv_matches_csv_writer_bytes_past_the_cutoff(
 # ---------------------------------------------------------------------------
 # stationarity cut-off against the uncut loop
 
-# First step whose residual is exactly 0.0; rotation_poincare never gets there.
+# First step from which x_n is constant.  The residual there is exactly 0.0,
+# except on rotation_poincare, where it stays at 1e-323 with T x_n != x_n.
 STATIONARY_FROM = {
     "identity_euclidean": 0,
     "rotation_pi_euclidean": 20,
@@ -285,19 +289,40 @@ STATIONARY_FROM = {
     "projection_poincare": 53,
     "reflection_average_euclidean": 1075,
     "rotation_half_pi_euclidean": 2148,
-    "rotation_poincare": None,
+    "rotation_poincare": 2145,
 }
+
+# Variants of the golden configs whose residual stalls near 1e-323 with
+# T x_n != x_n: the start (period_from, period) of their cut-off.
+PERIODIC = {
+    "disk-rotation-0.257pi": (16382, 12),
+    "plane-rotation-0.67pi": (2046, 4),
+    "plane-ishikawa-0.3pi": (4094, 10),     # y_n != x_n on the cycle
+    "disk-ishikawa-0.3pi": (2261, 1),
+    "r5-rotation-0.3pi": (8190, 12),
+}
+
+CUTS = {**{name: (c, 1) for name, c in STATIONARY_FROM.items()}, **PERIODIC}
+
+
+def float_terms(seq):
+    """lambda_n or s_n as the floats the runner uses: a geometric sequence
+    is a running product, rounded at every step."""
+    if seq.kind == "Geometric":
+        v, q = float(seq.param("c")), float(seq.param("q"))
+        while True:
+            yield v
+            v *= q
+    for n in count():
+        yield float(ar.seq_value(seq, n))
 
 
 def uncut_orbit(config, steps, store_every):
-    """The runner's loop body without the stationarity break."""
+    """The runner's loop body without the cut-off."""
     space, sched = config.space, config.schedule
     dist_fn, combine_fn = raw_ops(space)
     f = raw_apply_fn(space, config.mapping)
-    lam_const, lam_geo, lam_fn = _seq_scalar_plan(sched.lambda_seq)
-    s_const, s_geo, s_fn = _seq_scalar_plan(sched.s_seq)
-    lam_run, lam_ratio = lam_geo if lam_geo else (0.0, 0.0)
-    s_run, s_ratio = s_geo if s_geo else (0.0, 0.0)
+    lams, ss = float_terms(sched.lambda_seq), float_terms(sched.s_seq)
     z = to_raw(space, ar.reference_point(config))
     out = {k: np.empty(steps + 1) for k in ("residuals", "ref_distances")}
     out.update({k: np.empty(steps) for k in (
@@ -308,13 +333,7 @@ def uncut_orbit(config, steps, store_every):
         tx = f(x)
         r = dist_fn(x, tx)
         out["residuals"][n] = r
-        if s_const is not None:
-            s = s_const
-        elif s_fn is None:
-            s = s_run
-            s_run *= s_ratio
-        else:
-            s = s_fn(n)
+        s, lam = next(ss), next(lams)
         if s == 0.0:
             y, ty = x, tx
             out["inner_residuals"][n] = r
@@ -329,13 +348,6 @@ def uncut_orbit(config, steps, store_every):
             stored.append(n)
             points.append(from_raw(space, x))
             inner_points.append(from_raw(space, y))
-        if lam_const is not None:
-            lam = lam_const
-        elif lam_fn is None:
-            lam = lam_run
-            lam_run *= lam_ratio
-        else:
-            lam = lam_fn(n)
         if lam != 0.0:
             x = combine_fn(x, ty, lam)
     out["residuals"][steps] = dist_fn(x, f(x))
@@ -363,6 +375,59 @@ def all_configs():
     return {p.stem: ar.load_config(p) for p in sorted(CONFIG_DIR.glob("*.json"))}
 
 
+def _variant(config, mapping=None, start=None, dim=None):
+    """config with its mapping fields, start point or Euclidean dimension
+    replaced, parsed again so the result is a validated config."""
+    data = ar.config_to_dict(config)
+    data["mapping"].update(mapping or {})
+    if dim is not None:
+        data["space"]["dim"] = dim
+        data["mapping"]["center"] = [0.0] * dim
+        data["afp"]["fixed_point"] = [0.0] * dim
+    if start is not None:
+        data["start"] = start
+    return ar.config_from_dict(data)
+
+
+def _with_s(config, s):
+    """config with the constant s_n = s (and L = 2, which s_n <= 1 - 1/L
+    needs for s = 1/2)."""
+    old = config.schedule
+    sched = ar.Schedule(old.lambda_seq, ar.seq_constant(s), old.theta, 2,
+                        old.N0, ar.gamma_zero())
+    return dataclasses.replace(config, schedule=sched)
+
+
+@pytest.fixture(scope="module")
+def cut_configs(all_configs):
+    """The golden configs and the PERIODIC variants, by name."""
+    disk, plane = all_configs["rotation_poincare"], all_configs["rotation_half_pi_euclidean"]
+    return {
+        **all_configs,
+        "disk-rotation-0.257pi": _variant(disk, mapping={"angle": 0.257 * math.pi},
+                                          start=[0.3, 0.1]),
+        "plane-rotation-0.67pi": _variant(plane, mapping={"angle": 0.67 * math.pi},
+                                          start=[0.6, -0.2]),
+        "plane-ishikawa-0.3pi": _with_s(_variant(
+            plane, mapping={"angle": 0.3 * math.pi}, start=[0.6, -0.2]), Fraction(1, 2)),
+        "disk-ishikawa-0.3pi": _with_s(_variant(
+            disk, mapping={"angle": 0.3 * math.pi}, start=[0.3, 0.1]), Fraction(1, 2)),
+        "r5-rotation-0.3pi": _variant(plane, mapping={"angle": 0.3 * math.pi}, dim=5,
+                                      start=[0.3, -0.2, 0.1, 0.25, -0.15]),
+    }
+
+
+def assert_tail_shares_the_cycle(traj):
+    """The stored points from tail_from on are the len(cycle) Points of
+    the cycle, shared, and the inner points those of inner_cycle."""
+    for points, ring in ((traj.points, traj.cycle),
+                         (traj.inner_points, traj.inner_cycle)):
+        tail = {id(p) for n, p in zip(traj.stored_indices, points)
+                if n >= traj.tail_from}
+        assert tail <= {id(p) for p in ring}
+        assert len(tail) <= len(traj.cycle)
+
+
 @pytest.mark.parametrize("name", sorted(STATIONARY_FROM))
 def test_cutoff_matches_uncut_loop_dense(all_configs, name):
     traj = ar.trajectory_for(all_configs[name], 10_000, dense=True,
@@ -379,11 +444,7 @@ def test_cutoff_matches_uncut_loop_strided(all_configs, name):
     assert traj.store_every == 2
     assert traj.stationary_from == STATIONARY_FROM[name]
     assert_matches_uncut(traj, all_configs[name])
-    stop = traj.stationary_from
-    if stop is not None:
-        # the tail repeats one Point object
-        tail = [p for n, p in zip(traj.stored_indices, traj.points) if n >= stop]
-        assert len({id(p) for p in tail}) == 1
+    assert_tail_shares_the_cycle(traj)      # one Point object
 
 
 def test_points_are_built_once_from_the_coordinate_arrays(all_configs):
@@ -397,16 +458,18 @@ def test_points_are_built_once_from_the_coordinate_arrays(all_configs):
         [tuple(row) for row in traj.point_coords.tolist()]
     assert [p.coords for p in traj.inner_points[:20]] == \
         [tuple(row) for row in traj.inner_point_coords.tolist()]
-    assert all(p is traj.final_point for p in traj.points[20:] + traj.inner_points[20:])
+    assert traj.cycle == traj.inner_cycle and len(traj.cycle) == 1
+    assert all(p is traj.cycle[0] for p in traj.points[20:])
+    assert all(p is traj.inner_cycle[0] for p in traj.inner_points[20:])
     assert len({id(p) for p in traj.points[:20]}) == 20
 
     traj = ar.trajectory_for(all_configs["rotation_poincare"], 50, dense=True)
-    assert traj.stationary_from is None
+    assert traj.period_from is None and traj.inner_cycle == ()
     assert traj.point_coords.shape == traj.inner_point_coords.shape == (50, 2)
-    assert traj.points[-1] is traj.final_point and len(traj.inner_points) == 50
+    assert traj.points[-1] is traj.cycle[0] and len(traj.inner_points) == 50
 
 
-def test_cutoff_edge_cases(all_configs):
+def test_cutoff_edge_cases(all_configs, cut_configs):
     ident = all_configs["identity_euclidean"]
     traj = ar.trajectory_for(ident, 0, record_ref=True)
     assert traj.stationary_from is None and traj.steps == 0
@@ -431,25 +494,23 @@ def test_cutoff_edge_cases(all_configs):
         assert traj.stationary_from == 20
         assert_matches_uncut(traj, rot)
 
-
-def _variant(config, mapping=None, start=None, dim=None):
-    """config with its mapping fields, start point or Euclidean dimension
-    replaced, parsed again so the result is a validated config."""
-    data = ar.config_to_dict(config)
-    data["mapping"].update(mapping or {})
-    if dim is not None:
-        data["space"]["dim"] = dim
-        data["mapping"]["center"] = [0.0] * dim
-        data["afp"]["fixed_point"] = [0.0] * dim
-    if start is not None:
-        data["start"] = start
-    return ar.config_from_dict(data)
+    # x_2050 == x_2046: the repeat closes on the last step, or past it
+    plane = cut_configs["plane-rotation-0.67pi"]
+    for steps, cut in ((2050, (2046, 4)), (2049, (None, None))):
+        for every in (1, 3):
+            traj = ar.run_trajectory(
+                plane.space, plane.mapping, plane.start, plane.schedule, steps,
+                store_every=every, ref_point=ar.reference_point(plane),
+                record_ref_distances=True)
+            assert (traj.period_from, traj.period) == cut
+            assert_matches_uncut(traj, plane)
 
 
 @pytest.fixture(scope="module")
 def live_disk_config(all_configs):
     # orbit-live's shape: a disk rotation about the centre 0 by an angle in
-    # [pi/4, 3pi/5], from an off-axis start; its residual never reaches 0
+    # [pi/4, 3pi/5], from an off-axis start; its residual never reaches 0,
+    # but x_n stops moving from n = 2,996 on
     return _variant(all_configs["rotation_poincare"],
                     mapping={"angle": 0.43 * math.pi}, start=[0.21, -0.33])
 
@@ -457,10 +518,11 @@ def live_disk_config(all_configs):
 def test_live_disk_rotation_matches_uncut_loop(live_disk_config):
     assert live_disk_config.mapping.center == (0.0, 0.0)
     traj = ar.trajectory_for(live_disk_config, 10_000, dense=True, record_ref=True)
-    assert traj.store_every == 1 and traj.stationary_from is None
+    assert traj.store_every == 1 and traj.stationary_from == 2996
+    assert traj.residuals[2996] > 0.0
     assert_matches_uncut(traj, live_disk_config)
     traj = ar.trajectory_for(live_disk_config, 199_999, record_ref=True)
-    assert traj.store_every == 2 and traj.stationary_from is None
+    assert traj.store_every == 2 and traj.stationary_from == 2996
     assert_matches_uncut(traj, live_disk_config)
 
 
@@ -475,18 +537,72 @@ def test_zero_lambda_tail_matches_uncut_loop(all_configs, live_disk_config, name
     else:
         base = all_configs[name]
     # lambda_n = 0 at n = 3 and from n = 5 on: x_n stops moving while
-    # T x_n != x_n, so every step from 5 on takes the t == 0 return
+    # T x_n != x_n, so every step from 5 on takes the t == 0 return.  The
+    # cut-off fires at 5, or, on the Ishikawa config, at 1,074, where its
+    # geometric s_n has underflowed to 0.0 and the schedule turns constant.
     lam = ar.seq_tabulated([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), 0,
                             Fraction(1, 2)], 0)
     old = base.schedule
     sched = ar.Schedule(lam, old.s_seq, old.theta, old.L, old.N0, old.gamma)
     config = dataclasses.replace(base, schedule=sched)
+    cut = 1074 if name.startswith("ishikawa") else 5
     for steps, every in ((2_000, 1), (2_001, 3)):
         traj = ar.run_trajectory(config.space, config.mapping, config.start,
                                  sched, steps, store_every=every,
                                  ref_point=ar.reference_point(config),
                                  record_ref_distances=True)
-        assert traj.stationary_from is None
+        assert traj.stationary_from == cut
         assert traj.residuals[-1] > 0.0
         assert np.all(traj.residuals[5:] == traj.residuals[5])
         assert_matches_uncut(traj, config)
+
+
+@pytest.mark.parametrize("name", sorted(PERIODIC))
+def test_periodic_cutoff_matches_uncut_loop(cut_configs, name):
+    config = cut_configs[name]
+    c, p = PERIODIC[name]
+    # dense at 20,000 steps, so that every cut fires, and strided at 199,999
+    for steps, every in ((20_000, 1), (199_999, 2)):
+        traj = ar.trajectory_for(config, steps, dense=every == 1, record_ref=True)
+        assert traj.store_every == every
+        assert (traj.period_from, traj.period) == (c, p)
+        assert traj.residuals[c] > 0.0                # T x_c != x_c
+        assert_matches_uncut(traj, config)
+        assert_tail_shares_the_cycle(traj)
+        assert len(traj.cycle) == len(traj.inner_cycle) == p
+        if name == "plane-ishikawa-0.3pi":
+            assert all(y != x for x, y in zip(traj.cycle, traj.inner_cycle))
+
+
+def test_a_repeat_counts_only_to_the_bit():
+    same = iteration._same_bits              # called once == has held
+    assert same(complex(0.0, 1e-320), complex(0.0, 1e-320))
+    assert same((0.0, -0.0, 5e-324), (0.0, -0.0, 5e-324))
+    assert complex(-0.0, 1e-320) == complex(0.0, 1e-320)
+    assert not same(complex(-0.0, 1e-320), complex(0.0, 1e-320))
+    assert not same(complex(1e-320, 0.0), complex(1e-320, -0.0))
+    assert not same((0.0, -0.0, 5e-324), (0.0, 0.0, 5e-324))
+
+
+def test_seq_scalar_plan_gives_the_constant_index():
+    plan = iteration._seq_scalar_plan
+    assert plan(ar.seq_constant(Fraction(1, 3)), 10) == (array("d"), 1 / 3, 0)
+    # a table's index is its length, even where its last entries equal the tail
+    head, tail, k = plan(ar.seq_tabulated([Fraction(1, 2), Fraction(1, 4),
+                                           Fraction(1, 2)], Fraction(1, 2)), 10)
+    assert (list(head), tail, k) == ([0.5, 0.25, 0.5], 0.5, 3)
+    # a geometric sequence is the running product up to the first term that
+    # the next multiplication leaves unchanged: 0.0 for q = 1/2, and for
+    # q = 9/10 the subnormal 2.5e-323, five times the smallest, which the
+    # float 0.9 (a little above 9/10) maps back to itself
+    for c, q, const_from, last in ((Fraction(1, 2), Fraction(1, 2), 1074, 0.0),
+                                   (1, Fraction(9, 10), 7050, 2.5e-323)):
+        head, tail, k = plan(ar.seq_geometric(c, q), 10 ** 6)
+        assert (k, tail) == (const_from, last) and len(head) == k
+        v = float(c)
+        for term in head:
+            assert term == v and v * float(q) != v
+            v *= float(q)
+        assert v == tail == tail * float(q)
+    head, tail, k = plan(ar.seq_geometric(Fraction(1, 2), Fraction(1, 2)), 10)
+    assert (len(head), tail, k) == (10, 0.5 ** 11, 10)      # capped by the limit
