@@ -47,8 +47,7 @@ D = ar.poincare_disk()
 R = ar.poincare_rotation((0.0, 0.0), math.pi / 2)
 dstart = ar.make_point(D, (0.46211715726000974, 0.0))   # hyperbolic dist 1 from 0
 dtraj = ar.run_trajectory(D, R, dstart, sched, 10,
-                          ref_point=ar.make_point(D, (0.0, 0.0)),
-                          record_ref_distances=True)
+                          ref_point=ar.make_point(D, (0.0, 0.0)))
 print("  n   residual      dist to fixed point")
 for n in (0, 1, 2, 5, 10):
     print(f"  {n:2d}  {dtraj.residuals[n]:.6e}  {dtraj.ref_distances[n]:.6e}")

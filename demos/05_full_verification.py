@@ -54,9 +54,10 @@ for eps in cfg.eps_grid:
 
 # ---------------------------------------------------------------------------
 print("\n6. Fault injection: the battery is not a rubber stamp.  Raising one")
-print("   recorded residual above the derived cap 2b is caught immediately:")
+print("   recorded residual above the derived cap 2b is caught immediately.")
+print("   The orbit repeats from step 46, so step 1500 is stored at fold(1500):")
 bad = ar.trajectory_for(cfg, 2_000, dense=True, record_ref=True)
-bad.residuals[1500] = 2.0 * cfg.afp.b + 0.5
+bad.residuals[bad.fold(1500)] = 2.0 * cfg.afp.b + 0.5
 rep = ar.check_lemma_inequalities(bad)
 print(f"   {rep.summary_line()}")
 for f in rep.failures[:2]:

@@ -197,21 +197,14 @@ def _cmd_run(config: ExperimentConfig, args) -> int:
     extra: dict = {}
 
     steps = args.steps
-    if steps is None:
-        if args.eps is not None:
-            ri = inputs_for(args.eps, config.space.modulus, config.afp.b,
-                            config.schedule)
-            phi = 0 if epsilon_shortcut(ri) == 0 else compute_phi(ri).phi
-            steps = min(phi + 1000, cap)
-        else:
-            steps = min(10_000, cap)
-    steps = min(steps, cap)
+    if steps is None and args.eps is not None:
+        ri = inputs_for(args.eps, config.space.modulus, config.afp.b, config.schedule)
+        steps = (0 if epsilon_shortcut(ri) == 0 else compute_phi(ri).phi) + 1000
+    steps = min(10_000 if steps is None else steps, cap)
 
-    record_ref = steps <= 2_000_000
     traj = run_trajectory(
         config.space, config.mapping, config.start, config.schedule, steps,
-        afp=config.afp, ref_point=reference_point(config),
-        record_ref_distances=record_ref)
+        afp=config.afp, ref_point=reference_point(config))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -237,7 +230,6 @@ def _cmd_sweep(config: ExperimentConfig, args) -> int:
     cap = min(HARD_STEP_CAP, config.caps.max_steps)
     grid = sorted(set(config.eps_grid), reverse=True)
 
-    rates = {}
     horizon = 0
     for eps in grid:
         ri = inputs_for(eps, config.space.modulus, config.afp.b, config.schedule)
@@ -251,7 +243,6 @@ def _cmd_sweep(config: ExperimentConfig, args) -> int:
     for eps in grid:
         rr, rep = check_phi_soundness(config, eps, trajectory=traj)
         reports.append(rep)
-        rates[eps] = rr
         rows.append({
             "eps": eps, "P": rr.P, "gamma0": rr.gamma0, "phi": rr.phi,
             "first_hit": rr.empirical_first_hit,

@@ -4,14 +4,14 @@
     x_{n+1} = (1 - lambda_n) x_n (+) lambda_n T y_n
 
 with s_n = 0 giving the one-stage averaged scheme as a special case.  The
-runner records the residuals d(x_n, T x_n) densely for every step, the inner
-residuals d(x_n, T y_n) one per step, and the points themselves at a
+runner records the residuals d(x_n, T x_n), the inner residuals
+d(x_n, T y_n) and, given a reference point z, the distances d(x_n, z),
+d(y_n, z) and d(T y_n, z) at every step, and the points themselves at a
 configurable stride (dense storage of long orbits is the memory hog, the
 residual arrays are cheap).  Each step takes d(x_n, T y_n) and x_{n+1} from
 one fused dist_combine call, which on the disk is one Mobius translation.
-Stored points are kept as raw coordinates, one float64 array per list,
-up to the cut-off below; `Trajectory.points` and `inner_points` build Point
-objects on first access.
+Stored points are kept as raw coordinates, one float64 array per list;
+`Trajectory.points` and `inner_points` build Point objects on first access.
 
 The runner stops at the first detected bitwise repeat of the orbit state.
 Once lambda_n and s_n are constant, a step is a fixed function of x_n, so
@@ -24,8 +24,8 @@ current index after windows of 2, 4, 8, ... steps, which finds any period p
 once the window reaches p (R. P. Brent, BIT 20, 1980).  Before the schedule
 is constant the runner stops only where T x_n == x_n: every raw combine
 returns x when both endpoints are equal, so that state is fixed whatever
-the schedule does next.  The arrays are filled from the block, and the
-stored points from c on share the p Points of `Trajectory.cycle`.
+the schedule does next.  So a trajectory is a prefix plus a cycle: each
+recorded array keeps [0, c+p), and `Trajectory.fold` reads any index.
 """
 
 from __future__ import annotations
@@ -69,28 +69,32 @@ class IterationError(ValueError):
 
 @dataclass
 class Trajectory:
-    """A recorded orbit.  From index tail_from on, the state runs through
-    `cycle`: x_n = cycle[(n - tail_from) % len(cycle)], and y_n likewise
-    through `inner_cycle`.  tail_from is period_from when the cut-off fired;
-    otherwise it is steps, `cycle` holds x_steps alone and `inner_cycle` is
-    empty."""
+    """A recorded orbit of `steps` steps, a prefix plus a cycle: index n of
+    the orbit is stored at fold(n), which is n below tail_from and
+    tail_from + (n - tail_from) % len(cycle) from there on.  With a cut-off,
+    tail_from is period_from, the arrays hold [0, period_from + period), and
+    x_n = cycle[fold(n) - tail_from] from tail_from on, y_n likewise in
+    `inner_cycle`.  Without one, tail_from is steps, `cycle` is (x_steps,),
+    `inner_cycle` is empty and fold is the identity."""
 
     space: SpaceModel
     mapping: MappingSpec
     schedule: Schedule
     start: Point
-    residuals: np.ndarray               # d(x_n, T x_n), n = 0 .. steps
-    inner_residuals: np.ndarray         # d(x_n, T y_n), n = 0 .. steps-1
-    stored_indices: np.ndarray          # indices n whose points were kept
-    point_coords: np.ndarray            # x_n at the stored n < tail_from, a row each
+    steps: int
+    residuals: np.ndarray               # d(x_n, T x_n) at the stored n
+    inner_residuals: np.ndarray         # d(x_n, T y_n) at the stored n < steps
+    point_coords: np.ndarray            # x_n at the stored_indices n < tail_from, a row each
     inner_point_coords: np.ndarray      # y_n at the same n
     cycle: tuple[Point, ...]            # x_n, n = tail_from .. tail_from+p-1
     inner_cycle: tuple[Point, ...]      # y_n at the same n
+    lam_plan: tuple                     # _seq_scalar_plan of lambda_n
+    s_plan: tuple                       # and of s_n
     afp: ApproxFixedPointSpec | None = None
     ref_point: Point | None = None
-    ref_distances: np.ndarray | None = None        # d(x_n, z), dense
-    inner_ref_distances: np.ndarray | None = None  # d(y_n, z), dense
-    t_inner_ref_distances: np.ndarray | None = None  # d(T y_n, z), dense
+    ref_distances: np.ndarray | None = None          # d(x_n, z), z = ref_point
+    inner_ref_distances: np.ndarray | None = None    # d(y_n, z)
+    t_inner_ref_distances: np.ndarray | None = None  # d(T y_n, z)
     store_every: int = 1
     # The cut-off: x_{c+p} == x_c bitwise for c = period_from, p = period,
     # with c + p <= steps.  For p = 1, c is the first n with T x_n == x_n, or
@@ -101,10 +105,6 @@ class Trajectory:
     period: int | None = None
 
     @property
-    def steps(self) -> int:
-        return len(self.residuals) - 1
-
-    @property
     def stationary_from(self) -> int | None:
         """period_from when the period is 1: x_n is constant from there on."""
         return self.period_from if self.period == 1 else None
@@ -113,22 +113,40 @@ class Trajectory:
     def tail_from(self) -> int:
         return self.steps if self.period_from is None else self.period_from
 
+    def fold(self, idx):
+        """The stored index of index idx of the orbit, an int or int array."""
+        c, p = self.tail_from, len(self.cycle)
+        if np.ndim(idx) == 0:
+            return idx if idx < c else c + (idx - c) % p
+        idx = np.asarray(idx, dtype=np.intp)
+        return np.where(idx < c, idx, c + (idx - c) % p)
+
+    def schedule_floats(self, count: int) -> list[np.ndarray]:
+        """lambda_n and s_n for n < count, as the floats the runner used."""
+        return [np.concatenate([head[:count], np.full(max(0, count - const_from), tail)])
+                for head, tail, const_from in (self.lam_plan, self.s_plan)]
+
+    @property
+    def stored_indices(self) -> np.ndarray:
+        """The indices n whose points were kept: every store_every-th, and steps."""
+        return np.append(np.arange(0, self.steps, self.store_every), self.steps)
+
     @cached_property
     def points(self) -> list[Point]:
         """x_n at stored_indices."""
-        return self._points(self.point_coords, len(self.stored_indices), self.cycle)
+        return self._points(self.point_coords, self.cycle, 0)
 
     @cached_property
     def inner_points(self) -> list[Point]:
         """y_n at the stored indices below steps."""
-        return self._points(self.inner_point_coords, len(self.stored_indices) - 1,
-                            self.inner_cycle)
+        return self._points(self.inner_point_coords, self.inner_cycle, 1)
 
-    def _points(self, coords: np.ndarray, count: int,
-                ring: tuple[Point, ...]) -> list[Point]:
+    def _points(self, coords: np.ndarray, ring: tuple[Point, ...],
+                drop: int) -> list[Point]:
         kind = self.space.kind
         out = [Point(kind, tuple(row)) for row in coords.tolist()]
-        tail = self.stored_indices[len(out):count] - self.tail_from
+        indices = self.stored_indices
+        tail = indices[len(out):len(indices) - drop] - self.tail_from
         return out + [ring[k] for k in (tail % len(ring)).tolist()]
 
 
@@ -179,15 +197,14 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
                    schedule: Schedule, steps: int, *,
                    store_every: int | None = None,
                    afp: ApproxFixedPointSpec | None = None,
-                   ref_point: Point | None = None,
-                   record_ref_distances: bool = False) -> Trajectory:
-    """Run `steps` updates from x0, recording residuals densely.
+                   ref_point: Point | None = None) -> Trajectory:
+    """Run `steps` updates from x0, recording residuals at every step.
 
-    With `record_ref_distances` and a reference point z, also records
-    d(x_n, z), d(y_n, z) and d(T y_n, z) densely, which lets the audit checks
-    work on downsampled orbits.  The loop stops at the first detected bitwise
-    repeat x_{c+p} == x_c (recorded as `period_from` and `period`) and fills
-    the rest of the orbit from the block [c, c+p).
+    With a reference point z, also records d(x_n, z), d(y_n, z) and
+    d(T y_n, z) at every step, which lets the audit checks work on
+    downsampled orbits.  The loop stops at the first detected bitwise repeat
+    x_{c+p} == x_c (recorded as `period_from` and `period`) and keeps the
+    indices [0, c+p), which hold every value of the orbit.
     """
     check_point(space, x0)
     if steps < 0:
@@ -201,18 +218,15 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
     dist_combine = raw_dist_combine(space)
     f = raw_apply_fn(space, m)
 
-    lam_head, lam_tail, lam_k = _seq_scalar_plan(schedule.lambda_seq, steps)
-    s_head, s_tail, s_k = _seq_scalar_plan(schedule.s_seq, steps)
+    lam_head, lam_tail, lam_k = lam_plan = _seq_scalar_plan(schedule.lambda_seq, steps)
+    s_head, s_tail, s_k = s_plan = _seq_scalar_plan(schedule.s_seq, steps)
     const_from = max(lam_k, s_k)        # a step is a fixed map of x_n from here
 
-    residuals = np.empty(steps + 1)
-    inner = np.empty(steps)
-    record = record_ref_distances and ref_point is not None
+    residuals, inner = np.empty(steps + 1), np.empty(steps)
+    record = ref_point is not None
     if record:
         z = to_raw(space, ref_point)
-        ref_d = np.empty(steps + 1)
-        y_ref_d = np.empty(steps)
-        ty_ref_d = np.empty(steps)
+        ref_d, y_ref_d, ty_ref_d = np.empty(steps + 1), np.empty(steps), np.empty(steps)
     else:
         ref_d = y_ref_d = ty_ref_d = None
 
@@ -270,9 +284,10 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
             ref_d[steps] = dist_fn(x, z)
         tail_from, ring, inner_ring = steps, [x], []
     else:
-        for arr in (residuals, inner, ref_d, y_ref_d, ty_ref_d):
-            if arr is not None:
-                _repeat(arr, period_from, period)
+        # [0, c+p) holds every value; copies let the long buffers go
+        residuals, inner, ref_d, y_ref_d, ty_ref_d = (
+            None if a is None else a[:period_from + period].copy()
+            for a in (residuals, inner, ref_d, y_ref_d, ty_ref_d))
         # p steps from the checkpoint x_c give the cycle's states
         tail_from, ring, inner_ring, x = period_from, [], [], mark
         for _ in range(period):
@@ -284,28 +299,18 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
     del xs[kept:], ys[kept:]
 
     return Trajectory(
-        space=space, mapping=m, schedule=schedule, start=x0,
+        space=space, mapping=m, schedule=schedule, start=x0, steps=steps,
         residuals=residuals, inner_residuals=inner,
-        stored_indices=np.append(np.arange(0, steps, store_every), steps),
         point_coords=_coords(space, xs), inner_point_coords=_coords(space, ys),
         cycle=tuple(from_raw(space, v) for v in ring),
         inner_cycle=tuple(from_raw(space, v) for v in inner_ring),
+        lam_plan=lam_plan, s_plan=s_plan,
         afp=afp, ref_point=ref_point,
         ref_distances=ref_d, inner_ref_distances=y_ref_d,
         t_inner_ref_distances=ty_ref_d,
         store_every=store_every,
         period_from=period_from, period=period,
     )
-
-
-def _repeat(arr: np.ndarray, c: int, p: int) -> None:
-    """Fill arr from index c + p on with the block arr[c:c+p], repeated, by
-    copies that double in length and allocate nothing."""
-    k = c + p
-    while k < len(arr):
-        width = min(k - c, len(arr) - k)       # arr[c:k] is whole blocks
-        arr[k:k + width] = arr[c:c + width]
-        k += width
 
 
 def _coords(space: SpaceModel, raws: list) -> np.ndarray:
@@ -338,22 +343,26 @@ def trajectory_to_csv(traj: Trajectory, target, report_every: int = 1) -> None:
     if traj.ref_distances is not None:
         header.append("dist_to_ref")
         columns.append(traj.ref_distances)
-    rows = range(0, traj.steps + 1, report_every)
-    # From the cut-off c up to the final row, row n repeats the fields of
-    # row c + (n - c) % p; the final row has a blank inner_residual and takes
-    # the general path.
+    steps = traj.steps
+    rows = range(0, steps + 1, report_every)
+    # Rows below the cut-off c are stored as they are.  From c on, row n
+    # repeats the fields of row c + (n - c) % p, except the final row, which
+    # has a blank inner_residual.
     c, p = traj.tail_from, len(traj.cycle)
     split = -(-c // report_every)
-    tail, last = rows[split:-1], rows[split:][-1:]
+    final = rows[-1] == steps
+    tail = rows[split:len(rows) - final]
     own = isinstance(target, (str, bytes)) or hasattr(target, "__fspath__")
     handle = open(target, "w", newline="") if own else target
     try:
         handle.write(",".join(header) + "\r\n")
         for lo in range(0, split, _CSV_CHUNK_ROWS):
-            _write_rows(handle, rows[lo:min(lo + _CSV_CHUNK_ROWS, split)], columns)
+            part = rows[lo:min(lo + _CSV_CHUNK_ROWS, split)]
+            fields = [map(str, part)] + [
+                map(repr, col[part.start:part.stop:part.step].tolist()) for col in columns]
+            handle.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
         if tail:
-            suffixes = ["".join("," + repr(col[c + j].item()) for col in columns) + "\r\n"
-                        for j in range(p)]
+            suffixes = [_suffix(columns, c + j) for j in range(p)]
             for lo in range(0, len(tail), _CSV_CHUNK_ROWS):
                 part = tail[lo:lo + _CSV_CHUNK_ROWS]
                 text = [""] * (2 * len(part))
@@ -363,17 +372,15 @@ def trajectory_to_csv(traj: Trajectory, target, report_every: int = 1) -> None:
                 text[1::2] = islice(cycle([suffixes[(n - c) % p] for n in part[:p]]),
                                     len(part))
                 handle.write("".join(text))
-        if last:
-            _write_rows(handle, last, columns)
+        if final:
+            handle.write(str(steps) + _suffix(columns, traj.fold(steps), final=True))
     finally:
         if own:
             handle.close()
 
 
-def _write_rows(handle, part: range, columns: list[np.ndarray]) -> None:
-    # zip stops at the n column; the "" fills inner_residual on the final
-    # row, which has no inner residual
-    fields = [map(str, part)] + [
-        chain(map(repr, col[part.start:part.stop:part.step].tolist()), ("",))
-        for col in columns]
-    handle.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+def _suffix(columns: list[np.ndarray], k: int, final: bool = False) -> str:
+    """The fields after n of a row that reads stored index k; the final row
+    leaves inner_residual, the second column, blank."""
+    return "".join("," + ("" if final and i == 1 else repr(col[k].item()))
+                   for i, col in enumerate(columns)) + "\r\n"

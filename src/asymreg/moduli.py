@@ -593,6 +593,24 @@ def seq_sup_from(seq: SequenceDescriptor, n0: int) -> Fraction:
     raise DescriptorError(f"unknown sequence kind {seq.kind!r}")
 
 
+def geometric_exceeds(c: Fraction, q: Fraction, bound: Fraction, n: int) -> bool:
+    """Whether c q^n > bound, for 0 < q < 1.  It squares q until
+    c q^(2^i) <= bound, which settles it if 2^i <= n, or until 2^i > n,
+    which puts n below twice the least m with c q^m <= bound: its numbers
+    grow with that m, never with n alone."""
+    if c <= bound or bound <= 0:
+        return c > bound                    # for bound <= 0: c q^n > 0
+    # c q^m <= bound  <=>  a p^m <= b d^m: integers, no gcd per product
+    a, b = c.numerator * bound.denominator, c.denominator * bound.numerator
+    p, d = q.numerator, q.denominator
+    k, pk, dk = 1, p, d                     # q^k = pk / dk for k = 2^i
+    while k <= n:
+        if a * pk <= b * dk:
+            return False
+        k, pk, dk = 2 * k, pk * pk, dk * dk
+    return a * p**n > b * d**n
+
+
 def seq_mass(seq: SequenceDescriptor) -> Callable[[int], tuple[int, int]]:
     """t -> (num, den) with num / den <= S(t) = sum_{k=0..t} lambda_k (1 - lambda_k),
     for t >= -1.  Equal to S(t) for Constant and Tabulated lambda.  For
@@ -678,9 +696,15 @@ def validate_schedule(schedule: Schedule) -> None:
         raise ScheduleError("L must be >= 1")
     if schedule.N0 < 0:
         raise ScheduleError("N0 must be a natural")
-    sup_s = seq_sup_from(schedule.s_seq, schedule.N0)
+    s, n0 = schedule.s_seq, schedule.N0
     bound = 1 - Fraction(1, schedule.L)
-    if sup_s > bound:
+    if s.kind == SEQ_GEOMETRIC:     # decreasing: the sup is s_N0, too big to build
+        c, q = s.param("c"), s.param("q")
+        sup_s, fails = f"{c} * ({q})^{n0}", geometric_exceeds(c, q, bound, n0)
+    else:
+        sup_s = seq_sup_from(s, n0)
+        fails = sup_s > bound
+    if fails:
         raise ScheduleError(
             f"s_n <= 1 - 1/L fails for n >= N0: sup s_n = {sup_s} > {bound}"
         )

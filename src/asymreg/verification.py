@@ -6,6 +6,10 @@ convexity implication in both its real-valued and dyadic forms, the step
 inequalities of the averaged iteration, the residual cap 2b, and finally the
 soundness of the certified rates phi and delta against simulated orbits.
 
+Orbit checks read a trajectory as its runner stored it, a prefix plus a
+cycle: the audit checks the stored indices, which cover every step, and the
+soundness windows read each index n at `Trajectory.fold(n)`.
+
 Checks are deterministic: each owns an RNG stream derived from (seed, check
 name), and reports serialize to stable JSON.  Rates whose verification window
 exceeds the step cap are reported as unverified-at-scale, a warning rather
@@ -38,7 +42,6 @@ from .moduli import (
     eval_eta,
     eval_eta1,
     eval_nat,
-    seq_values_float,
     verify_gamma,
     verify_theta,
 )
@@ -282,76 +285,47 @@ def check_omega_majorization(space: SpaceModel, m: MappingSpec, x: Point,
 # ---------------------------------------------------------------------------
 # iteration audit
 
-def check_lemma_inequalities(traj: Trajectory, ref_point: Point | None = None) -> CheckReport:
+def check_lemma_inequalities(traj: Trajectory) -> CheckReport:
     """Audit the step inequalities along a recorded orbit:
 
     (a) (1 - s_n) d(x_n, T x_n) <= d(x_n, T y_n),
     (b) d(x_{n+1}, T x_{n+1}) <= (1 + 2 s_n (1 - lambda_n)) d(x_n, T x_n),
-    (c) with a reference point z: d(y_n, z) <= d(x_n, z) + d(z, Tz),
-        d(T y_n, z) <= d(x_n, z) + 2 d(z, Tz),
-        d(x_{n+1}, z) <= d(x_n, z) + 2 lambda_n d(z, Tz),
-        d(x_n, z) <= d(x_0, z) + 2 n d(z, Tz),
+    (c) with the reference point z the distances were recorded for:
+        d(y_n, z) <= d(x_n, z) + d(z, Tz),                  (c-inner)
+        d(T y_n, z) <= d(x_n, z) + 2 d(z, Tz),              (c-image)
+        d(x_{n+1}, z) <= d(x_n, z) + 2 lambda_n d(z, Tz),   (c-step)
+        d(x_n, z) <= d(x_0, z) + 2 n d(z, Tz),              (c-drift)
     plus the residual cap d(x_n, T x_n) <= 2b when fixed-point data rides
-    along.  (a), (b) and the cap are dense; the reference inequalities are
-    dense when reference distances were recorded, else they run over the
-    stored points."""
-    space, m, schedule = traj.space, traj.mapping, traj.schedule
-    steps = traj.steps
-    report = CheckReport("lemma-inequalities", samples=steps + 1)
+    along, with the lambda_n and s_n floats the orbit was stepped with.
+
+    It checks the stored indices, [0, c+p) after a cut, reading n + 1 at
+    fold(n + 1).  Every later n repeats fold(n): in (a), (b), the cap and
+    c-inner/image/step with the same floats, since lambda_n and s_n are
+    constant from c on, or else T x_c == x_c and every term from c on reads
+    0 <= rhs or d <= d + 2 lambda_n d(z, Tz); in c-drift with the lhs of
+    fold(n) <= n, as rd[0] + 2.0*n*d(z, Tz) does not decrease in n."""
+    space, m = traj.space, traj.mapping
+    report = CheckReport("lemma-inequalities", samples=traj.steps + 1)
     res = traj.residuals
-    if steps > 0:
-        lam = seq_values_float(schedule.lambda_seq, steps)
-        s = seq_values_float(schedule.s_seq, steps)
-        _bulk_fail(report, "a", (1.0 - s) * res[:-1], traj.inner_residuals, SLACK)
-        _bulk_fail(report, "b", res[1:], (1.0 + 2.0 * s * (1.0 - lam)) * res[:-1], SLACK)
-    else:
-        lam = np.empty(0)
+    last = len(traj.inner_residuals)        # the steps n < last are stored
+    after = traj.fold(np.arange(1, last + 1))
+    lam, s = traj.schedule_floats(last)
+    _bulk_fail(report, "a", (1.0 - s) * res[:last], traj.inner_residuals, SLACK)
+    _bulk_fail(report, "b", res[after], (1.0 + 2.0 * s * (1.0 - lam)) * res[:last], SLACK)
 
     if traj.afp is not None:
         cap = 2.0 * traj.afp.b
-        _bulk_fail(report, "residual-cap", res, np.full(steps + 1, cap), SLACK)
+        _bulk_fail(report, "residual-cap", res, np.full(len(res), cap), SLACK)
 
-    z = ref_point or traj.ref_point
-    if z is None:
+    rd, z = traj.ref_distances, traj.ref_point
+    if rd is None:
         return report
     d_z_tz = dist(space, z, apply_map(space, m, z))
-
-    if traj.ref_distances is not None and steps > 0:
-        rd = traj.ref_distances
-        _bulk_fail(report, "c-inner", traj.inner_ref_distances,
-                   rd[:-1] + d_z_tz, SLACK)
-        _bulk_fail(report, "c-image", traj.t_inner_ref_distances,
-                   rd[:-1] + 2.0 * d_z_tz, SLACK)
-        _bulk_fail(report, "c-step", rd[1:], rd[:-1] + 2.0 * lam * d_z_tz, SLACK)
-        _bulk_fail(report, "c-drift", rd,
-                   rd[0] + 2.0 * np.arange(steps + 1) * d_z_tz, SLACK)
-        return report
-
-    ref0 = dist(space, traj.points[0], z)
-    prev_idx, prev_dxz = None, None
-    for pos, n in enumerate(traj.stored_indices):
-        n = int(n)
-        x_n = traj.points[pos]
-        dxz = dist(space, x_n, z)
-        if dxz > ref0 + 2.0 * n * d_z_tz + SLACK:
-            report.fail({"inequality": "c-drift", "n": n}, dxz,
-                        ref0 + 2.0 * n * d_z_tz, SLACK)
-        if n < steps and pos < len(traj.inner_points):
-            y_n = traj.inner_points[pos]
-            dyz = dist(space, y_n, z)
-            if dyz > dxz + d_z_tz + SLACK:
-                report.fail({"inequality": "c-inner", "n": n}, dyz,
-                            dxz + d_z_tz, SLACK)
-            dtyz = dist(space, apply_map(space, m, y_n), z)
-            if dtyz > dxz + 2.0 * d_z_tz + SLACK:
-                report.fail({"inequality": "c-image", "n": n}, dtyz,
-                            dxz + 2.0 * d_z_tz, SLACK)
-        if prev_idx is not None and n == prev_idx + 1:
-            lam_prev = float(schedule.lambda_at(prev_idx))
-            if dxz > prev_dxz + 2.0 * lam_prev * d_z_tz + SLACK:
-                report.fail({"inequality": "c-step", "n": prev_idx}, dxz,
-                            prev_dxz + 2.0 * lam_prev * d_z_tz, SLACK)
-        prev_idx, prev_dxz = n, dxz
+    _bulk_fail(report, "c-inner", traj.inner_ref_distances, rd[:last] + d_z_tz, SLACK)
+    _bulk_fail(report, "c-image", traj.t_inner_ref_distances,
+               rd[:last] + 2.0 * d_z_tz, SLACK)
+    _bulk_fail(report, "c-step", rd[after], rd[:last] + 2.0 * lam * d_z_tz, SLACK)
+    _bulk_fail(report, "c-drift", rd, rd[0] + 2.0 * np.arange(len(rd)) * d_z_tz, SLACK)
     return report
 
 
@@ -378,12 +352,12 @@ def reference_point(config: ExperimentConfig) -> Point | None:
 
 def trajectory_for(config: ExperimentConfig, steps: int, *,
                    dense: bool = False, record_ref: bool = False) -> Trajectory:
+    """The orbit of a config; with record_ref, its reference distances too."""
     return run_trajectory(
         config.space, config.mapping, config.start, config.schedule, steps,
         store_every=1 if dense else None,
         afp=config.afp,
-        ref_point=reference_point(config),
-        record_ref_distances=record_ref,
+        ref_point=reference_point(config) if record_ref else None,
     )
 
 
@@ -425,7 +399,7 @@ def check_phi_soundness(config: ExperimentConfig, eps: float,
     traj = _covering_trajectory(config, end, trajectory)
     res = traj.residuals
 
-    window = res[rr.phi:end + 1]
+    window = res[traj.fold(np.arange(rr.phi, end + 1))]
     report.samples += len(window)
     _bulk_fail(report, "residual", window, np.full(len(window), eps), SLACK * eps,
                offset=rr.phi)
@@ -433,6 +407,7 @@ def check_phi_soundness(config: ExperimentConfig, eps: float,
     if boundary:
         report.note(f"{boundary} residual(s) within 1e-9 of the eps boundary")
 
+    # an index past the stored ones repeats a stored one at or below it
     hits = np.nonzero(res[:end + 1] < eps)[0]
     if len(hits):
         rr.empirical_first_hit = int(hits[0])
@@ -474,7 +449,7 @@ def check_delta_witness(config: ExperimentConfig, eps: float, k_list,
     res = traj.residuals
     tol = eps * (1.0 + SLACK)
     for k, d in sorted(checkable.items()):
-        window = res[k:d + 1]
+        window = res[traj.fold(np.arange(k, d + 1))]
         report.samples += len(window)
         hits = np.nonzero(window < tol)[0]
         if len(hits) == 0:

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -217,3 +220,26 @@ def test_max_steps_override_caps_run(tmp_path, capsys):
     assert "WARN" in out
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["verdict"] == "unverified-at-scale"
+
+
+def test_a_large_N0_loads_at_once(tmp_path):
+    # s_n = (1/2)^(n+1) from N0 = 10^9 on: the exact s_N0 has a
+    # billion-bit denominator, and the loader must not build it
+    data = json.loads((CONFIG_DIR / "ishikawa_geometric_s_euclidean.json").read_text())
+    data["schedule"]["N0"] = 10**9
+    path = tmp_path / "n0.json"
+    path.write_text(json.dumps(data))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(CONFIG_DIR.parent / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "asymreg.cli", "rate", "--config", str(path),
+         "--eps", "0.0625", "--json"],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout)["phi"] == 4 * (2**21 + 5 + 1 + 10**9)
+
+    # with L = 1, no s_n > 0 is <= 1 - 1/L = 0, whatever N0 is
+    data["schedule"]["L"] = 1
+    with pytest.raises(ar.ConfigError, match="config.schedule"):
+        ar.config_from_dict(data)

@@ -291,6 +291,21 @@ def fuzz_dir(tmp_path_factory):
 @settings(max_examples=150)
 @given(st.sampled_from(FIELDS), JSON_VALUES)
 def test_any_json_value_in_any_field_loads_or_names_its_path(fuzz_dir, field, value):
+    _loads_or_names_its_path(fuzz_dir, field, value)
+
+
+# N0 and L up to 10^30: a schedule check that builds s_N0 = c q^N0 exactly,
+# or anything of size N0, does not return
+SCHEDULE_INTS = [(name, ("schedule", key)) for name in ALL_NAMES for key in ("N0", "L")]
+
+
+@settings(max_examples=80)
+@given(st.sampled_from(SCHEDULE_INTS), st.integers(min_value=-2, max_value=10**30))
+def test_huge_N0_and_L_load_or_name_their_path(fuzz_dir, field, value):
+    _loads_or_names_its_path(fuzz_dir, field, value)
+
+
+def _loads_or_names_its_path(fuzz_dir, field, value):
     name, path = field
     doc = _replaced(GOLDEN_DOCS[name], path, value)
     try:

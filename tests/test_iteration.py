@@ -5,7 +5,7 @@ import io
 import math
 from array import array
 from fractions import Fraction
-from itertools import count
+from itertools import islice, repeat
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from conftest import CONFIG_DIR
 
 import asymreg as ar
 from asymreg import iteration
-from asymreg.geometry import from_raw, raw_ops, to_raw
+from asymreg.geometry import raw_ops, to_raw, uses_complex
 from asymreg.mappings import raw_apply_fn
 
 E2 = ar.euclidean(2)
@@ -67,7 +67,9 @@ def test_ishikawa_geometric_s_matches_oracle():
                              ishikawa_schedule(), 200)
     xs, res = oracle_orbit(1.0 + 0.0j, rot, lambda n: 0.5,
                            lambda n: 0.5 ** (n + 1), 200)
-    np.testing.assert_allclose(traj.residuals, res, rtol=0, atol=1e-12)
+    assert traj.stationary_from == 46     # the rest is read through fold
+    np.testing.assert_allclose(traj.residuals[traj.fold(range(201))], res,
+                               rtol=0, atol=1e-12)
     assert traj.points[-1].coords == pytest.approx(
         (xs[-1].real, xs[-1].imag), abs=1e-12)
 
@@ -111,8 +113,7 @@ def test_disk_orbit_consistency_and_fejer():
     m = ar.poincare_rotation((0.0, 0.0), math.pi / 2)
     x0 = ar.make_point(D, (math.tanh(0.5), 0.0))
     fp = ar.make_point(D, (0.0, 0.0))
-    traj = ar.run_trajectory(D, m, x0, km_schedule(), 200, ref_point=fp,
-                             record_ref_distances=True)
+    traj = ar.run_trajectory(D, m, x0, km_schedule(), 200, ref_point=fp)
     # residuals agree with a recomputation from the stored points
     for pos, n in enumerate(traj.stored_indices):
         x = traj.points[pos]
@@ -177,8 +178,7 @@ def test_trajectory_csv_golden():
     m = ar.euclidean_rotation((0.0, 0.0), math.pi)
     x0 = ar.make_point(E2, (1.0, 0.0))
     fp = ar.make_point(E2, (0.0, 0.0))
-    traj = ar.run_trajectory(E2, m, x0, km_schedule(), 5, ref_point=fp,
-                             record_ref_distances=True)
+    traj = ar.run_trajectory(E2, m, x0, km_schedule(), 5, ref_point=fp)
     buf = io.StringIO()
     ar.trajectory_to_csv(traj, buf)
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
@@ -224,10 +224,11 @@ def csv_writer_reference(traj, target, report_every):
         writer.writerow(header)
         steps = traj.steps
         for n in range(0, steps + 1, report_every):
-            row = [n, repr(float(traj.residuals[n])),
-                   repr(float(traj.inner_residuals[n])) if n < steps else ""]
+            k = traj.fold(n)
+            row = [n, repr(float(traj.residuals[k])),
+                   repr(float(traj.inner_residuals[k])) if n < steps else ""]
             if with_ref:
-                row.append(repr(float(traj.ref_distances[n])))
+                row.append(repr(float(traj.ref_distances[k])))
             writer.writerow(row)
 
 
@@ -240,8 +241,7 @@ def test_trajectory_csv_matches_csv_writer_bytes(tmp_path, monkeypatch,
         for record in (False, True):
             traj = ar.run_trajectory(disk_config.space, disk_config.mapping,
                                      disk_config.start, disk_config.schedule,
-                                     steps, ref_point=fp,
-                                     record_ref_distances=record)
+                                     steps, ref_point=fp if record else None)
             for every in (1, 3, 1000, 5_000):
                 got, want = tmp_path / "got.csv", tmp_path / "want.csv"
                 ar.trajectory_to_csv(traj, got, report_every=every)
@@ -267,8 +267,7 @@ def test_trajectory_csv_matches_csv_writer_bytes_past_the_cutoff(
     for record in (False, True):
         traj = ar.run_trajectory(config.space, config.mapping, config.start,
                                  config.schedule, steps,
-                                 ref_point=ar.reference_point(config),
-                                 record_ref_distances=record)
+                                 ref_point=ar.reference_point(config) if record else None)
         assert (traj.period_from, traj.period) == CUTS[name]
         for every in (1, 3, 7, 1000, 5_000):
             got, want = tmp_path / "got.csv", tmp_path / "want.csv"
@@ -313,61 +312,93 @@ def float_terms(seq):
         while True:
             yield v
             v *= q
-    for n in count():
-        yield float(ar.seq_value(seq, n))
+    # constant from the end of the table on, one float() for the whole tail
+    k = len(seq.param("values")) if seq.kind == "Tabulated" else 0
+    yield from (float(ar.seq_value(seq, n)) for n in range(k))
+    yield from repeat(float(ar.seq_value(seq, k)))
 
 
-def uncut_orbit(config, steps, store_every):
-    """The runner's loop body without the cut-off."""
+class UncutOrbits:
+    """The runner's loop body without the cut-off, at every index: the five
+    recorded arrays, and x_n (n <= steps) and y_n (n < steps) as coordinate
+    rows in "x" and "y".  Index n does not depend on where the loop stops,
+    so a shorter horizon reads the prefix of a longer one: the reference is
+    run once per config and horizon, and every stride reads it.  Only the
+    last config's reference is kept."""
+
+    def __init__(self):
+        self.config, self.ref = None, None
+
+    def __call__(self, config, steps):
+        if config != self.config or len(self.ref["residuals"]) <= steps:
+            self.config, self.ref = config, _run_uncut(config, steps)
+        return self.ref
+
+
+@pytest.fixture(scope="module")
+def uncut():
+    return UncutOrbits()
+
+
+def _run_uncut(config, steps):
     space, sched = config.space, config.schedule
     dist_fn, combine_fn = raw_ops(space)
     f = raw_apply_fn(space, config.mapping)
-    lams, ss = float_terms(sched.lambda_seq), float_terms(sched.s_seq)
     z = to_raw(space, ar.reference_point(config))
-    out = {k: np.empty(steps + 1) for k in ("residuals", "ref_distances")}
-    out.update({k: np.empty(steps) for k in (
-        "inner_residuals", "inner_ref_distances", "t_inner_ref_distances")})
-    stored, points, inner_points = [], [], []
+    res, rd = np.empty(steps + 1), np.empty(steps + 1)
+    inner, yrd, tyrd = np.empty(steps), np.empty(steps), np.empty(steps)
+    # raw points: complex numbers on the disk and the plane, else tuples
+    shape = (steps + 1,) if uses_complex(space) else (steps + 1, space.dim)
+    dtype = np.complex128 if uses_complex(space) else np.float64
+    xs, ys = np.empty(shape, dtype), np.empty((steps,) + shape[1:], dtype)
     x = to_raw(space, config.start)
-    for n in range(steps):
+    for n, lam, s in zip(range(steps), float_terms(sched.lambda_seq),
+                         float_terms(sched.s_seq)):
         tx = f(x)
-        r = dist_fn(x, tx)
-        out["residuals"][n] = r
-        s, lam = next(ss), next(lams)
+        res[n] = r = dist_fn(x, tx)
         if s == 0.0:
             y, ty = x, tx
-            out["inner_residuals"][n] = r
+            inner[n] = r
         else:
             y = combine_fn(x, tx, s)
             ty = f(y)
-            out["inner_residuals"][n] = dist_fn(x, ty)
-        out["ref_distances"][n] = dist_fn(x, z)
-        out["inner_ref_distances"][n] = dist_fn(y, z)
-        out["t_inner_ref_distances"][n] = dist_fn(ty, z)
-        if n % store_every == 0:
-            stored.append(n)
-            points.append(from_raw(space, x))
-            inner_points.append(from_raw(space, y))
+            inner[n] = dist_fn(x, ty)
+        rd[n] = dist_fn(x, z)
+        yrd[n] = dist_fn(y, z)
+        tyrd[n] = dist_fn(ty, z)
+        xs[n] = x
+        ys[n] = y
         if lam != 0.0:
             x = combine_fn(x, ty, lam)
-    out["residuals"][steps] = dist_fn(x, f(x))
-    out["ref_distances"][steps] = dist_fn(x, z)
-    if not stored or stored[-1] != steps:
-        stored.append(steps)
-        points.append(from_raw(space, x))
-    out.update(stored_indices=stored, points=points, inner_points=inner_points)
-    return out
+    res[steps] = dist_fn(x, f(x))
+    rd[steps] = dist_fn(x, z)
+    xs[steps] = x
+    return {"residuals": res, "inner_residuals": inner, "ref_distances": rd,
+            "inner_ref_distances": yrd, "t_inner_ref_distances": tyrd,
+            "x": _rows(xs, space.dim), "y": _rows(ys, space.dim)}
 
 
-def assert_matches_uncut(traj, config):
-    ref = uncut_orbit(config, traj.steps, traj.store_every)
+def _rows(raw, dim):
+    """Raw points as float64 coordinate rows, as Point.coords holds them."""
+    return raw.view(np.float64).reshape(-1, dim)
+
+
+def assert_matches_uncut(traj, config, uncut):
+    """Each recorded array read at fold(n) equals the uncut loop at n, byte
+    for byte, and so do the coordinates of every stored point."""
+    ref = uncut(config, traj.steps)
+    steps = traj.steps
     for key in ("residuals", "inner_residuals", "ref_distances",
                 "inner_ref_distances", "t_inner_ref_distances"):
-        got = getattr(traj, key)
-        assert got.tobytes() == ref[key].tobytes(), key
-    assert traj.stored_indices.tolist() == ref["stored_indices"]
-    assert traj.points == ref["points"]
-    assert traj.inner_points == ref["inner_points"]
+        n = steps if key.startswith(("inner", "t_inner")) else steps + 1
+        got = getattr(traj, key)[traj.fold(range(n))]
+        assert got.tobytes() == ref[key][:n].tobytes(), key
+    stored = traj.stored_indices
+    assert stored.tolist() == [*range(0, steps, traj.store_every), steps]
+    for points, rows in ((traj.points, ref["x"][stored]),
+                         (traj.inner_points, ref["y"][stored[:-1]])):
+        got = np.array([p.coords for p in points], dtype=np.float64)
+        assert got.reshape(-1, config.space.dim).tobytes() == rows.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -429,21 +460,21 @@ def assert_tail_shares_the_cycle(traj):
 
 
 @pytest.mark.parametrize("name", sorted(STATIONARY_FROM))
-def test_cutoff_matches_uncut_loop_dense(all_configs, name):
+def test_cutoff_matches_uncut_loop_dense(all_configs, name, uncut):
     traj = ar.trajectory_for(all_configs[name], 10_000, dense=True,
                              record_ref=True)
     assert traj.store_every == 1
     assert traj.stationary_from == STATIONARY_FROM[name]
-    assert_matches_uncut(traj, all_configs[name])
+    assert_matches_uncut(traj, all_configs[name], uncut)
 
 
 @pytest.mark.parametrize("name", sorted(STATIONARY_FROM))
-def test_cutoff_matches_uncut_loop_strided(all_configs, name):
+def test_cutoff_matches_uncut_loop_strided(all_configs, name, uncut):
     # the largest horizon with the auto stride of 2
     traj = ar.trajectory_for(all_configs[name], 199_999, record_ref=True)
     assert traj.store_every == 2
     assert traj.stationary_from == STATIONARY_FROM[name]
-    assert_matches_uncut(traj, all_configs[name])
+    assert_matches_uncut(traj, all_configs[name], uncut)
     assert_tail_shares_the_cycle(traj)      # one Point object
 
 
@@ -469,30 +500,29 @@ def test_points_are_built_once_from_the_coordinate_arrays(all_configs):
     assert traj.points[-1] is traj.cycle[0] and len(traj.inner_points) == 50
 
 
-def test_cutoff_edge_cases(all_configs, cut_configs):
+def test_cutoff_edge_cases(all_configs, cut_configs, uncut):
     ident = all_configs["identity_euclidean"]
     traj = ar.trajectory_for(ident, 0, record_ref=True)
     assert traj.stationary_from is None and traj.steps == 0
-    assert_matches_uncut(traj, ident)
+    assert_matches_uncut(traj, ident, uncut)
 
     traj = ar.trajectory_for(ident, 7, dense=True, record_ref=True)
     assert traj.stationary_from == 0
     assert np.all(traj.residuals == 0.0)
-    assert_matches_uncut(traj, ident)
+    assert_matches_uncut(traj, ident, uncut)
 
     rot = all_configs["rotation_pi_euclidean"]        # x_20 is fixed
     for steps, cut in ((21, 20), (20, None)):         # cut on the last step
         traj = ar.trajectory_for(rot, steps, dense=True, record_ref=True)
         assert traj.stationary_from == cut
-        assert_matches_uncut(traj, rot)
+        assert_matches_uncut(traj, rot, uncut)
 
     for every in (3, 7):                              # 20 % every != 0
         traj = ar.run_trajectory(rot.space, rot.mapping, rot.start,
                                  rot.schedule, 50, store_every=every,
-                                 ref_point=ar.reference_point(rot),
-                                 record_ref_distances=True)
+                                 ref_point=ar.reference_point(rot))
         assert traj.stationary_from == 20
-        assert_matches_uncut(traj, rot)
+        assert_matches_uncut(traj, rot, uncut)
 
     # x_2050 == x_2046: the repeat closes on the last step, or past it
     plane = cut_configs["plane-rotation-0.67pi"]
@@ -500,10 +530,9 @@ def test_cutoff_edge_cases(all_configs, cut_configs):
         for every in (1, 3):
             traj = ar.run_trajectory(
                 plane.space, plane.mapping, plane.start, plane.schedule, steps,
-                store_every=every, ref_point=ar.reference_point(plane),
-                record_ref_distances=True)
+                store_every=every, ref_point=ar.reference_point(plane))
             assert (traj.period_from, traj.period) == cut
-            assert_matches_uncut(traj, plane)
+            assert_matches_uncut(traj, plane, uncut)
 
 
 @pytest.fixture(scope="module")
@@ -515,20 +544,20 @@ def live_disk_config(all_configs):
                     mapping={"angle": 0.43 * math.pi}, start=[0.21, -0.33])
 
 
-def test_live_disk_rotation_matches_uncut_loop(live_disk_config):
+def test_live_disk_rotation_matches_uncut_loop(live_disk_config, uncut):
     assert live_disk_config.mapping.center == (0.0, 0.0)
+    traj = ar.trajectory_for(live_disk_config, 199_999, record_ref=True)
+    assert traj.store_every == 2 and traj.stationary_from == 2996
+    assert_matches_uncut(traj, live_disk_config, uncut)
     traj = ar.trajectory_for(live_disk_config, 10_000, dense=True, record_ref=True)
     assert traj.store_every == 1 and traj.stationary_from == 2996
     assert traj.residuals[2996] > 0.0
-    assert_matches_uncut(traj, live_disk_config)
-    traj = ar.trajectory_for(live_disk_config, 199_999, record_ref=True)
-    assert traj.store_every == 2 and traj.stationary_from == 2996
-    assert_matches_uncut(traj, live_disk_config)
+    assert_matches_uncut(traj, live_disk_config, uncut)
 
 
 @pytest.mark.parametrize("name", ["live-disk", "ishikawa_geometric_s_euclidean",
                                   "rotation_half_pi_euclidean-R5"])
-def test_zero_lambda_tail_matches_uncut_loop(all_configs, live_disk_config, name):
+def test_zero_lambda_tail_matches_uncut_loop(all_configs, live_disk_config, name, uncut):
     if name == "live-disk":
         base = live_disk_config
     elif name.endswith("-R5"):
@@ -546,28 +575,28 @@ def test_zero_lambda_tail_matches_uncut_loop(all_configs, live_disk_config, name
     sched = ar.Schedule(lam, old.s_seq, old.theta, old.L, old.N0, old.gamma)
     config = dataclasses.replace(base, schedule=sched)
     cut = 1074 if name.startswith("ishikawa") else 5
-    for steps, every in ((2_000, 1), (2_001, 3)):
+    for steps, every in ((2_001, 3), (2_000, 1)):
         traj = ar.run_trajectory(config.space, config.mapping, config.start,
                                  sched, steps, store_every=every,
-                                 ref_point=ar.reference_point(config),
-                                 record_ref_distances=True)
+                                 ref_point=ar.reference_point(config))
         assert traj.stationary_from == cut
         assert traj.residuals[-1] > 0.0
         assert np.all(traj.residuals[5:] == traj.residuals[5])
-        assert_matches_uncut(traj, config)
+        assert_matches_uncut(traj, config, uncut)
 
 
 @pytest.mark.parametrize("name", sorted(PERIODIC))
-def test_periodic_cutoff_matches_uncut_loop(cut_configs, name):
+def test_periodic_cutoff_matches_uncut_loop(cut_configs, name, uncut):
     config = cut_configs[name]
     c, p = PERIODIC[name]
-    # dense at 20,000 steps, so that every cut fires, and strided at 199,999
-    for steps, every in ((20_000, 1), (199_999, 2)):
+    # strided at 199,999, and dense at 20,000 steps, so that every cut
+    # fires; the dense case reads the prefix of the strided one's reference
+    for steps, every in ((199_999, 2), (20_000, 1)):
         traj = ar.trajectory_for(config, steps, dense=every == 1, record_ref=True)
         assert traj.store_every == every
         assert (traj.period_from, traj.period) == (c, p)
         assert traj.residuals[c] > 0.0                # T x_c != x_c
-        assert_matches_uncut(traj, config)
+        assert_matches_uncut(traj, config, uncut)
         assert_tail_shares_the_cycle(traj)
         assert len(traj.cycle) == len(traj.inner_cycle) == p
         if name == "plane-ishikawa-0.3pi":
@@ -606,3 +635,61 @@ def test_seq_scalar_plan_gives_the_constant_index():
         assert v == tail == tail * float(q)
     head, tail, k = plan(ar.seq_geometric(Fraction(1, 2), Fraction(1, 2)), 10)
     assert (len(head), tail, k) == (10, 0.5 ** 11, 10)      # capped by the limit
+
+
+# ---------------------------------------------------------------------------
+# a trajectory is a prefix plus a cycle
+
+@pytest.mark.parametrize("name", sorted(CUTS))
+def test_a_cut_trajectory_stores_its_prefix_only(cut_configs, name):
+    config = cut_configs[name]
+    c, p = CUTS[name]
+    traj = ar.trajectory_for(config, 199_999, record_ref=True)
+    arrays = {key: v for key, v in vars(traj).items() if isinstance(v, np.ndarray)}
+    assert len(arrays) == 7, sorted(arrays)
+    assert all(len(v) <= c + p + 1 for v in arrays.values()), \
+        {key: len(v) for key, v in arrays.items()}
+    assert len(traj.residuals) == len(traj.ref_distances) == c + p
+    # fold: the identity below c, the block [c, c+p) from c on
+    assert traj.fold(c - 1 if c else 0) == (c - 1 if c else 0)
+    assert [traj.fold(c + p + j) for j in range(p)] == list(range(c, c + p))
+    assert traj.fold(199_999) == c + (199_999 - c) % p
+    assert traj.fold(np.array([0, c + p, 199_999])).tolist() == \
+        [0, c, c + (199_999 - c) % p]
+
+
+def test_fold_is_the_identity_without_a_cut(all_configs):
+    traj = ar.trajectory_for(all_configs["rotation_poincare"], 500, record_ref=True)
+    assert traj.period_from is None and traj.tail_from == 500
+    assert traj.fold(range(501)).tolist() == list(range(501))
+    assert len(traj.residuals) == len(traj.ref_distances) == 501
+    assert len(traj.inner_residuals) == 500
+
+
+def test_the_audit_reads_the_floats_the_orbit_used(all_configs, monkeypatch):
+    # Geometric s with c = 1/2, q = 9/10: the runner's running product and
+    # the closed form c q^n round apart in most terms
+    base = _variant(all_configs["rotation_poincare"], mapping={"angle": 1.2})
+    s_seq = ar.seq_geometric(Fraction(1, 2), Fraction(9, 10))
+    old = base.schedule
+    sched = ar.Schedule(old.lambda_seq, s_seq, old.theta, 2, 0, old.gamma)
+    config = dataclasses.replace(base, schedule=sched)
+    traj = ar.trajectory_for(config, 10_000, record_ref=True)
+    assert (traj.period_from, traj.period) == (7043, 1)
+    seen = []
+    real = ar.Trajectory.schedule_floats
+
+    def spy(self, count):
+        seen.append((count, real(self, count)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(ar.Trajectory, "schedule_floats", spy)
+    rep = ar.check_lemma_inequalities(traj)
+    assert rep.passed, rep.to_json()
+    [(count, (lam, s))] = seen
+    assert count == len(traj.inner_residuals) == 7044
+    for got, seq in ((lam, sched.lambda_seq), (s, s_seq)):
+        want = np.fromiter(islice(float_terms(seq), count), dtype=np.float64)
+        assert got.tobytes() == want.tobytes()
+    closed = ar.seq_values_float(s_seq, 7043)
+    assert np.count_nonzero(closed != s[:7043]) == 6545

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import asymreg as ar
 from asymreg.moduli import (
+    geometric_exceeds,
     ceil_frac,
     ceil_log2_frac,
     ceil_neg_log2,
@@ -325,6 +326,26 @@ def test_validate_schedule_rejects_large_s():
                       ar.theta_linear(4), 2, 0, ar.gamma_zero())
     with pytest.raises(ar.ScheduleError, match="sup s_n"):
         ar.validate_schedule(bad)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 97), st.integers(1, 96), st.integers(-97, 97), st.integers(0, 200))
+def test_geometric_exceeds_matches_the_exact_power(c, q, bound, n):
+    c, q, bound = Fraction(c, 97), Fraction(q, 97), Fraction(bound, 97)
+    assert geometric_exceeds(c, q, bound, n) == (c * q**n > bound)
+
+
+def test_validate_schedule_geometric_s_from_a_large_n0():
+    # s_n = 3/4 (1/2)^n drops to 1/2 at n = 1, so N0 = 1 admits L = 2
+    s = ar.seq_geometric(Fraction(3, 4), Fraction(1, 2))
+    lam = ar.seq_constant(Fraction(1, 2))
+    for n0 in (1, 10**40):
+        ar.validate_schedule(ar.Schedule(lam, s, ar.theta_linear(4), 2, n0, ar.gamma_zero()))
+    with pytest.raises(ar.ScheduleError, match=r"sup s_n = 3/4 \* \(1/2\)\^0"):
+        ar.validate_schedule(ar.Schedule(lam, s, ar.theta_linear(4), 2, 0, ar.gamma_zero()))
+    with pytest.raises(ar.ScheduleError, match="sup s_n"):      # L = 1: no n
+        ar.validate_schedule(ar.Schedule(lam, s, ar.theta_linear(4), 1, 10**40,
+                                         ar.gamma_zero()))
 
 
 def test_validate_schedule_n0_window():

@@ -117,14 +117,17 @@ def test_lemma_inequalities_dense_and_fallback(disk_config):
     dense = ar.trajectory_for(disk_config, 1500, dense=True, record_ref=True)
     rep = ar.check_lemma_inequalities(dense)
     assert rep.passed, rep.to_json()
-    sparse = ar.trajectory_for(disk_config, 1500)
-    rep = ar.check_lemma_inequalities(sparse)
+    # without reference distances the audit checks (a), (b) and the cap only
+    bare = ar.trajectory_for(disk_config, 1500)
+    assert bare.ref_point is None and bare.ref_distances is None
+    rep = ar.check_lemma_inequalities(bare)
     assert rep.passed, rep.to_json()
 
 
 def test_lemma_inequalities_catch_doctored_orbit(km_config):
     traj = ar.trajectory_for(km_config, 500, dense=True, record_ref=True)
-    traj.residuals[100] = 10.0     # breaks (b) at n=99 and the 2b cap
+    assert traj.fold(100) == 20    # x_n is fixed from 20 on
+    traj.residuals[traj.fold(100)] = 10.0   # breaks (b) at n=19 and the 2b cap
     rep = ar.check_lemma_inequalities(traj)
     assert not rep.passed
     kinds = {dict(f.inputs)["inequality"] for f in rep.failures}
@@ -133,7 +136,8 @@ def test_lemma_inequalities_catch_doctored_orbit(km_config):
 
 def test_lemma_inequalities_catch_bad_reference_distances(km_config):
     traj = ar.trajectory_for(km_config, 300, dense=True, record_ref=True)
-    traj.ref_distances[200] = traj.ref_distances[199] + 1.0
+    k = traj.fold(200)             # 20, where x_n is fixed from
+    traj.ref_distances[k] = traj.ref_distances[k - 1] + 1.0
     rep = ar.check_lemma_inequalities(traj)
     kinds = {dict(f.inputs)["inequality"] for f in rep.failures}
     assert "c-step" in kinds
@@ -166,10 +170,13 @@ def test_phi_soundness_unverified_at_scale(km_config):
 
 def test_phi_soundness_rejects_doctored_orbit(km_config):
     traj = ar.trajectory_for(km_config, 3052)
-    traj.residuals[2500] = 1.0
+    # x_n is fixed from 20 on, so index 20 holds every index of the window
+    # [phi, phi + 1000] = [2052, 3052]
+    traj.residuals[traj.fold(2500)] = 1.0
     rr, rep = ar.check_phi_soundness(km_config, 0.5, trajectory=traj)
     assert not rep.passed
-    assert dict(rep.failures[0].inputs)["n"] == 2500
+    assert dict(rep.failures[0].inputs)["n"] == 2052
+    assert len(rep.failures) + rep.suppressed_failures == 1001
 
 
 def test_phi_soundness_fails_on_broken_theta(km_config):
