@@ -43,11 +43,28 @@ print(f"  eps = 1/10  ->  P = {rr_exact.P}, phi = {rr_exact.phi}")
 print("\nA larger modulus certifies a smaller P (here: the Hilbert modulus):")
 ri_h = ar.inputs_for(0.5, ar.eta_hilbert(), 1.0, sched)
 print(f"  quadratic: P = {rr.P};  hilbert: P = {ar.compute_phi(ri_h).P}")
+print("The Hilbert modulus 1 - sqrt(1 - eps^2/4) is irrational, and in floats")
+print("it cancels for small eps.  P is computed on u / (1 + s), u = eps^2/4,")
+print("with s >= sqrt(1 - u) from an integer square root, so it is the exact")
+print("ceiling or one above it, never below:")
+for eps in (1e-3, 1e-6, 1e-8):
+    ri_small = ar.inputs_for(eps, ar.eta_hilbert(), 1.0, sched)
+    print(f"  eps = {eps:g}:  P = {ar.compute_p(ri_small):,}")
+
+# ---------------------------------------------------------------------------
+print("\nFrom a config, certify() is the one entry point: it applies the")
+print("shortcut eps > 2b, computes phi and delta(k), and bounds the soundness")
+print("window [phi, phi + 1000] by the step cap.")
+cfg = ar.load_config(CONFIGS / "rotation_half_pi_euclidean.json")
+for eps in (3.0, 0.5):
+    c = ar.certify(cfg, eps, ks=[0, 100])
+    print(f"  eps = {eps:<4}  phi = {c.phi:>5}  deltas = {c.deltas}  "
+          f"window end = {c.window_end}  cap = {c.step_cap:,}"
+          + (f"  ({c.note})" if c.note else ""))
 
 # ---------------------------------------------------------------------------
 print("\nSoundness at desk scale: simulate an orbit matching the inputs and")
 print("verify the residual really is below eps on the window [phi, phi+1000].")
-cfg = ar.load_config(CONFIGS / "rotation_half_pi_euclidean.json")
 for eps in (0.5, 0.25, 0.125):
     rrate, rep = ar.check_phi_soundness(cfg, eps)
     hit = rrate.empirical_first_hit

@@ -39,12 +39,9 @@ print(f"   {ar.check_lemma_inequalities(traj).summary_line()}")
 
 # ---------------------------------------------------------------------------
 print("\n5. The certified rates are sound on the eps grid:")
-horizon = 0
-for eps in cfg.eps_grid:
-    ri = ar.inputs_for(eps, cfg.space.modulus, cfg.afp.b, cfg.schedule)
-    if ar.epsilon_shortcut(ri) != 0:
-        horizon = max(horizon, ar.compute_phi(ri).phi + 1000,
-                      ar.compute_delta(ri, 100))
+# one orbit long enough for every soundness window and delta(100)
+horizon = max(max(c.window_end, c.deltas[100])
+              for c in (ar.certify(cfg, eps, ks=[100]) for eps in cfg.eps_grid))
 shared = ar.trajectory_for(cfg, horizon)
 for eps in cfg.eps_grid:
     rr, rep = ar.check_phi_soundness(cfg, eps, trajectory=shared)

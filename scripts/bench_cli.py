@@ -1,4 +1,5 @@
-"""Time asymreg command lines, each in a fresh Python process.
+"""Time asymreg command lines, each in a fresh Python process, and hash
+what they print and write.
 
     python scripts/bench_cli.py --out bench/BENCH_name.json [--src DIR]
                                 [--label TEXT] [--repeat N] [NAME=ARGS ...]
@@ -6,18 +7,25 @@
 Run it from the repository root.  Each NAME=ARGS case is an asymreg command
 line, for example
 
-    ishikawa-run="run --config configs/ishikawa_geometric_s_euclidean.json --eps 0.0625"
+    rotation-poincare-run-0.02="run --config configs/rotation_poincare.json --eps 0.02"
 
-and without cases the script runs DEFAULT_CASES.  For every case and
-repeat, a child process imports asymreg.cli from DIR (default: src/ of this
-checkout), calls main once with --json (and --out into a temporary
+Without cases the script runs golden_cases(), which covers every config
+under configs/: `rate --k 0 --k 100` at each eps of its grid and at 2.5,
+`sweep`, `run` at the smallest grid eps, and `verify-space`.  For every case
+and repeat, a child process imports asymreg.cli from DIR (default: src/ of
+this checkout), calls main once with --json (and --out into a temporary
 directory for run and sweep), and reports:
 
 - cpu_s: the CPU seconds of that main call (time.process_time);
 - peak_rss_mb: the peak resident set size of the whole child process
   (ru_maxrss), imports included;
 - from the JSON that main prints: steps, period_from, period, the verdict
-  of each check and the overall verdict.
+  and the sample count of each check and the overall verdict;
+- stdout_sha256: the sha256 of the printed JSON, and files_sha256: that of
+  each file written under --out, both with the temporary directory's path
+  replaced by OUT_TOKEN, so that two checkouts that print and write the
+  same bytes get the same hashes; output_stable says whether every repeat
+  got the same hashes.
 
 The output file holds these per case, with the median CPU time and the
 largest peak RSS over the repeats, next to the Python and numpy versions and
@@ -42,20 +50,17 @@ import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 
-DEFAULT_CASES = {
-    # the orbit repeats from step 46 of 8,389,632
-    "ishikawa-run-0.0625":
-        "run --config configs/ishikawa_geometric_s_euclidean.json --eps 0.0625",
-    # phi = 32,000,004 lies above the step cap; the orbit repeats from 2,145
-    "rotation-poincare-run-0.02":
-        "run --config configs/rotation_poincare.json --eps 0.02",
-}
+OUT_TOKEN = "<OUT>"
 
 CHILD = r"""
-import contextlib, io, json, resource, sys, tempfile, time
+import contextlib, hashlib, io, json, pathlib, resource, sys, tempfile, time
 sys.path.insert(0, sys.argv[1])
-argv = json.loads(sys.argv[2])
+argv, token = json.loads(sys.argv[2]), sys.argv[3]
 from asymreg.cli import main
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
 with tempfile.TemporaryDirectory() as out:
     extra = ["--json"] + (["--out", out] if argv[0] in ("run", "sweep") else [])
     printed = io.StringIO()
@@ -63,14 +68,32 @@ with tempfile.TemporaryDirectory() as out:
     with contextlib.redirect_stdout(printed):
         code = main(argv + extra)
     cpu = time.process_time() - start
+    files = {str(f.relative_to(out)): sha(f.read_bytes().replace(out.encode(), token.encode()))
+             for f in sorted(pathlib.Path(out).rglob("*")) if f.is_file()}
+    stdout_sha = sha(printed.getvalue().replace(out, token).encode())
 rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"code": code, "cpu_s": cpu, "rss_kb": rss_kb,
-                  "printed": printed.getvalue()}))
+                  "printed": printed.getvalue(), "stdout_sha256": stdout_sha,
+                  "files_sha256": files}))
 """
 
 
+def golden_cases() -> dict[str, str]:
+    """The output-hash cases of every config under configs/."""
+    cases = {}
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        name, conf = path.stem, f"--config configs/{path.name}"
+        grid = json.loads(path.read_text(encoding="utf-8"))["eps_grid"]
+        for eps in [*grid, 2.5]:
+            cases[f"{name}-rate-{eps!r}"] = f"rate {conf} --eps {eps!r} --k 0 --k 100"
+        cases[f"{name}-sweep"] = f"sweep {conf}"
+        cases[f"{name}-run-{min(grid)!r}"] = f"run {conf} --eps {min(grid)!r}"
+        cases[f"{name}-verify-space"] = f"verify-space {conf}"
+    return cases
+
+
 def run_case(src: Path, argv: list[str]) -> dict:
-    done = subprocess.run([sys.executable, "-c", CHILD, str(src), json.dumps(argv)],
+    done = subprocess.run([sys.executable, "-c", CHILD, str(src), json.dumps(argv), OUT_TOKEN],
                           cwd=ROOT, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -91,7 +114,13 @@ def summarize(name: str, argv: list[str], runs: list[dict]) -> dict:
         "period_from": doc.get("period_from"),
         "period": doc.get("period"),
         "verdicts": {c["check_name"]: c["verdict"] for c in doc.get("checks", [])},
+        "samples": {c["check_name"]: c["samples"] for c in doc.get("checks", [])},
         "verdict": doc.get("verdict"),
+        "stdout_sha256": runs[-1]["stdout_sha256"],
+        "files_sha256": runs[-1]["files_sha256"],
+        "output_stable": all((r["stdout_sha256"], r["files_sha256"])
+                             == (runs[-1]["stdout_sha256"], runs[-1]["files_sha256"])
+                             for r in runs),
     }
 
 
@@ -105,7 +134,7 @@ def main() -> int:
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
-    cases = dict(c.split("=", 1) for c in args.cases) or DEFAULT_CASES
+    cases = dict(c.split("=", 1) for c in args.cases) or golden_cases()
     src = Path(args.src).resolve()
     results = []
     for name, line in cases.items():

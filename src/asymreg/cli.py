@@ -23,15 +23,19 @@ from .config import HARD_STEP_CAP, Caps, ConfigError, ExperimentConfig, load_con
 from .geometry import EUCLIDEAN
 from .iteration import run_trajectory, trajectory_to_csv
 from .moduli import eta_to_eta1
-from .rates import RateError, compute_delta, compute_phi, epsilon_shortcut, inputs_for
+from .rates import RateError
+# Unused here; perfbench/spans._SPANNED still wraps these names in this module.
+from .rates import compute_delta, compute_phi, epsilon_shortcut, inputs_for  # noqa: F401
 from .report import FAIL, PASS, UNVERIFIED_AT_SCALE, CheckReport
 from .verification import (
+    certify,
     check_dyadic_uc_implication,
     check_lemma_inequalities,
     check_phi_soundness,
     check_space_axioms,
     check_uc_implication,
     reference_point,
+    step_cap,
     trajectory_for,
 )
 
@@ -162,17 +166,14 @@ def _cmd_verify_space(config: ExperimentConfig, args) -> int:
 
 
 def _rate_doc(config: ExperimentConfig, eps: float, k_list) -> dict:
-    ri = inputs_for(eps, config.space.modulus, config.afp.b, config.schedule)
-    if epsilon_shortcut(ri) == 0:
-        doc = {"eps": eps, "P": 0, "gamma0": 0, "phi": 0,
-               "note": "eps exceeds the residual cap 2b"}
-        deltas = {int(k): int(k) for k in k_list}
-    else:
-        rr = compute_phi(ri)
-        doc = {"eps": eps, "P": rr.P, "gamma0": rr.gamma0, "phi": rr.phi}
-        deltas = {int(k): compute_delta(ri, int(k)) for k in sorted(set(k_list))}
-    if deltas:
-        doc["deltas"] = {str(k): v for k, v in sorted(deltas.items())}
+    rr = certify(config, eps, k_list)
+    if rr.delta_errors:
+        raise next(iter(rr.delta_errors.values()))
+    doc = {"eps": eps, "P": rr.P, "gamma0": rr.gamma0, "phi": rr.phi}
+    if rr.note:
+        doc["note"] = rr.note
+    if rr.deltas:
+        doc["deltas"] = rr.to_json_dict()["deltas"]
     return doc
 
 
@@ -192,15 +193,13 @@ def _cmd_rate(config: ExperimentConfig, args) -> int:
 
 
 def _cmd_run(config: ExperimentConfig, args) -> int:
-    cap = min(HARD_STEP_CAP, config.caps.max_steps)
     reports: list[CheckReport] = []
     extra: dict = {}
 
     steps = args.steps
     if steps is None and args.eps is not None:
-        ri = inputs_for(args.eps, config.space.modulus, config.afp.b, config.schedule)
-        steps = (0 if epsilon_shortcut(ri) == 0 else compute_phi(ri).phi) + 1000
-    steps = min(10_000 if steps is None else steps, cap)
+        steps = certify(config, args.eps).window_end
+    steps = min(10_000 if steps is None else steps, step_cap(config))
 
     traj = run_trajectory(
         config.space, config.mapping, config.start, config.schedule, steps,
@@ -227,15 +226,10 @@ def _cmd_run(config: ExperimentConfig, args) -> int:
 
 
 def _cmd_sweep(config: ExperimentConfig, args) -> int:
-    cap = min(HARD_STEP_CAP, config.caps.max_steps)
     grid = sorted(set(config.eps_grid), reverse=True)
 
-    horizon = 0
-    for eps in grid:
-        ri = inputs_for(eps, config.space.modulus, config.afp.b, config.schedule)
-        phi = 0 if epsilon_shortcut(ri) == 0 else compute_phi(ri).phi
-        if phi <= cap:
-            horizon = max(horizon, min(phi + 1000, cap))
+    rates = [certify(config, eps) for eps in grid]
+    horizon = max((rr.window_end for rr in rates if rr.phi <= rr.step_cap), default=0)
     traj = trajectory_for(config, horizon) if horizon > 0 else None
 
     reports = []

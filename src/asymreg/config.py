@@ -41,14 +41,13 @@ from .mappings import (
     validate_afp,
 )
 from .moduli import (
+    ModulusDescriptor,
     Schedule,
     ScheduleError,
-    SequenceDescriptor,
     descriptor_from_dict,
     descriptor_to_dict,
     eta_quadratic,
     sequence_from_dict,
-    sequence_to_dict,
     validate_schedule,
 )
 
@@ -220,7 +219,7 @@ def _parse_mapping(data, path: str) -> MappingSpec:
     return MappingSpec(kind, center, angle, radius, domain)
 
 
-def _parse_sequence(data, path: str) -> SequenceDescriptor:
+def _parse_sequence(data, path: str) -> ModulusDescriptor:
     try:
         return sequence_from_dict(data)
     except (ValueError, TypeError) as exc:
@@ -361,8 +360,8 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "mapping": mapping,
         "start": list(config.start.coords),
         "schedule": {
-            "lambda": sequence_to_dict(sched.lambda_seq),
-            "s": sequence_to_dict(sched.s_seq),
+            "lambda": descriptor_to_dict(sched.lambda_seq),
+            "s": descriptor_to_dict(sched.s_seq),
             "theta": descriptor_to_dict(sched.theta),
             "L": sched.L,
             "N0": sched.N0,

@@ -203,26 +203,21 @@ def raw_dist_combine(space: SpaceModel):
 
 
 # ---------------------------------------------------------------------------
-# public operations
+# public operations: the raw kernels of raw_ops, so that they agree with the
+# orbit runner bitwise
 
 def dist(space: SpaceModel, x: Point, y: Point) -> float:
-    check_point(space, x)
-    check_point(space, y)
-    if space.kind == POINCARE_DISK:
-        return _p_dist(complex(*x.coords), complex(*y.coords))
-    return math.dist(x.coords, y.coords)
+    dist_fn, _ = raw_ops(space)
+    return dist_fn(to_raw(space, x), to_raw(space, y))
 
 
 def combine(space: SpaceModel, x: Point, y: Point, lam: float) -> Point:
     """The point (1 - lam) x (+) lam y on the geodesic from x to y."""
-    check_point(space, x)
-    check_point(space, y)
+    xr, yr = to_raw(space, x), to_raw(space, y)
     if not 0.0 <= lam <= 1.0:
         raise ParameterRangeError(f"lambda = {lam!r} outside [0, 1]")
-    if space.kind == POINCARE_DISK:
-        z = _p_combine(complex(*x.coords), complex(*y.coords), lam)
-        return Point(space.kind, (z.real, z.imag))
-    return Point(space.kind, _e_combine_t(x.coords, y.coords, lam))
+    _, combine_fn = raw_ops(space)
+    return from_raw(space, combine_fn(xr, yr, lam))
 
 
 def uc_modulus_eval(space: SpaceModel, r: float, eps: float) -> float:

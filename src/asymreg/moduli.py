@@ -16,11 +16,18 @@ round-trip through files.  The families:
 - omega(n): majorization modulus of a self-map T at a base point x,
   d(x, y) <= n implies d(x, Ty) <= omega(n).
 
+The averaging sequences lambda_n and s_n are descriptors of the same
+record type, with their own kinds: Constant, Geometric c q^n, or Tabulated
+values followed by a constant tail.
+
 Constructors for theta and gamma work in exact rational arithmetic via
-fractions.Fraction.  verify_theta checks its defining inequality in integer
-arithmetic, exactly or (for geometric lambda) through a lower bound that is
-never too high; floats only enter in verify_gamma, which samples its windows
-with a 1e-9 slack.
+fractions.Fraction.  Every eta form evaluates to a rational never above
+eta (eval_eta_lower): exactly for the rational closed forms, and for
+EtaHilbert through an integer square root rounded up, so a bound built on
+it never rounds down.  verify_theta checks its defining inequality in
+integer arithmetic, exactly or (for geometric lambda) through a lower bound
+that is never too high; floats only enter in verify_gamma, which samples
+its windows with a 1e-9 slack.
 """
 
 from __future__ import annotations
@@ -125,7 +132,8 @@ def ceil_neg_log2(q: Fraction) -> int:
 
 @dataclass(frozen=True)
 class ModulusDescriptor:
-    """Tagged closed form; params is an ordered tuple of (name, value)."""
+    """Tagged closed form of a modulus or an averaging sequence; params is
+    an ordered tuple of (name, value)."""
 
     kind: str
     params: tuple[tuple[str, object], ...] = ()
@@ -291,7 +299,7 @@ def theta_for_constant_lambda(lam) -> ModulusDescriptor:
     return theta_linear(1 / (lam * (1 - lam)), 0)
 
 
-def sequence_lower_bound(seq: "SequenceDescriptor") -> Fraction:
+def sequence_lower_bound(seq: ModulusDescriptor) -> Fraction:
     if seq.kind == SEQ_CONSTANT:
         return seq.param("value")
     if seq.kind == SEQ_GEOMETRIC:
@@ -301,7 +309,7 @@ def sequence_lower_bound(seq: "SequenceDescriptor") -> Fraction:
     raise DescriptorError(f"unknown sequence kind {seq.kind!r}")
 
 
-def gamma_for_geometric_s(c, q, lambda_seq: "SequenceDescriptor") -> ModulusDescriptor:
+def gamma_for_geometric_s(c, q, lambda_seq: ModulusDescriptor) -> ModulusDescriptor:
     """Cauchy modulus for s_n = c q^n: the tail past index N of
     sum s_n (1 - lambda_n) is at most c (1 - lambda_min) q^(N+1) / (1 - q),
     so gamma(delta) is the least N making that bound <= delta."""
@@ -351,7 +359,8 @@ def omega_for_bounded_space(diameter) -> ModulusDescriptor:
 # evaluation
 
 def eval_eta(desc: ModulusDescriptor, r: float, eps: float) -> float:
-    """Evaluate an eta-family descriptor at radius r > 0 and eps in (0, 2].
+    """Evaluate an eta-family descriptor at radius r > 0 and eps in (0, 2]:
+    eval_eta_lower rounded to the nearest float.
 
     Returns the raw closed-form value; codomain validity is the harness's
     concern (deliberately broken moduli are used for fault injection)."""
@@ -359,25 +368,32 @@ def eval_eta(desc: ModulusDescriptor, r: float, eps: float) -> float:
         raise DescriptorDomainError("radius r must be positive")
     if not 0 < eps <= 2:
         raise DescriptorDomainError("eps must lie in (0, 2]")
-    exact = eval_eta_exact(desc, as_fraction(r), as_fraction(eps))
-    if exact is not None:
-        return float(exact)
-    if desc.kind == ETA_HILBERT:
-        return 1.0 - math.sqrt(max(0.0, 1.0 - eps * eps / 4.0))
-    raise DescriptorError(f"{desc.kind!r} is not an eta descriptor")
+    return float(eval_eta_lower(desc, r, as_fraction(eps)))
 
 
-def eval_eta_exact(desc: ModulusDescriptor, r: Fraction, eps: Fraction):
-    """Exact rational evaluation where the closed form permits it, else None."""
+def eval_eta_lower(desc: ModulusDescriptor, r, eps: Fraction) -> Fraction:
+    """A rational never above eta(r, eps), for a radius r (a float or a
+    rational) and a rational eps.  It is the exact value for the
+    rational closed forms.  For EtaHilbert it is u / (1 + s), with
+    u = eps^2/4 = p / q and s >= sqrt(1 - u) an integer square root rounded
+    up at 128 bits more than q; so it falls short of
+    1 - sqrt(1 - u) = u / (1 + sqrt(1 - u)) by a relative 2^-128 at most."""
     if desc.kind == ETA_QUADRATIC:
         return eps * eps / desc.param("denominator")
+    if desc.kind == ETA_HILBERT:
+        p, q = eps.numerator ** 2, 4 * eps.denominator ** 2     # u = p / q
+        bits = 128 + q.bit_length()
+        scaled = ((q - p) * q) << 2 * bits        # (1 - u) (q 2^bits)^2
+        root = math.isqrt(scaled)
+        root += root * root < scaled              # s = root / (q 2^bits)
+        return Fraction(p << bits, (q << bits) + root)
     if desc.kind == ETA_CONSTANT:
         return desc.param("value")
     if desc.kind == ETA_FROM_ETA1:
         k = max(0, ceil_neg_log2(eps))
         m = eval_eta1(desc.param("inner"), float(r), k)
         return Fraction(1, 2 ** m)
-    return None
+    raise DescriptorError(f"{desc.kind!r} is not an eta descriptor")
 
 
 def eval_eta1(desc: ModulusDescriptor, r: float, k: int) -> int:
@@ -393,19 +409,8 @@ def eval_eta1(desc: ModulusDescriptor, r: float, k: int) -> int:
     if desc.kind == ETA2_FROM_ETA3:
         return eval_eta3(desc.param("inner"), as_fraction(r), k)
     if desc.kind == ETA1_FROM_ETA:
-        inner = desc.param("inner")
-        eps = Fraction(1, 2 ** k)
-        exact = eval_eta_exact(inner, as_fraction(r), eps)
-        if exact is not None:
-            return max(0, ceil_neg_log2(exact))
-        value = eval_eta(inner, r, float(eps))
-        if not value > 0:
-            raise DescriptorDomainError("eta must be positive to take -log2")
-        m = max(0, math.ceil(-math.log2(value)))
-        # the defining property is 2^-m <= eta; repair any float rounding
-        while 2.0 ** (-m) > value:
-            m += 1
-        return m
+        eta = eval_eta_lower(desc.param("inner"), r, Fraction(1, 2 ** k))
+        return max(0, ceil_neg_log2(eta))
     raise DescriptorError(f"{desc.kind!r} is not an eta1 descriptor")
 
 
@@ -509,47 +514,32 @@ def declared_monotonicity(desc: ModulusDescriptor) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 # averaging sequences and the schedule
 
-@dataclass(frozen=True)
-class SequenceDescriptor:
-    """Closed form for an averaging sequence: constant, geometric c q^n, or a
-    finite table followed by a constant tail."""
-
-    kind: str
-    params: tuple[tuple[str, object], ...] = ()
-
-    def param(self, name: str):
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
-
-
-def seq_constant(value) -> SequenceDescriptor:
+def seq_constant(value) -> ModulusDescriptor:
     value = as_fraction(value)
     if not 0 <= value <= 1:
         raise DescriptorError("sequence values must lie in [0, 1]")
-    return SequenceDescriptor(SEQ_CONSTANT, (("value", value),))
+    return _desc(SEQ_CONSTANT, value=value)
 
 
-def seq_geometric(c, q) -> SequenceDescriptor:
+def seq_geometric(c, q) -> ModulusDescriptor:
     c, q = as_fraction(c), as_fraction(q)
     if not 0 <= c <= 1:
         raise DescriptorError("leading coefficient c must lie in [0, 1]")
     if not 0 < q < 1:
         raise DescriptorError("ratio q must lie in (0, 1)")
-    return SequenceDescriptor(SEQ_GEOMETRIC, (("c", c), ("q", q)))
+    return _desc(SEQ_GEOMETRIC, c=c, q=q)
 
 
-def seq_tabulated(values: Sequence, tail) -> SequenceDescriptor:
+def seq_tabulated(values: Sequence, tail) -> ModulusDescriptor:
     vals = tuple(as_fraction(v) for v in values)
     tail = as_fraction(tail)
     for v in list(vals) + [tail]:
         if not 0 <= v <= 1:
             raise DescriptorError("sequence values must lie in [0, 1]")
-    return SequenceDescriptor(SEQ_TABULATED, (("values", vals), ("tail", tail)))
+    return _desc(SEQ_TABULATED, values=vals, tail=tail)
 
 
-def seq_value(seq: SequenceDescriptor, n: int) -> Fraction:
+def seq_value(seq: ModulusDescriptor, n: int) -> Fraction:
     if n < 0:
         raise DescriptorDomainError("sequence index must be a natural")
     if seq.kind == SEQ_CONSTANT:
@@ -562,7 +552,7 @@ def seq_value(seq: SequenceDescriptor, n: int) -> Fraction:
     raise DescriptorError(f"unknown sequence kind {seq.kind!r}")
 
 
-def seq_values_float(seq: SequenceDescriptor, count: int, start: int = 0) -> np.ndarray:
+def seq_values_float(seq: ModulusDescriptor, count: int, start: int = 0) -> np.ndarray:
     """Terms start .. start+count-1 as float64, without exact big-denominator
     blowup."""
     if seq.kind == SEQ_CONSTANT:
@@ -580,7 +570,7 @@ def seq_values_float(seq: SequenceDescriptor, count: int, start: int = 0) -> np.
     raise DescriptorError(f"unknown sequence kind {seq.kind!r}")
 
 
-def seq_sup_from(seq: SequenceDescriptor, n0: int) -> Fraction:
+def seq_sup_from(seq: ModulusDescriptor, n0: int) -> Fraction:
     """Exact supremum of the sequence over indices n >= n0."""
     if seq.kind == SEQ_CONSTANT:
         return seq.param("value")
@@ -611,7 +601,7 @@ def geometric_exceeds(c: Fraction, q: Fraction, bound: Fraction, n: int) -> bool
     return a * p**n > b * d**n
 
 
-def seq_mass(seq: SequenceDescriptor) -> Callable[[int], tuple[int, int]]:
+def seq_mass(seq: ModulusDescriptor) -> Callable[[int], tuple[int, int]]:
     """t -> (num, den) with num / den <= S(t) = sum_{k=0..t} lambda_k (1 - lambda_k),
     for t >= -1.  Equal to S(t) for Constant and Tabulated lambda.  For
     Geometric lambda a lower bound from an outward-rounded q^(t+1): it never
@@ -670,8 +660,8 @@ class Schedule:
     (L, N0) bounding s away from 1, and the Cauchy modulus gamma for the
     partial sums of s_n (1 - lambda_n)."""
 
-    lambda_seq: SequenceDescriptor
-    s_seq: SequenceDescriptor
+    lambda_seq: ModulusDescriptor
+    s_seq: ModulusDescriptor
     theta: ModulusDescriptor
     L: int
     N0: int
@@ -778,23 +768,22 @@ def verify_gamma(schedule: Schedule, deltas: Sequence, n_max: int = 10_000) -> C
 # ---------------------------------------------------------------------------
 # serialization to/from plain tagged dicts (the config file format)
 
-def _encode_value(value):
+def descriptor_to_dict(value):
+    """The config file form of a descriptor, a sequence among them: a dict
+    of its kind and params, with Fractions as strings and tuples as lists,
+    recursively."""
     if isinstance(value, ModulusDescriptor):
-        return descriptor_to_dict(value)
+        return {"kind": value.kind,
+                **{key: descriptor_to_dict(v) for key, v in value.params}}
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, tuple):
-        return [list(p) for p in value]
+        return [descriptor_to_dict(v) for v in value]
     return value
 
 
-def descriptor_to_dict(desc: ModulusDescriptor) -> dict:
-    out = {"kind": desc.kind}
-    for key, value in desc.params:
-        out[key] = _encode_value(value)
-    return out
-
-
+# kind -> (builder, fields, nested).  A builder of None keeps the fields as
+# ints, apart from the nested ones, which name descriptors.
 _DESCRIPTOR_BUILDERS = {
     ETA_QUADRATIC: (eta_quadratic, ("denominator",), ()),
     ETA_HILBERT: (eta_hilbert, (), ()),
@@ -817,14 +806,21 @@ _DESCRIPTOR_BUILDERS = {
     GAMMA_SHIFTED: (None, ("inner", "shift"), ("inner",)),
 }
 
+# Separate from the modulus table, as "Tabulated" names a kind of both.
+_SEQUENCE_BUILDERS = {
+    SEQ_CONSTANT: (seq_constant, ("value",), ()),
+    SEQ_GEOMETRIC: (seq_geometric, ("c", "q"), ()),
+    SEQ_TABULATED: (seq_tabulated, ("values", "tail"), ()),
+}
 
-def descriptor_from_dict(data: dict) -> ModulusDescriptor:
+
+def _from_dict(data, builders: dict, what: str) -> ModulusDescriptor:
     if not isinstance(data, dict) or not isinstance(data.get("kind"), str):
-        raise DescriptorError("descriptor must be a dict with a string 'kind' tag")
+        raise DescriptorError(f"{what} must be a dict with a string 'kind' tag")
     kind = data["kind"]
-    if kind not in _DESCRIPTOR_BUILDERS:
-        raise DescriptorError(f"unknown descriptor kind {kind!r}")
-    builder, fields, nested = _DESCRIPTOR_BUILDERS[kind]
+    if kind not in builders:
+        raise DescriptorError(f"unknown {what} kind {kind!r}")
+    builder, fields, nested = builders[kind]
     extra = set(data) - {"kind"} - set(fields)
     if extra:
         raise DescriptorError(f"{kind}: unknown field(s) {sorted(extra)}")
@@ -846,32 +842,9 @@ def descriptor_from_dict(data: dict) -> ModulusDescriptor:
     return ModulusDescriptor(kind, params)
 
 
-def sequence_to_dict(seq: SequenceDescriptor) -> dict:
-    out = {"kind": seq.kind}
-    for key, value in seq.params:
-        if isinstance(value, tuple):
-            out[key] = [str(v) for v in value]
-        else:
-            out[key] = str(value)
-    return out
+def descriptor_from_dict(data: dict) -> ModulusDescriptor:
+    return _from_dict(data, _DESCRIPTOR_BUILDERS, "descriptor")
 
 
-def sequence_from_dict(data: dict) -> SequenceDescriptor:
-    if not isinstance(data, dict) or not isinstance(data.get("kind"), str):
-        raise DescriptorError("sequence must be a dict with a string 'kind' tag")
-    kind = data["kind"]
-    fields = {SEQ_CONSTANT: ("value",), SEQ_GEOMETRIC: ("c", "q"),
-              SEQ_TABULATED: ("values", "tail")}.get(kind)
-    if fields is None:
-        raise DescriptorError(f"unknown sequence kind {kind!r}")
-    extra = set(data) - {"kind"} - set(fields)
-    if extra:
-        raise DescriptorError(f"{kind}: unknown field(s) {sorted(extra)}")
-    for name in fields:
-        if name not in data:
-            raise DescriptorError(f"{kind}: missing field {name!r}")
-    if kind == SEQ_CONSTANT:
-        return seq_constant(data["value"])
-    if kind == SEQ_GEOMETRIC:
-        return seq_geometric(data["c"], data["q"])
-    return seq_tabulated(data["values"], data["tail"])
+def sequence_from_dict(data: dict) -> ModulusDescriptor:
+    return _from_dict(data, _SEQUENCE_BUILDERS, "sequence")

@@ -17,17 +17,16 @@ guarantees d(x_n, T x_n) < eps for every n >= phi, and
 
 guarantees some N in [k, delta(k)] with d(x_N, T x_N) < eps.
 
-The quotient defining P is evaluated in exact rational arithmetic whenever
-the modulus descriptor has a rational closed form; certified bounds must
-never round down, so the float fallback adds an absolute 1e-12 nudge before
-taking the ceiling.
+The quotient defining P is evaluated in exact rational arithmetic on a
+rational never above eta (moduli.eval_eta_lower), so P never rounds down,
+for every modulus.  verification.certify is the one place that applies
+these formulas to a config, with the shortcut eps > 2b and the step cap.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .moduli import (
@@ -35,13 +34,10 @@ from .moduli import (
     Schedule,
     as_fraction,
     ceil_frac,
-    eval_eta,
-    eval_eta_exact,
+    eval_eta_lower,
     eval_gamma,
     eval_nat,
 )
-
-CEIL_NUDGE = 1e-12
 
 
 class RateError(ValueError):
@@ -82,19 +78,28 @@ def inputs_for(eps: float, eta: ModulusDescriptor, b: float,
 
 @dataclass
 class RateReport:
+    """The certified rates for one eps.  verification.certify also fills in
+    the step cap, the end of the soundness window [phi, window_end], the
+    shortcut note, and the k whose delta(k) raised; those stay out of the
+    JSON."""
+
     P: int
     gamma0: int
     phi: int
-    delta: int | None = None
+    deltas: dict[int, int] = field(default_factory=dict)
     empirical_first_hit: int | None = None
     tightness_ratio: float | None = None
+    step_cap: int | None = None
+    window_end: int | None = None
+    note: str | None = None
+    delta_errors: dict[int, RateError] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
             "P": self.P,
             "gamma0": self.gamma0,
             "phi": self.phi,
-            "delta": self.delta,
+            "deltas": {str(k): v for k, v in sorted(self.deltas.items())},
             "empirical_first_hit": self.empirical_first_hit,
             "tightness_ratio": self.tightness_ratio,
         }
@@ -115,13 +120,9 @@ def _eta_argument(inputs: RateInputs) -> Fraction:
     eps = as_fraction(inputs.eps)
     b = as_fraction(inputs.b)
     arg = eps / (inputs.L * (b + 1))
-    if arg > 2:
-        if inputs.eps > 2.0 * inputs.b:
-            raise EtaDomainError(
-                "eps / (L (b+1)) > 2 with eps > 2b; use epsilon_shortcut")
-        # unreachable for eps <= 2b since eps <= 2b < 2 L (b+1); kept as a
-        # defensive clamp (eta is nondecreasing in eps, so this only weakens)
-        arg = Fraction(2)
+    if arg > 2:     # then eps > 2 L (b+1) > 2b
+        raise EtaDomainError(
+            "eps / (L (b+1)) > 2 with eps > 2b; use epsilon_shortcut")
     return arg
 
 
@@ -130,16 +131,10 @@ def compute_p(inputs: RateInputs) -> int:
     arg = _eta_argument(inputs)
     eps = as_fraction(inputs.eps)
     b1 = as_fraction(inputs.b) + 1
-    exact = eval_eta_exact(inputs.eta, b1, arg)
-    if exact is not None:
-        if exact <= 0:
-            raise RateError("eta evaluated to a nonpositive value")
-        return ceil_frac(inputs.L * b1 / (eps * exact))
-    value = eval_eta(inputs.eta, float(b1), float(arg))
-    if not value > 0:
+    eta = eval_eta_lower(inputs.eta, b1, arg)
+    if eta <= 0:
         raise RateError("eta evaluated to a nonpositive value")
-    quotient = inputs.L * float(b1) / (inputs.eps * value)
-    return math.ceil(quotient + CEIL_NUDGE)
+    return ceil_frac(inputs.L * b1 / (eps * eta))
 
 
 def compute_gamma0(inputs: RateInputs) -> int:

@@ -50,6 +50,8 @@ from .report import CheckReport
 
 EUCLID_SAMPLE_RADIUS = 10.0
 DISK_SAMPLE_RADIUS = 5.0  # hyperbolic distance to the origin
+# The soundness window [phi, phi + SOUNDNESS_WINDOW] is simulated and read.
+SOUNDNESS_WINDOW = 1000
 
 
 def _rng(seed: int, name: str) -> random.Random:
@@ -361,6 +363,34 @@ def trajectory_for(config: ExperimentConfig, steps: int, *,
     )
 
 
+def step_cap(config: ExperimentConfig) -> int:
+    """The most steps any orbit of config runs."""
+    return min(HARD_STEP_CAP, config.caps.max_steps)
+
+
+def certify(config: ExperimentConfig, eps: float, ks=()) -> RateReport:
+    """The certified rates of config at eps: P, gamma0, phi and delta(k) for
+    each k in ks, the step cap and the end of the soundness window
+    [phi, phi + SOUNDNESS_WINDOW] within it.  Residuals never exceed 2b, so
+    eps > 2b is certified at once, with phi = 0 and delta(k) = k.  A k whose
+    delta(k) raises RateError lands in delta_errors, not in deltas."""
+    ri = inputs_for(eps, config.space.modulus, config.afp.b, config.schedule)
+    ks = sorted(set(int(k) for k in ks))
+    if epsilon_shortcut(ri) == 0:
+        rr = RateReport(P=0, gamma0=0, phi=0, deltas={k: k for k in ks},
+                        note="eps exceeds the residual cap 2b")
+    else:
+        rr = compute_phi(ri)
+        for k in ks:
+            try:
+                rr.deltas[k] = compute_delta(ri, k)
+            except RateError as exc:
+                rr.delta_errors[k] = exc
+    rr.step_cap = step_cap(config)
+    rr.window_end = min(rr.phi + SOUNDNESS_WINDOW, rr.step_cap)
+    return rr
+
+
 def _covering_trajectory(config: ExperimentConfig, steps: int,
                          trajectory: Trajectory | None) -> Trajectory:
     if trajectory is not None and trajectory.steps >= steps:
@@ -371,8 +401,8 @@ def _covering_trajectory(config: ExperimentConfig, steps: int,
 def check_phi_soundness(config: ExperimentConfig, eps: float,
                         trajectory: Trajectory | None = None
                         ) -> tuple[RateReport, CheckReport]:
-    """Verify the schedule witnesses, compute phi, then confirm on a simulated
-    orbit that every residual on [phi, phi + 1000] falls below
+    """Verify the schedule witnesses, certify phi, then confirm on a simulated
+    orbit that every residual on [phi, window_end] falls below
     eps (1 + 1e-9).  Also records the first index whose residual drops below
     eps and the ratio phi / first_hit."""
     report = CheckReport(f"phi-soundness(eps={eps:g})")
@@ -383,19 +413,14 @@ def check_phi_soundness(config: ExperimentConfig, eps: float,
     if not report.passed:
         return RateReport(P=0, gamma0=0, phi=0), report
 
-    ri = inputs_for(eps, config.space.modulus, b, schedule)
-    if epsilon_shortcut(ri) == 0:
-        rr = RateReport(P=0, gamma0=0, phi=0)
-        report.note("eps exceeds the residual cap 2b; phi = 0")
-    else:
-        rr = compute_phi(ri)
-
-    cap = min(HARD_STEP_CAP, config.caps.max_steps)
-    if rr.phi > cap:
-        report.mark_unverified(
-            f"phi = {rr.phi} exceeds the step cap {cap}; soundness not simulated")
+    rr = certify(config, eps)
+    if rr.note:
+        report.note(f"{rr.note}; phi = 0")
+    if rr.phi > rr.step_cap:
+        report.mark_unverified(f"phi = {rr.phi} exceeds the step cap "
+                               f"{rr.step_cap}; soundness not simulated")
         return rr, report
-    end = min(rr.phi + 1000, cap)
+    end = rr.window_end
     traj = _covering_trajectory(config, end, trajectory)
     res = traj.residuals
 
@@ -421,26 +446,17 @@ def check_delta_witness(config: ExperimentConfig, eps: float, k_list,
     """For each k, compute delta(k) and confirm some index in [k, delta(k)]
     has residual below eps (1 + 1e-9)."""
     report = CheckReport(f"delta-witness(eps={eps:g})")
-    ri = inputs_for(eps, config.space.modulus, config.afp.b, config.schedule)
-    shortcut = epsilon_shortcut(ri)
-    cap = min(HARD_STEP_CAP, config.caps.max_steps)
-
-    deltas: dict[int, int] = {}
-    for k in sorted(set(int(k) for k in k_list)):
-        if shortcut == 0:
-            deltas[k] = k
-            continue
-        try:
-            deltas[k] = compute_delta(ri, k)
-        except RateError as exc:
-            report.fail({"k": k, "error": str(exc)}, 0.0, 0.0, 0.0)
+    rr = certify(config, eps, k_list)
+    for k, exc in rr.delta_errors.items():
+        report.fail({"k": k, "error": str(exc)}, 0.0, 0.0, 0.0)
+    deltas = rr.deltas
     if not deltas:
         return deltas, report
 
-    checkable = {k: d for k, d in deltas.items() if d <= cap}
+    checkable = {k: d for k, d in deltas.items() if d <= rr.step_cap}
     for k in sorted(set(deltas) - set(checkable)):
         report.mark_unverified(
-            f"delta({k}) = {deltas[k]} exceeds the step cap {cap}")
+            f"delta({k}) = {deltas[k]} exceeds the step cap {rr.step_cap}")
     if not checkable:
         return deltas, report
 

@@ -8,7 +8,6 @@ checks; the simulation time is charged against the rate criterion's
 runtime budget.
 """
 
-import dataclasses
 import json
 import time
 from fractions import Fraction
@@ -25,15 +24,13 @@ KM_NAMES = ("rotation_pi_euclidean", "rotation_half_pi_euclidean",
 
 
 def _horizon(config) -> int:
-    """Steps needed to cover phi(min eps) + 1000 and delta(eps, k=100)."""
+    """Steps needed to cover the soundness window of every eps and
+    delta(eps, k=100)."""
     need = 0
     for eps in EPS_GRID:
-        ri = ar.inputs_for(eps, config.space.modulus, config.afp.b,
-                           config.schedule)
-        if ar.epsilon_shortcut(ri) == 0:
-            continue
-        need = max(need, ar.compute_phi(ri).phi + 1000,
-                   ar.compute_delta(ri, 100))
+        rr = ar.certify(config, eps, [100])
+        if rr.note is None:
+            need = max(need, rr.window_end, rr.deltas[100])
     return need
 
 
@@ -225,11 +222,10 @@ def test_criterion_8_uniformity(golden_configs):
         inputs, reports, blobs = [], [], []
         for name in KM_NAMES:
             cfg = golden_configs[name]
-            ri = ar.inputs_for(eps, cfg.space.modulus, cfg.afp.b, cfg.schedule)
-            inputs.append(ri)
-            rr = ar.compute_phi(ri)
-            for k in (0, 10, 100):
-                rr = dataclasses.replace(rr, delta=ar.compute_delta(ri, k))
+            inputs.append(ar.inputs_for(eps, cfg.space.modulus, cfg.afp.b,
+                                        cfg.schedule))
+            rr = ar.certify(cfg, eps, (0, 10, 100))
+            assert not rr.delta_errors and len(rr.deltas) == 3
             reports.append(rr)
             blobs.append(json.dumps(rr.to_json_dict(), sort_keys=True))
         assert inputs[0] == inputs[1] == inputs[2]

@@ -3,6 +3,7 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -336,3 +337,18 @@ def test_dist_combine_t0_returns_x_itself():
         d, z = raw_dist_combine(space)(x, y, 0.0)
         assert z is x
         assert d == raw_ops(space)[0](x, y)
+
+
+def test_public_dist_matches_the_orbit_residuals_bitwise():
+    # On the plane the runner measures abs(x - y); the public dist must give
+    # the same float, which math.dist does not always do.
+    m = ar.euclidean_rotation((0.3, -0.2), 1.0)
+    sched = ar.Schedule(ar.seq_constant("1/100"), ar.seq_constant(0),
+                        ar.theta_for_constant_lambda("1/100"), 1, 0, ar.gamma_zero())
+    traj = ar.run_trajectory(E2, m, ar.make_point(E2, (4.1, 2.7)), sched, 5000,
+                             store_every=1)
+    res = traj.residuals[traj.fold(traj.stored_indices)]
+    got = [ar.dist(E2, p, ar.apply_map(E2, m, p)) for p in traj.points]
+    assert len(got) == 5001
+    assert np.array_equal(np.array(got), res)
+

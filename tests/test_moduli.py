@@ -13,7 +13,7 @@ from asymreg.moduli import (
     ceil_frac,
     ceil_log2_frac,
     ceil_neg_log2,
-    eval_eta_exact,
+    eval_eta_lower,
     nat_values,
     seq_mass,
     sequence_lower_bound,
@@ -65,7 +65,7 @@ def test_ceil_log2_matches_oracle(num, den):
 def test_eta_quadratic_frozen():
     q8 = ar.eta_quadratic()
     assert ar.eval_eta(q8, 2.0, 0.25) == pytest.approx(1 / 128, abs=0)
-    assert eval_eta_exact(q8, Fraction(2), Fraction(1, 4)) == Fraction(1, 128)
+    assert eval_eta_lower(q8, Fraction(2), Fraction(1, 4)) == Fraction(1, 128)
     assert ar.eval_eta(ar.eta_quadratic(2), 1.0, 1.0) == 0.5
 
 
@@ -129,6 +129,13 @@ def test_eta_to_eta1_hilbert_wrapper():
     for k in range(8):
         m = ar.eval_eta1(e1, 2.0, k)
         assert 2.0 ** (-m) <= ar.eval_eta(ar.eta_hilbert(), 2.0, 2.0 ** (-k))
+
+
+@pytest.mark.parametrize("k", range(26, 31))
+def test_eta_to_eta1_hilbert_small_precision(k):
+    # eta(r, 2^-k) = 2^-2k / (4 (1 + sqrt(1 - 2^-2k/4))) lies just above
+    # 2^-(2k+3); the float form raised DescriptorDomainError from k = 26 on
+    assert ar.eval_eta1(ar.eta_to_eta1(ar.eta_hilbert()), 1.0, k) == 2 * k + 3
 
 
 def test_eta1_to_eta_round_trip_frozen():
@@ -647,7 +654,7 @@ def test_sequence_round_trip():
     for seq in (ar.seq_constant(Fraction(1, 2)),
                 ar.seq_geometric(Fraction(1, 2), Fraction(1, 2)),
                 ar.seq_tabulated([Fraction(1, 2)], 0)):
-        assert ar.sequence_from_dict(ar.sequence_to_dict(seq)) == seq
+        assert ar.sequence_from_dict(ar.descriptor_to_dict(seq)) == seq
 
 
 @settings(max_examples=25)

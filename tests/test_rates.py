@@ -1,12 +1,13 @@
 import json
-import math
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import asymreg as ar
+from asymreg.moduli import eval_eta_lower
 
 Q8 = ar.eta_quadratic()
 
@@ -69,12 +70,59 @@ def test_eps_two_boundary():
     assert ar.compute_phi(ri).phi == 36
 
 
-def test_hilbert_modulus_float_path():
+def hilbert_p_oracle(eps: float, b: float, L: int, bits: int = 400) -> int:
+    """ceil(L (b+1) / (eps eta)) with eta = 1 - sqrt(1 - a^2/4) at the
+    eta argument a = eps / (L (b+1)), in mpmath at `bits` bits."""
+    e, b1 = Fraction(eps), Fraction(b) + 1
+    with mpmath.workprec(bits):
+        def mp(q):
+            return mpmath.mpf(q.numerator) / q.denominator
+        a = mp(e) / (L * mp(b1))
+        eta = 1 - mpmath.sqrt(1 - a * a / 4)
+        return int(mpmath.ceil(L * mp(b1) / (mp(e) * eta)))
+
+
+def hilbert_inputs(eps, b=1.0, L=1):
+    sched = km_schedule()
+    return ar.RateInputs(eps=eps, eta=ar.eta_hilbert(), b=b, N0=0, L=L,
+                         theta=sched.theta, gamma=sched.gamma)
+
+
+def test_hilbert_modulus_p():
     # eta argument eps/(L(b+1)) = 1/4, eta = 1 - sqrt(1 - 1/64)
-    ri = ar.inputs_for(0.5, ar.eta_hilbert(), 1, km_schedule())
-    eta = 1.0 - math.sqrt(1.0 - 0.25 ** 2 / 4.0)
-    assert ar.compute_p(ri) == math.ceil(2.0 / (0.5 * eta) + 1e-12)
-    assert ar.compute_p(ri) == 510
+    assert ar.compute_p(hilbert_inputs(0.5)) == 510 == hilbert_p_oracle(0.5, 1.0, 1)
+
+
+@pytest.mark.parametrize("eps, p", [
+    # the float form 1 - sqrt(1 - eps^2/4) cancelled: 22,538,901,891 here
+    (0.0014160624357568707, 22_538_901_909),
+    # 63,880,845,778,304,917,504 from the float form, 0.19 % low
+    (1e-6, 63_999_999_999_999_008_689),
+    # the float form evaluated eta to 0 and raised RateError
+    (1e-8, 63_999_999_999_999_995_882_868_321),
+])
+def test_hilbert_p_is_the_exact_ceiling(eps, p):
+    assert ar.compute_p(hilbert_inputs(eps)) == p == hilbert_p_oracle(eps, 1.0, 1)
+
+
+@settings(max_examples=300)
+@given(st.floats(1e-12, 4.0), st.floats(1e-3, 1e3), st.integers(1, 1000))
+def test_hilbert_p_never_rounds_down(eps, b, L):
+    assume(eps <= 2 * L * (b + 1))     # the eta argument lies in (0, 2]
+    p = ar.compute_p(hilbert_inputs(eps, b, L))
+    exact = hilbert_p_oracle(eps, b, L)
+    assert exact <= p <= exact + 1
+
+
+@settings(max_examples=200)
+@given(st.fractions(Fraction(1, 10**12), 2, max_denominator=10**15))
+def test_hilbert_eta_lower_bound(eps):
+    lower = eval_eta_lower(ar.eta_hilbert(), Fraction(1), eps)
+    with mpmath.workprec(500):
+        a = mpmath.mpf(eps.numerator) / eps.denominator
+        eta = 1 - mpmath.sqrt(1 - a * a / 4)
+        gap = (eta - mpmath.mpf(lower.numerator) / lower.denominator) / eta
+    assert -mpmath.mpf(2) ** -400 <= gap <= mpmath.mpf(2) ** -128
 
 
 def test_epsilon_shortcut():
@@ -130,7 +178,7 @@ def test_rate_inputs_validation():
 def test_rate_report_json_shape():
     rr = ar.compute_phi(ar.inputs_for(0.5, Q8, 1, km_schedule()))
     doc = rr.to_json_dict()
-    assert set(doc) == {"P", "gamma0", "phi", "delta", "empirical_first_hit",
+    assert set(doc) == {"P", "gamma0", "phi", "deltas", "empirical_first_hit",
                         "tightness_ratio"}
     assert json.dumps(doc, sort_keys=True) == json.dumps(doc, sort_keys=True)
 

@@ -212,6 +212,55 @@ def test_delta_witness_rejects_flat_orbit(disk_config):
     assert not rep.passed
 
 
+def test_delta_witness_reports_a_failing_k_and_checks_the_rest(km_config):
+    # theta = 0: delta(0) = 0 is a window of one index, delta(10) = 0 < 10
+    sched = dataclasses.replace(km_config.schedule, theta=ar.theta_linear(0))
+    flat = dataclasses.replace(km_config, schedule=sched)
+    deltas, rep = ar.check_delta_witness(flat, 0.5, [0, 10])
+    assert deltas == {0: 0}
+    assert rep.samples == 1
+    errors = [dict(f.inputs) for f in rep.failures if "error" in dict(f.inputs)]
+    assert len(errors) == 1 and errors[0]["k"] == 10
+    assert "theta is not a divergence witness" in errors[0]["error"]
+    # x_0 is far from the centre: the window [0, 0] misses eps
+    assert [dict(f.inputs) for f in rep.failures if "error" not in dict(f.inputs)] \
+        == [{"k": 0, "delta": 0}]
+
+
+def test_certify_main_formula(km_config):
+    rr = ar.certify(km_config, 0.5, [100, 0, 10, 10])
+    assert (rr.P, rr.gamma0, rr.phi) == (512, 0, 2052)
+    assert rr.deltas == {0: 2048, 10: 2088, 100: 2448}
+    assert rr.step_cap == ar.HARD_STEP_CAP
+    assert rr.window_end == 2052 + ar.SOUNDNESS_WINDOW
+    assert rr.note is None and rr.delta_errors == {}
+
+
+def test_certify_shortcut(km_config):
+    # b = 1: every residual is at most 2 < eps
+    rr = ar.certify(km_config, 3.0, [0, 7])
+    assert (rr.P, rr.gamma0, rr.phi) == (0, 0, 0)
+    assert rr.deltas == {0: 0, 7: 7}
+    assert rr.note == "eps exceeds the residual cap 2b"
+    assert rr.window_end == ar.SOUNDNESS_WINDOW
+
+
+def test_certify_caps_the_window(km_config):
+    small = dataclasses.replace(km_config, caps=ar.Caps(max_steps=2500))
+    rr = ar.certify(small, 0.5)
+    assert (rr.phi, rr.step_cap, rr.window_end) == (2052, 2500, 2500)
+    huge = dataclasses.replace(km_config, caps=ar.Caps(max_steps=10 * ar.HARD_STEP_CAP))
+    assert ar.certify(huge, 0.5).step_cap == ar.HARD_STEP_CAP
+
+
+def test_certify_reads_no_orbit(golden_configs):
+    # the rates depend on (eps, eta, b, L, N0, theta, gamma) alone
+    cfg = golden_configs["rotation_pi_euclidean"]
+    other = dataclasses.replace(golden_configs["rotation_poincare"],
+                                caps=cfg.caps)
+    assert ar.certify(cfg, 0.125, [5]) == ar.certify(other, 0.125, [5])
+
+
 def test_reports_are_deterministic_json(km_config):
     _, a = ar.check_phi_soundness(km_config, 0.5)
     _, b = ar.check_phi_soundness(km_config, 0.5)
