@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -55,7 +56,11 @@ def main(argv=None) -> int:
         return 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later main()
+    in the process, which so skips argparse's per-argument setup; parse_args
+    leaves it unchanged, and --k defaults to None, not to a shared list."""
     parser = argparse.ArgumentParser(
         prog="asymreg",
         description="Certified rates of asymptotic regularity for averaged "
@@ -79,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rate", help="compute certified rates, no simulation")
     common(p)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--k", type=int, action="append", default=[],
+    p.add_argument("--k", type=int, action="append", default=None,
                    help="also compute delta(k); repeatable")
     p.set_defaults(handler=_cmd_rate)
 
@@ -178,7 +183,7 @@ def _rate_doc(config: ExperimentConfig, eps: float, k_list) -> dict:
 
 
 def _cmd_rate(config: ExperimentConfig, args) -> int:
-    doc = _rate_doc(config, args.eps, args.k)
+    doc = _rate_doc(config, args.eps, args.k or ())
     if args.json:
         print(json.dumps(doc, sort_keys=True))
         return 0

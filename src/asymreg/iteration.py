@@ -26,6 +26,11 @@ is constant the runner stops only where T x_n == x_n: every raw combine
 returns x when both endpoints are equal, so that state is fixed whatever
 the schedule does next.  So a trajectory is a prefix plus a cycle: each
 recorded array keeps [0, c+p), and `Trajectory.fold` reads any index.
+
+`trajectory_to_csv` writes the same split.  Prefix rows go out in chunks,
+with one repr per distinct float64 bit pattern of a chunk.  Tail rows share
+their p field strings, and are written in decade blocks of row numbers that
+share their high digits, so no tail row costs a str(n) of its own.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, cycle, islice
+from itertools import chain
 
 import numpy as np
 
@@ -61,6 +66,8 @@ _DENSE_POINT_LIMIT = 100_000
 # trajectory_to_csv builds and writes this many rows at a time, which keeps
 # its memory small next to the orbit arrays.
 _CSV_CHUNK_ROWS = 1 << 12
+# _tail_blocks caches at most this many rows of the repeating decade blocks.
+_CSV_CACHE_ROWS = 1 << 14
 
 
 class IterationError(ValueError):
@@ -335,7 +342,13 @@ def partial_sums_alpha(schedule: Schedule, n: int):
 def trajectory_to_csv(traj: Trajectory, target, report_every: int = 1) -> None:
     """Write rows n, residual, inner_residual (blank on the final row) and,
     when reference distances were recorded, dist_to_ref, in the csv
-    module's default dialect (CRLF line ends)."""
+    module's default dialect (CRLF line ends).
+
+    Rows below the cut-off c are written in chunks of _CSV_CHUNK_ROWS, with
+    one repr per distinct float64 bit pattern of the chunk (so -0.0 and 0.0
+    stay apart).  From c on, row n repeats the fields of stored row
+    c + (n - c) % p, and the rows are written in decade blocks by
+    _tail_blocks; the final row has a blank inner_residual."""
     if report_every < 1:
         raise IterationError("report_every must be >= 1")
     header = ["n", "residual", "inner_residual"]
@@ -345,9 +358,6 @@ def trajectory_to_csv(traj: Trajectory, target, report_every: int = 1) -> None:
         columns.append(traj.ref_distances)
     steps = traj.steps
     rows = range(0, steps + 1, report_every)
-    # Rows below the cut-off c are stored as they are.  From c on, row n
-    # repeats the fields of row c + (n - c) % p, except the final row, which
-    # has a blank inner_residual.
     c, p = traj.tail_from, len(traj.cycle)
     split = -(-c // report_every)
     final = rows[-1] == steps
@@ -358,29 +368,64 @@ def trajectory_to_csv(traj: Trajectory, target, report_every: int = 1) -> None:
         handle.write(",".join(header) + "\r\n")
         for lo in range(0, split, _CSV_CHUNK_ROWS):
             part = rows[lo:min(lo + _CSV_CHUNK_ROWS, split)]
-            fields = [map(str, part)] + [
-                map(repr, col[part.start:part.stop:part.step].tolist()) for col in columns]
-            handle.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+            fields = _reprs(columns, part)
+            handle.write("\r\n".join(map(",".join, zip(map(str, part), *fields))) + "\r\n")
         if tail:
-            suffixes = [_suffix(columns, c + j) for j in range(p)]
-            for lo in range(0, len(tail), _CSV_CHUNK_ROWS):
-                part = tail[lo:lo + _CSV_CHUNK_ROWS]
-                text = [""] * (2 * len(part))
-                text[::2] = map(str, part)
-                # the suffixes of p rows in a row repeat: p is a multiple
-                # of their period p / gcd(p, report_every)
-                text[1::2] = islice(cycle([suffixes[(n - c) % p] for n in part[:p]]),
-                                    len(part))
-                handle.write("".join(text))
+            suffixes = ["," + ",".join(f) + "\r\n"
+                        for f in zip(*_reprs(columns, range(c, c + p)))]
+            for block in _tail_blocks(tail, c, suffixes):
+                handle.write(block)
         if final:
-            handle.write(str(steps) + _suffix(columns, traj.fold(steps), final=True))
+            k = traj.fold(steps)
+            fields = [str(steps), repr(columns[0][k].item()), ""]
+            handle.write(",".join(fields + [repr(col[k].item()) for col in columns[2:]])
+                         + "\r\n")
     finally:
         if own:
             handle.close()
 
 
-def _suffix(columns: list[np.ndarray], k: int, final: bool = False) -> str:
-    """The fields after n of a row that reads stored index k; the final row
-    leaves inner_residual, the second column, blank."""
-    return "".join("," + ("" if final and i == 1 else repr(col[k].item()))
-                   for i, col in enumerate(columns)) + "\r\n"
+def _reprs(columns: list[np.ndarray], idx: range) -> list[list[str]]:
+    """repr of every value of columns[i][idx], a list per column, calling
+    repr once per distinct bit pattern: repr is slow, slowest on the
+    subnormals where a residual stalls, and the columns of an orbit repeat
+    values, residual and inner_residual bitwise on every one-stage step."""
+    block = np.stack([col[idx.start:idx.stop:idx.step] for col in columns])
+    bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse.reshape(block.shape)].tolist()
+
+
+def _tail_blocks(tail: range, c: int, suffixes: list[str]):
+    """The text of rows n in tail (all n >= c), row n being str(n) +
+    suffixes[(n - c) % p], in decade blocks: the rows of one block share the
+    high digits hi = n // B, B the least power of ten >= 1000 * tail.step, so
+    a block is h + h.join(lows), h = str(hi) and lows[j] the zero-padded low
+    digits of its row j plus that row's suffix (for hi = 0, h is empty and
+    nothing is padded).  lows depends only on the first low value, the
+    suffix phase and the row count, and whole blocks are cached under their
+    first low and phase, up to _CSV_CACHE_ROWS rows: with p = 1 and stride 1,
+    one list serves every block."""
+    r, p = tail.step, len(suffixes)
+    width = len(str(1000 * r - 1))
+    size = 10 ** width
+    cache: dict = {}
+    cached = 0
+    n, last = tail[0], tail[-1]
+    while n <= last:
+        hi, first = divmod(n, size)
+        count = (min(size - 1, last - hi * size) - first) // r + 1
+        phase = (n - c) % p
+        # a block that spans its whole decade past hi = 0 recurs
+        whole = hi > 0 and first < r and first + count * r >= size
+        lows = cache.get((first, phase)) if whole else None
+        if lows is None:
+            pad = width if hi else 0
+            lows = [str(low).zfill(pad) + suffixes[(phase + low - first) % p]
+                    for low in range(first, first + count * r, r)]
+            if whole and cached + count <= _CSV_CACHE_ROWS:
+                cache[first, phase] = lows
+                cached += count
+        h = str(hi) if hi else ""
+        yield h + h.join(lows)
+        n += count * r

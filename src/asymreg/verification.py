@@ -373,9 +373,12 @@ def certify(config: ExperimentConfig, eps: float, ks=()) -> RateReport:
     each k in ks, the step cap and the end of the soundness window
     [phi, phi + SOUNDNESS_WINDOW] within it.  Residuals never exceed 2b, so
     eps > 2b is certified at once, with phi = 0 and delta(k) = k.  A k whose
-    delta(k) raises RateError lands in delta_errors, not in deltas."""
+    delta(k) raises RateError lands in delta_errors, not in deltas, and so
+    does a negative k on either branch."""
     ri = inputs_for(eps, config.space.modulus, config.afp.b, config.schedule)
     ks = sorted(set(int(k) for k in ks))
+    errors = {k: RateError("k must be a natural") for k in ks if k < 0}
+    ks = [k for k in ks if k >= 0]
     if epsilon_shortcut(ri) == 0:
         rr = RateReport(P=0, gamma0=0, phi=0, deltas={k: k for k in ks},
                         note="eps exceeds the residual cap 2b")
@@ -385,7 +388,8 @@ def certify(config: ExperimentConfig, eps: float, ks=()) -> RateReport:
             try:
                 rr.deltas[k] = compute_delta(ri, k)
             except RateError as exc:
-                rr.delta_errors[k] = exc
+                errors[k] = exc
+    rr.delta_errors = errors
     rr.step_cap = step_cap(config)
     rr.window_end = min(rr.phi + SOUNDNESS_WINDOW, rr.step_cap)
     return rr

@@ -57,6 +57,40 @@ def test_rate_flat_theta_reports_error(tmp_path, capsys):
     assert "error" in err
 
 
+def test_rate_twice_in_one_process_keeps_k_lists_apart(capsys):
+    # the parser is built once per process: an --k list must not leak into
+    # the next call, with or without --k of its own
+    for ks, want in ((["0", "100"], {"0": 2048, "100": 2448}), (["7"], {"7": 2076}),
+                     ([], None)):
+        argv = ["rate", "--config", KM, "--eps", "0.5", "--json"]
+        assert main(argv + [a for k in ks for a in ("--k", k)]) == 0
+        assert json.loads(capsys.readouterr().out).get("deltas") == want
+
+
+@pytest.mark.parametrize("eps", ["3", "0.5"])
+def test_rate_rejects_a_negative_k_on_both_branches(capsys, eps):
+    # eps = 3 > 2b takes the shortcut, which once answered delta(-5) = -5
+    assert main(["rate", "--config", KM, "--eps", eps, "--k", "-5", "--k", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: k must be a natural\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["rate", "--eps", "0.5"], ["run", "--eps", "0.5"],
+                                  ["sweep"]])
+def test_a_descriptor_outside_its_domain_is_a_rate_error(tmp_path, capsys, argv):
+    # gamma(eps / 8b) = inner(4), past the table's last argument 1
+    doc = ar.config_to_dict(ar.load_config(KM))
+    doc["schedule"]["gamma"] = {"kind": "GammaFromDyadic",
+                                "inner": {"kind": "Tabulated", "points": [[0, 0], [1, 0]]}}
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(doc))
+    out = ["--out", str(tmp_path / "out")] if argv[0] != "rate" else []
+    assert main(argv + ["--config", str(path)] + out) == 1
+    assert capsys.readouterr().err == \
+        "error: schedule.gamma: argument 4 outside the table\n"
+
+
 # ---------------------------------------------------------------------------
 # verify-space
 

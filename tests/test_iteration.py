@@ -237,12 +237,14 @@ def test_trajectory_csv_matches_csv_writer_bytes(tmp_path, monkeypatch,
                                                  disk_config, chunk):
     monkeypatch.setattr(iteration, "_CSV_CHUNK_ROWS", chunk)
     fp = ar.reference_point(disk_config)
-    for steps in (0, 1, 999, 3_000):
+    # the orbit repeats from 2,145 on: up to 2,144 steps every row is a
+    # prefix row, and past 10^3 the rows cross a decade
+    for steps in (0, 1, 999, 2_144, 3_000):
         for record in (False, True):
             traj = ar.run_trajectory(disk_config.space, disk_config.mapping,
                                      disk_config.start, disk_config.schedule,
                                      steps, ref_point=fp if record else None)
-            for every in (1, 3, 1000, 5_000):
+            for every in (1, 3, 7, 1000, 1024, 5_000):
                 got, want = tmp_path / "got.csv", tmp_path / "want.csv"
                 ar.trajectory_to_csv(traj, got, report_every=every)
                 csv_writer_reference(traj, want, every)
@@ -274,6 +276,65 @@ def test_trajectory_csv_matches_csv_writer_bytes_past_the_cutoff(
             ar.trajectory_to_csv(traj, got, report_every=every)
             csv_writer_reference(traj, want, every)
             assert got.read_bytes() == want.read_bytes(), (record, every)
+
+
+# The tail is written in decade blocks of B = 1000 row numbers at stride 1,
+# 10^4 at strides 3 and 7, 10^6 at 1000 and 10^7 at 1024; 3, 7 and 1024 do
+# not divide their B.  Each (steps, strides) pair makes the tail cross 10^3,
+# 10^4 and 10^5, or 10^6 and 10^7.  Past 100,005 steps the trajectory is the
+# 100,005-step one with more steps: a run that long records the same arrays,
+# since the orbit repeats from its cut-off on.
+DECADE_RUNS = [(100_005, (1, 3, 7)), (25_000_017, (1000, 1024))]
+
+
+# A p = 1 and a p = 10 cut, each with and without reference distances, in
+# small chunks with no block cache and in the default ones; and a p = 12
+# cut, whose suffix phase moves from block to block since 12 divides no B.
+@pytest.mark.parametrize("name,record,chunk,cache_rows", [
+    ("rotation_pi_euclidean", False, 7, 0),
+    ("rotation_pi_euclidean", True, 1 << 12, iteration._CSV_CACHE_ROWS),
+    ("plane-ishikawa-0.3pi", False, 1 << 12, iteration._CSV_CACHE_ROWS),
+    ("plane-ishikawa-0.3pi", True, 7, 0),
+    ("disk-rotation-0.257pi", True, 1 << 12, iteration._CSV_CACHE_ROWS)])
+def test_trajectory_csv_decade_blocks_match_csv_writer_bytes(
+        tmp_path, monkeypatch, cut_configs, name, record, chunk, cache_rows):
+    monkeypatch.setattr(iteration, "_CSV_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(iteration, "_CSV_CACHE_ROWS", cache_rows)
+    config = cut_configs[name]
+    traj = ar.run_trajectory(config.space, config.mapping, config.start,
+                             config.schedule, DECADE_RUNS[0][0],
+                             ref_point=ar.reference_point(config) if record else None)
+    assert (traj.period_from, traj.period) == CUTS[name]
+    for steps, strides in DECADE_RUNS:
+        longer = dataclasses.replace(traj, steps=steps)
+        for every in strides:
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            ar.trajectory_to_csv(longer, got, report_every=every)
+            csv_writer_reference(longer, want, every)
+            assert got.read_bytes() == want.read_bytes(), (steps, every)
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 12])
+def test_trajectory_csv_keeps_signed_zeros_apart(tmp_path, monkeypatch,
+                                                 cut_configs, chunk):
+    # one repr per bit pattern, not per ==-class: -0.0 == 0.0, but the
+    # reprs differ; the runner never records a -0.0, so plant some, below
+    # the cut-off (1,075) and in the cycle, which gives the tail's fields
+    monkeypatch.setattr(iteration, "_CSV_CHUNK_ROWS", chunk)
+    config = cut_configs["reflection_average_euclidean"]
+    traj = ar.run_trajectory(config.space, config.mapping, config.start,
+                             config.schedule, 3_000, ref_point=ar.reference_point(config))
+    zeros = np.resize([0.0, -0.0, 5e-324, -5e-324, -0.0], len(traj.residuals))
+    planted = dataclasses.replace(traj, residuals=zeros,
+                                  inner_residuals=-traj.inner_residuals,
+                                  ref_distances=zeros[::-1].copy())
+    for steps, every in ((2_000, 1), (3_000, 1), (3_000, 7)):
+        shorter = dataclasses.replace(planted, steps=steps)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        ar.trajectory_to_csv(shorter, got, report_every=every)
+        csv_writer_reference(shorter, want, every)
+        assert got.read_bytes() == want.read_bytes(), (steps, every)
+        assert b",-0.0," in got.read_bytes() and b",0.0," in got.read_bytes()
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,14 @@ def test_certify_shortcut(km_config):
     assert rr.window_end == ar.SOUNDNESS_WINDOW
 
 
+@pytest.mark.parametrize("eps", [3.0, 0.5])
+def test_certify_rejects_a_negative_k_before_the_shortcut(km_config, eps):
+    rr = ar.certify(km_config, eps, [-5, 0])
+    assert list(rr.deltas) == [0]
+    assert {k: str(exc) for k, exc in rr.delta_errors.items()} == \
+        {-5: "k must be a natural"}
+
+
 def test_certify_caps_the_window(km_config):
     small = dataclasses.replace(km_config, caps=ar.Caps(max_steps=2500))
     rr = ar.certify(small, 0.5)
