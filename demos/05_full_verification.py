@@ -34,7 +34,7 @@ print(f"   {ar.verify_gamma(cfg.schedule, deltas, n_max=2_000).summary_line()}")
 
 # ---------------------------------------------------------------------------
 print("\n4. Every step inequality of the averaging lemma holds on the orbit:")
-traj = ar.trajectory_for(cfg, 5_000, dense=True, record_ref=True)
+traj = ar.trajectory_for(cfg, 5_000, record_ref=True)
 print(f"   {ar.check_lemma_inequalities(traj).summary_line()}")
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ for eps in cfg.eps_grid:
 print("\n6. Fault injection: the battery is not a rubber stamp.  Raising one")
 print("   recorded residual above the derived cap 2b is caught immediately.")
 print("   The orbit repeats from step 46, so step 1500 is stored at fold(1500):")
-bad = ar.trajectory_for(cfg, 2_000, dense=True, record_ref=True)
+bad = ar.trajectory_for(cfg, 2_000, record_ref=True)
 bad.residuals[bad.fold(1500)] = 2.0 * cfg.afp.b + 0.5
 rep = ar.check_lemma_inequalities(bad)
 print(f"   {rep.summary_line()}")

@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -105,12 +106,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ExperimentConfig:
+    steps, samples, eps = (getattr(args, key, None) for key in ("steps", "samples", "eps"))
+    if args.max_steps is not None and args.max_steps < 1:
+        raise ConfigError("--max-steps: must be >= 1")
+    if steps is not None and steps < 0:
+        raise ConfigError("--steps: must be >= 0")
+    if samples is not None and samples < 1:
+        raise ConfigError("--samples: must be >= 1")
+    if eps is not None and not math.isfinite(eps):
+        raise ConfigError("--eps: must be finite")
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     if args.max_steps is not None:
-        if args.max_steps < 1:
-            raise ConfigError("--max-steps: must be >= 1")
         caps = Caps(max_steps=min(args.max_steps, HARD_STEP_CAP),
                     report_every=config.caps.report_every)
         config = dataclasses.replace(config, caps=caps)

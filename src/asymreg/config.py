@@ -252,7 +252,7 @@ def _parse_schedule(data, path: str) -> Schedule:
     return schedule
 
 
-def config_from_dict(data: dict, *, validate: bool = True) -> ExperimentConfig:
+def config_from_dict(data: dict) -> ExperimentConfig:
     data = _object(data, "config")
     _unknown_keys(data, {"space", "mapping", "start", "schedule", "afp",
                          "eps_grid", "seed", "caps"}, "config")
@@ -303,8 +303,7 @@ def config_from_dict(data: dict, *, validate: bool = True) -> ExperimentConfig:
 
     config = ExperimentConfig(space, mapping, start, schedule, afp,
                               eps_grid, seed, caps)
-    if validate:
-        validate_config(config)
+    validate_config(config)
     return config
 
 
@@ -378,22 +377,22 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
-def loads_config(text: str, *, validate: bool = True) -> ExperimentConfig:
+def loads_config(text: str) -> ExperimentConfig:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON: {exc}") from exc
-    return config_from_dict(data, validate=validate)
+    return config_from_dict(data)
 
 
-def load_config(path, *, validate: bool = True) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config: {exc}") from exc
     try:
-        return loads_config(text, validate=validate)
+        return loads_config(text)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

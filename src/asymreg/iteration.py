@@ -35,7 +35,6 @@ share their high digits, so no tail row costs a str(n) of its own.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -53,13 +52,7 @@ from .geometry import (
     uses_complex,
 )
 from .mappings import ApproxFixedPointSpec, MappingSpec, raw_apply_fn
-from .moduli import (
-    SEQ_CONSTANT,
-    SEQ_GEOMETRIC,
-    SEQ_TABULATED,
-    DescriptorError,
-    Schedule,
-)
+from .moduli import Schedule, seq_float_plan
 
 # Orbits longer than this stride their stored points automatically.
 _DENSE_POINT_LIMIT = 100_000
@@ -95,8 +88,10 @@ class Trajectory:
     inner_point_coords: np.ndarray      # y_n at the same n
     cycle: tuple[Point, ...]            # x_n, n = tail_from .. tail_from+p-1
     inner_cycle: tuple[Point, ...]      # y_n at the same n
-    lam_plan: tuple                     # _seq_scalar_plan of lambda_n
-    s_plan: tuple                       # and of s_n
+    # moduli.seq_float_plan of lambda_n and of s_n, (head, tail, const_from):
+    # the floats the runner used, the table and then the running product
+    lam_plan: tuple
+    s_plan: tuple
     afp: ApproxFixedPointSpec | None = None
     ref_point: Point | None = None
     ref_distances: np.ndarray | None = None          # d(x_n, z), z = ref_point
@@ -173,27 +168,6 @@ def ishikawa_step(space: SpaceModel, m: MappingSpec, x: Point,
     return from_raw(space, x_next), from_raw(space, y)
 
 
-def _seq_scalar_plan(seq, limit: int):
-    """(head, tail, const_from): the float value at step n is head[n] for
-    n < const_from and tail from there on.  A Constant has no head and a
-    Tabulated one its table.  A Geometric is the running product
-    v_{n+1} = v_n * q from v_0 = c, rounded at every step (so not c * q**n),
-    up to the first v_n with v_n * q == v_n (it has underflowed to 0.0 or
-    stuck at a subnormal) or to `limit` terms."""
-    if seq.kind == SEQ_CONSTANT:
-        return array("d"), float(seq.param("value")), 0
-    if seq.kind == SEQ_TABULATED:
-        head = array("d", map(float, seq.param("values")))
-        return head, float(seq.param("tail")), len(head)
-    if seq.kind == SEQ_GEOMETRIC:
-        head, v, q = array("d"), float(seq.param("c")), float(seq.param("q"))
-        while len(head) < limit and v * q != v:
-            head.append(v)
-            v *= q
-        return head, v, len(head)
-    raise DescriptorError(f"unknown sequence kind {seq.kind!r}")
-
-
 def _same_bits(a, b) -> bool:
     """Whether a and b, already ==, are equal to the bit: == takes -0.0 for
     0.0, repr does not, and a float's repr round-trips exactly."""
@@ -225,8 +199,8 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
     dist_combine = raw_dist_combine(space)
     f = raw_apply_fn(space, m)
 
-    lam_head, lam_tail, lam_k = lam_plan = _seq_scalar_plan(schedule.lambda_seq, steps)
-    s_head, s_tail, s_k = s_plan = _seq_scalar_plan(schedule.s_seq, steps)
+    lam_head, lam_tail, lam_k = lam_plan = seq_float_plan(schedule.lambda_seq, steps)
+    s_head, s_tail, s_k = s_plan = seq_float_plan(schedule.s_seq, steps)
     const_from = max(lam_k, s_k)        # a step is a fixed map of x_n from here
 
     residuals, inner = np.empty(steps + 1), np.empty(steps)

@@ -18,7 +18,9 @@ round-trip through files.  The families:
 
 The averaging sequences lambda_n and s_n are descriptors of the same
 record type, with their own kinds: Constant, Geometric c q^n, or Tabulated
-values followed by a constant tail.
+values followed by a constant tail.  seq_parts, the one place that tells
+the kinds apart, reads each as (head, a, r): a table, then a r^j for the
+j-th term past it, with r = 1 or an empty head; every reader works on that.
 
 Constructors for theta and gamma work in exact rational arithmetic via
 fractions.Fraction.  Every eta form evaluates to a rational never above
@@ -33,6 +35,7 @@ its windows with a 1e-9 slack.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -299,16 +302,6 @@ def theta_for_constant_lambda(lam) -> ModulusDescriptor:
     return theta_linear(1 / (lam * (1 - lam)), 0)
 
 
-def sequence_lower_bound(seq: ModulusDescriptor) -> Fraction:
-    if seq.kind == SEQ_CONSTANT:
-        return seq.param("value")
-    if seq.kind == SEQ_GEOMETRIC:
-        return Fraction(0)
-    if seq.kind == SEQ_TABULATED:
-        return min(list(seq.param("values")) + [seq.param("tail")])
-    raise DescriptorError(f"unknown sequence kind {seq.kind!r}")
-
-
 def gamma_for_geometric_s(c, q, lambda_seq: ModulusDescriptor) -> ModulusDescriptor:
     """Cauchy modulus for s_n = c q^n: the tail past index N of
     sum s_n (1 - lambda_n) is at most c (1 - lambda_min) q^(N+1) / (1 - q),
@@ -539,60 +532,85 @@ def seq_tabulated(values: Sequence, tail) -> ModulusDescriptor:
     return _desc(SEQ_TABULATED, values=vals, tail=tail)
 
 
+def seq_parts(seq: ModulusDescriptor) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
+    """The normal form (head, a, r) of an averaging sequence: term n is
+    head[n] for n < len(head) and a r^(n - len(head)) from there on, with
+    0 <= a <= 1, 0 < r <= 1, and r = 1 or an empty head.  A Constant is
+    ((), value, 1), a Geometric ((), c, q) and a Tabulated (values, tail, 1)."""
+    if seq.kind == SEQ_CONSTANT:
+        return (), seq.param("value"), Fraction(1)
+    if seq.kind == SEQ_GEOMETRIC:
+        return (), seq.param("c"), seq.param("q")
+    if seq.kind == SEQ_TABULATED:
+        return seq.param("values"), seq.param("tail"), Fraction(1)
+    raise DescriptorError(f"unknown sequence kind {seq.kind!r}")
+
+
 def seq_value(seq: ModulusDescriptor, n: int) -> Fraction:
     if n < 0:
         raise DescriptorDomainError("sequence index must be a natural")
-    if seq.kind == SEQ_CONSTANT:
-        return seq.param("value")
-    if seq.kind == SEQ_GEOMETRIC:
-        return seq.param("c") * seq.param("q") ** n
-    if seq.kind == SEQ_TABULATED:
-        values = seq.param("values")
-        return values[n] if n < len(values) else seq.param("tail")
-    raise DescriptorError(f"unknown sequence kind {seq.kind!r}")
+    head, a, r = seq_parts(seq)
+    return head[n] if n < len(head) else a * r ** (n - len(head))
+
+
+def sequence_lower_bound(seq: ModulusDescriptor) -> Fraction:
+    """The infimum of the sequence: a tail a r^j with r < 1 tends to 0."""
+    head, a, r = seq_parts(seq)
+    return min((*head, a if r == 1 else Fraction(0)))
 
 
 def seq_values_float(seq: ModulusDescriptor, count: int, start: int = 0) -> np.ndarray:
     """Terms start .. start+count-1 as float64, without exact big-denominator
-    blowup."""
-    if seq.kind == SEQ_CONSTANT:
-        return np.full(count, float(seq.param("value")))
-    if seq.kind == SEQ_GEOMETRIC:
-        c, q = float(seq.param("c")), float(seq.param("q"))
+    blowup: the table entries as floats, then float(a) * float(r)**j for
+    the j-th tail term, which is float(a) itself when r = 1."""
+    head, a, r = seq_parts(seq)
+    table = [float(v) for v in head[start:start + count]]
+    out = np.full(count, float(a))
+    out[:len(table)] = table
+    if r < 1:                   # for r = 1, np.power(1.0, j) would cost 20 ns a term
+        first = max(start, len(head)) - len(head)
+        j = np.arange(first, first + count - len(table), dtype=np.float64)
         with np.errstate(under="ignore"):
-            return c * np.power(q, np.arange(start, start + count, dtype=np.float64))
-    if seq.kind == SEQ_TABULATED:
-        values = [float(v) for v in seq.param("values")[start:start + count]]
-        pad = count - len(values)
-        if pad > 0:
-            values.extend([float(seq.param("tail"))] * pad)
-        return np.asarray(values)
-    raise DescriptorError(f"unknown sequence kind {seq.kind!r}")
+            out[len(table):] *= np.power(float(r), j)
+    return out
 
 
-def seq_sup_from(seq: ModulusDescriptor, n0: int) -> Fraction:
-    """Exact supremum of the sequence over indices n >= n0."""
-    if seq.kind == SEQ_CONSTANT:
-        return seq.param("value")
-    if seq.kind == SEQ_GEOMETRIC:
-        return seq_value(seq, n0)
-    if seq.kind == SEQ_TABULATED:
-        values = seq.param("values")
-        candidates = [seq.param("tail")] + list(values[n0:])
-        return max(candidates)
-    raise DescriptorError(f"unknown sequence kind {seq.kind!r}")
+def seq_float_plan(seq: ModulusDescriptor, limit: int) -> tuple[array, float, int]:
+    """(head, tail, const_from), the floats an orbit runs on: the value at
+    index n is head[n] for n < const_from and tail from there on.  head is
+    the table as floats, then the running product v_{j+1} = v_j * r from
+    v_0 = a, rounded at every step (so not a * r**j), up to the first v_j
+    with v_j * r == v_j (r = 1, or a product that has underflowed to 0.0 or
+    stuck at a subnormal) or to `limit` terms."""
+    table, a, r = seq_parts(seq)
+    head, v, q = array("d", map(float, table)), float(a), float(r)
+    while len(head) < limit and v * q != v:
+        head.append(v)
+        v *= q
+    return head, v, len(head)
 
 
 def geometric_exceeds(c: Fraction, q: Fraction, bound: Fraction, n: int) -> bool:
-    """Whether c q^n > bound, for 0 < q < 1.  It squares q until
-    c q^(2^i) <= bound, which settles it if 2^i <= n, or until 2^i > n,
-    which puts n below twice the least m with c q^m <= bound: its numbers
-    grow with that m, never with n alone."""
+    """Whether c q^n > bound, for 0 < q <= 1.  An outward-rounded enclosure
+    lo <= q^n 2^bits <= hi, from O(log n) products of about bits bits,
+    settles it unless c q^n and bound differ by at most 2^-127 over the
+    product of their denominators, as at an exact tie.  Then it squares q
+    until c q^(2^i) <= bound, which settles it if 2^i <= n, or until
+    2^i > n, which puts n below twice the least m with c q^m <= bound: its
+    numbers grow with that m, never with n alone."""
     if c <= bound or bound <= 0:
         return c > bound                    # for bound <= 0: c q^n > 0
     # c q^m <= bound  <=>  a p^m <= b d^m: integers, no gcd per product
     a, b = c.numerator * bound.denominator, c.denominator * bound.numerator
     p, d = q.numerator, q.denominator
+    # every rounded product adds at most one unit 2^-bits, so lo and hi
+    # stay within 2 n units of q^n 2^bits: 2^-127 / a at most for these bits
+    bits = 128 + a.bit_length() + n.bit_length()
+    scaled = b << bits
+    if a * _pow_bound(p, d, n, bits, up=False) > scaled:
+        return True
+    if a * _pow_bound(p, d, n, bits, up=True) <= scaled:
+        return False
     k, pk, dk = 1, p, d                     # q^k = pk / dk for k = 2^i
     while k <= n:
         if a * pk <= b * dk:
@@ -603,52 +621,50 @@ def geometric_exceeds(c: Fraction, q: Fraction, bound: Fraction, n: int) -> bool
 
 def seq_mass(seq: ModulusDescriptor) -> Callable[[int], tuple[int, int]]:
     """t -> (num, den) with num / den <= S(t) = sum_{k=0..t} lambda_k (1 - lambda_k),
-    for t >= -1.  Equal to S(t) for Constant and Tabulated lambda.  For
-    Geometric lambda a lower bound from an outward-rounded q^(t+1): it never
-    exceeds S(t), and errs by about 2^-100 or less.  Neither its time nor its
-    memory grows with t."""
-    if seq.kind in (SEQ_CONSTANT, SEQ_TABULATED):
-        # den S(t) = prefix[j] + (t + 1 - j) per_tail, j = min(t + 1, len(values))
-        values = seq.param("values") if seq.kind == SEQ_TABULATED else ()
-        tail = seq.param("tail" if seq.kind == SEQ_TABULATED else "value")
-        terms = [v * (1 - v) for v in values]
-        tail_term = tail * (1 - tail)
+    for t >= -1.  Equal to S(t) when r = 1 in seq_parts.  For r < 1 a lower
+    bound from an outward-rounded q^(t+1): it never exceeds S(t), and errs
+    by about 2^-100 or less.  Neither its time nor its memory grows with t."""
+    head, c, q = seq_parts(seq)
+    if q == 1:
+        # den S(t) = prefix[j] + (t + 1 - j) per_tail, j = min(t + 1, len(head))
+        terms = [v * (1 - v) for v in head]
+        tail_term = c * (1 - c)
         den = math.lcm(tail_term.denominator, *(x.denominator for x in terms))
         prefix = [int(x * den) for x in accumulate(terms, initial=Fraction(0))]
-        last, per_tail = len(values), int(tail_term * den)
+        last, per_tail = len(head), int(tail_term * den)
 
         def exact(t: int) -> tuple[int, int]:
             j = t + 1 if t < last else last
             return prefix[j] + (t + 1 - j) * per_tail, den
         return exact
-    if seq.kind == SEQ_GEOMETRIC:
-        # S(t) = (a - b) - (a u - b u^2) with u = q^(t+1), a = c / (1 - q),
-        # b = c^2 / (1 - q^2).  a u - b u^2 grows with u up to (1 + q) / (2 c),
-        # which is at least q + 1 / (2 d) for q = p / d.  So an upper bound
-        # u <= hi / 2^bits <= q + 2^-bits bounds S(t) from below.
-        c, q = seq.param("c"), seq.param("q")
-        a, b = c / (1 - q), c * c / (1 - q * q)
-        den = math.lcm(a.denominator, b.denominator)
-        an, bn = int(a * den), int(b * den)
-        p, d = q.numerator, q.denominator
-        bits = 128 + 2 * d.bit_length() + math.ceil(a).bit_length()
+    # The head is empty: lambda_k = c q^k.  S(t) = (a - b) - (a u - b u^2)
+    # with u = q^(t+1), a = c / (1 - q), b = c^2 / (1 - q^2).  a u - b u^2
+    # grows with u up to (1 + q) / (2 c), which is at least q + 1 / (2 d)
+    # for q = p / d.  So an upper bound u <= hi / 2^bits <= q + 2^-bits
+    # bounds S(t) from below.
+    a, b = c / (1 - q), c * c / (1 - q * q)
+    den = math.lcm(a.denominator, b.denominator)
+    an, bn = int(a * den), int(b * den)
+    p, d = q.numerator, q.denominator
+    bits = 128 + 2 * d.bit_length() + math.ceil(a).bit_length()
 
-        def lower(t: int) -> tuple[int, int]:
-            hi = _pow_ceil(p, d, t + 1, bits)
-            num = ((an - bn) << 2 * bits) - ((an * hi) << bits) + bn * hi * hi
-            return max(0, num), den << 2 * bits
-        return lower
-    raise DescriptorError(f"unknown sequence kind {seq.kind!r}")
+    def lower(t: int) -> tuple[int, int]:
+        hi = _pow_bound(p, d, t + 1, bits, up=True)
+        num = ((an - bn) << 2 * bits) - ((an * hi) << bits) + bn * hi * hi
+        return max(0, num), den << 2 * bits
+    return lower
 
 
-def _pow_ceil(p: int, d: int, k: int, bits: int) -> int:
-    """An integer hi >= (p/d)^k 2^bits for 0 <= p < d, by squaring with every
-    product rounded up; hi <= ceil(p 2^bits / d) when k >= 1."""
-    base, acc = -(-(p << bits) // d), 1 << bits
+def _pow_bound(p: int, d: int, k: int, bits: int, up: bool) -> int:
+    """For 0 <= p <= d, by squaring with every product rounded up: an integer
+    hi >= (p/d)^k 2^bits, and hi <= ceil(p 2^bits / d) when k >= 1.  With
+    up false, every product is rounded down: an integer lo <= (p/d)^k 2^bits."""
+    carry = (1 << bits) - 1 if up else 0            # added before a shift, a ceil
+    base, acc = ((p << bits) + (d - 1 if up else 0)) // d, 1 << bits
     while k > 0:
         if k & 1:
-            acc = -(-(acc * base) >> bits)
-        base = -(-(base * base) >> bits)
+            acc = (acc * base + carry) >> bits
+        base = (base * base + carry) >> bits
         k >>= 1
     return acc
 
@@ -686,15 +702,13 @@ def validate_schedule(schedule: Schedule) -> None:
         raise ScheduleError("L must be >= 1")
     if schedule.N0 < 0:
         raise ScheduleError("N0 must be a natural")
-    s, n0 = schedule.s_seq, schedule.N0
-    bound = 1 - Fraction(1, schedule.L)
-    if s.kind == SEQ_GEOMETRIC:     # decreasing: the sup is s_N0, too big to build
-        c, q = s.param("c"), s.param("q")
-        sup_s, fails = f"{c} * ({q})^{n0}", geometric_exceeds(c, q, bound, n0)
-    else:
-        sup_s = seq_sup_from(s, n0)
-        fails = sup_s > bound
-    if fails:
+    head, a, r = seq_parts(schedule.s_seq)
+    n0, bound = schedule.N0, 1 - Fraction(1, schedule.L)
+    # the tail a r^j is nonincreasing from j = m on, and for r < 1 its sup
+    # a r^m is too big to build for a large N0
+    m = max(0, n0 - len(head))
+    sup_s = max((*head[n0:], a)) if r == 1 else f"{a} * ({r})^{m}"
+    if any(v > bound for v in head[n0:]) or geometric_exceeds(a, r, bound, m):
         raise ScheduleError(
             f"s_n <= 1 - 1/L fails for n >= N0: sup s_n = {sup_s} > {bound}"
         )

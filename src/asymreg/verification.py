@@ -353,11 +353,10 @@ def reference_point(config: ExperimentConfig) -> Point | None:
 
 
 def trajectory_for(config: ExperimentConfig, steps: int, *,
-                   dense: bool = False, record_ref: bool = False) -> Trajectory:
+                   record_ref: bool = False) -> Trajectory:
     """The orbit of a config; with record_ref, its reference distances too."""
     return run_trajectory(
         config.space, config.mapping, config.start, config.schedule, steps,
-        store_every=1 if dense else None,
         afp=config.afp,
         ref_point=reference_point(config) if record_ref else None,
     )

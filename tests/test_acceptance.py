@@ -37,7 +37,7 @@ def _horizon(config) -> int:
 @pytest.fixture(scope="module")
 def audit_trajectories(golden_configs):
     start = time.perf_counter()
-    trajs = {name: ar.trajectory_for(cfg, 10_000, dense=True, record_ref=True)
+    trajs = {name: ar.trajectory_for(cfg, 10_000, record_ref=True)
              for name, cfg in golden_configs.items()}
     return trajs, time.perf_counter() - start
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -236,6 +237,28 @@ def test_invalid_config_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--steps", "-5"], "--steps"),
+    (["run", "--eps", "nan"], "--eps"),
+    (["run", "--eps", "inf"], "--eps"),
+    (["rate", "--eps", "inf"], "--eps"),
+    (["verify-space", "--samples", "0"], "--samples"),
+    (["verify-space", "--samples", "-1"], "--samples"),
+])
+def test_a_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv, flag):
+    if argv[0] == "run":
+        argv = argv + ["--out", str(tmp_path / "out")]
+    assert main(argv + ["--config", KM]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("eps", ["0", "-0.5"])
+def test_a_nonpositive_eps_is_a_rate_error(tmp_path, capsys, eps):
+    assert main(["run", "--config", KM, "--eps", eps, "--out", str(tmp_path)]) == 1
+    assert "eps must be positive" in capsys.readouterr().err
+
+
 def test_seed_override_changes_sampling(capsys):
     main(["verify-space", "--config", KM, "--samples", "200", "--json"])
     a = capsys.readouterr().out
@@ -277,3 +300,20 @@ def test_a_large_N0_loads_at_once(tmp_path):
     data["schedule"]["L"] = 1
     with pytest.raises(ar.ConfigError, match="config.schedule"):
         ar.config_from_dict(data)
+
+
+@pytest.mark.parametrize("n0, loads", [(10**9, True), (693_147, True), (693_146, False)])
+def test_a_ratio_near_one_loads_at_once(n0, loads):
+    # s_n = q^n with q = 1 - 10^-6 first drops to 1/2 = 1 - 1/L at
+    # n = 693,147, where the exact power has millions of bits
+    data = json.loads((CONFIG_DIR / "ishikawa_geometric_s_euclidean.json").read_text())
+    data["schedule"].update(s={"kind": "Geometric", "c": "1", "q": "999999/1000000"},
+                            L=2, N0=n0)
+    start = time.perf_counter()
+    try:
+        ar.config_from_dict(data)
+    except ar.ConfigError as exc:
+        assert not loads and "sup s_n = 1 * (999999/1000000)^693146" in str(exc)
+    else:
+        assert loads
+    assert time.perf_counter() - start < 1.0

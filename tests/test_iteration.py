@@ -15,6 +15,7 @@ import asymreg as ar
 from asymreg import iteration
 from asymreg.geometry import raw_ops, to_raw, uses_complex
 from asymreg.mappings import raw_apply_fn
+from asymreg.moduli import seq_float_plan
 
 E2 = ar.euclidean(2)
 D = ar.poincare_disk()
@@ -522,8 +523,7 @@ def assert_tail_shares_the_cycle(traj):
 
 @pytest.mark.parametrize("name", sorted(STATIONARY_FROM))
 def test_cutoff_matches_uncut_loop_dense(all_configs, name, uncut):
-    traj = ar.trajectory_for(all_configs[name], 10_000, dense=True,
-                             record_ref=True)
+    traj = ar.trajectory_for(all_configs[name], 10_000, record_ref=True)
     assert traj.store_every == 1
     assert traj.stationary_from == STATIONARY_FROM[name]
     assert_matches_uncut(traj, all_configs[name], uncut)
@@ -540,8 +540,7 @@ def test_cutoff_matches_uncut_loop_strided(all_configs, name, uncut):
 
 
 def test_points_are_built_once_from_the_coordinate_arrays(all_configs):
-    traj = ar.trajectory_for(all_configs["rotation_pi_euclidean"], 50,
-                             dense=True)                  # x_20 is fixed
+    traj = ar.trajectory_for(all_configs["rotation_pi_euclidean"], 50)  # x_20 is fixed
     assert "points" not in vars(traj) and "inner_points" not in vars(traj)
     assert traj.point_coords.shape == traj.inner_point_coords.shape == (20, 2)
     assert traj.points is traj.points                     # cached
@@ -555,7 +554,7 @@ def test_points_are_built_once_from_the_coordinate_arrays(all_configs):
     assert all(p is traj.inner_cycle[0] for p in traj.inner_points[20:])
     assert len({id(p) for p in traj.points[:20]}) == 20
 
-    traj = ar.trajectory_for(all_configs["rotation_poincare"], 50, dense=True)
+    traj = ar.trajectory_for(all_configs["rotation_poincare"], 50)
     assert traj.period_from is None and traj.inner_cycle == ()
     assert traj.point_coords.shape == traj.inner_point_coords.shape == (50, 2)
     assert traj.points[-1] is traj.cycle[0] and len(traj.inner_points) == 50
@@ -567,14 +566,14 @@ def test_cutoff_edge_cases(all_configs, cut_configs, uncut):
     assert traj.stationary_from is None and traj.steps == 0
     assert_matches_uncut(traj, ident, uncut)
 
-    traj = ar.trajectory_for(ident, 7, dense=True, record_ref=True)
+    traj = ar.trajectory_for(ident, 7, record_ref=True)
     assert traj.stationary_from == 0
     assert np.all(traj.residuals == 0.0)
     assert_matches_uncut(traj, ident, uncut)
 
     rot = all_configs["rotation_pi_euclidean"]        # x_20 is fixed
     for steps, cut in ((21, 20), (20, None)):         # cut on the last step
-        traj = ar.trajectory_for(rot, steps, dense=True, record_ref=True)
+        traj = ar.trajectory_for(rot, steps, record_ref=True)
         assert traj.stationary_from == cut
         assert_matches_uncut(traj, rot, uncut)
 
@@ -610,7 +609,7 @@ def test_live_disk_rotation_matches_uncut_loop(live_disk_config, uncut):
     traj = ar.trajectory_for(live_disk_config, 199_999, record_ref=True)
     assert traj.store_every == 2 and traj.stationary_from == 2996
     assert_matches_uncut(traj, live_disk_config, uncut)
-    traj = ar.trajectory_for(live_disk_config, 10_000, dense=True, record_ref=True)
+    traj = ar.trajectory_for(live_disk_config, 10_000, record_ref=True)
     assert traj.store_every == 1 and traj.stationary_from == 2996
     assert traj.residuals[2996] > 0.0
     assert_matches_uncut(traj, live_disk_config, uncut)
@@ -653,7 +652,7 @@ def test_periodic_cutoff_matches_uncut_loop(cut_configs, name, uncut):
     # strided at 199,999, and dense at 20,000 steps, so that every cut
     # fires; the dense case reads the prefix of the strided one's reference
     for steps, every in ((199_999, 2), (20_000, 1)):
-        traj = ar.trajectory_for(config, steps, dense=every == 1, record_ref=True)
+        traj = ar.trajectory_for(config, steps, record_ref=True)
         assert traj.store_every == every
         assert (traj.period_from, traj.period) == (c, p)
         assert traj.residuals[c] > 0.0                # T x_c != x_c
@@ -675,7 +674,7 @@ def test_a_repeat_counts_only_to_the_bit():
 
 
 def test_seq_scalar_plan_gives_the_constant_index():
-    plan = iteration._seq_scalar_plan
+    plan = seq_float_plan
     assert plan(ar.seq_constant(Fraction(1, 3)), 10) == (array("d"), 1 / 3, 0)
     # a table's index is its length, even where its last entries equal the tail
     head, tail, k = plan(ar.seq_tabulated([Fraction(1, 2), Fraction(1, 4),

@@ -1,7 +1,9 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,8 @@ from asymreg.moduli import (
     eval_eta_lower,
     nat_values,
     seq_mass,
+    seq_parts,
     sequence_lower_bound,
-    seq_sup_from,
 )
 
 
@@ -289,15 +291,36 @@ def test_sequences_exact_and_float():
 
 def test_sequence_bounds():
     geo = ar.seq_geometric(Fraction(1, 2), Fraction(1, 2))
-    assert seq_sup_from(geo, 0) == Fraction(1, 2)
-    assert seq_sup_from(geo, 3) == Fraction(1, 16)
     tab = ar.seq_tabulated([Fraction(3, 4), Fraction(1, 4)], Fraction(1, 8))
-    assert seq_sup_from(tab, 0) == Fraction(3, 4)
-    assert seq_sup_from(tab, 1) == Fraction(1, 4)
-    assert seq_sup_from(tab, 2) == Fraction(1, 8)
     assert sequence_lower_bound(ar.seq_constant(Fraction(1, 2))) == Fraction(1, 2)
     assert sequence_lower_bound(geo) == 0
     assert sequence_lower_bound(tab) == Fraction(1, 8)
+
+
+BOUNDARY_SEQS = {
+    "constant": ar.seq_constant(Fraction(1, 3)),
+    "geometric": ar.seq_geometric(Fraction(2, 3), Fraction(9, 10)),
+    "tabulated": ar.seq_tabulated([Fraction(1, 2), Fraction(1, 7), 0, Fraction(5, 6)],
+                                  Fraction(2, 7)),
+}
+
+
+@pytest.mark.parametrize("start", [0, 2, 4, 9])
+@pytest.mark.parametrize("name", sorted(BOUNDARY_SEQS))
+def test_seq_values_float_across_the_table_end(name, start):
+    # start before, at and past the end of the table, as verify_gamma reads
+    # it from gamma(delta) on; compared to the bit with a per-kind formula
+    seq, count = BOUNDARY_SEQS[name], 5
+    head, a, r = seq_parts(seq)
+    assert 0 <= a <= 1 and 0 < r <= 1 and (r == 1 or not head)
+    got = ar.seq_values_float(seq, count, start)
+    if name == "geometric":
+        c, q = float(seq.param("c")), float(seq.param("q"))
+        want = [c * np.power(q, float(n)) for n in range(start, start + count)]
+    else:
+        want = [float(ar.seq_value(seq, n)) for n in range(start, start + count)]
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 @given(st.integers(0, 50))
@@ -336,10 +359,27 @@ def test_validate_schedule_rejects_large_s():
 
 
 @settings(max_examples=200)
-@given(st.integers(0, 97), st.integers(1, 96), st.integers(-97, 97), st.integers(0, 200))
+@given(st.integers(0, 97), st.integers(1, 97), st.integers(-97, 97), st.integers(0, 200))
 def test_geometric_exceeds_matches_the_exact_power(c, q, bound, n):
     c, q, bound = Fraction(c, 97), Fraction(q, 97), Fraction(bound, 97)
     assert geometric_exceeds(c, q, bound, n) == (c * q**n > bound)
+    # at an exact tie c q^n == bound the enclosure straddles the bound
+    assert not geometric_exceeds(c, q, c * q**n, n)
+    if n > 0 and c > 0 and q < 1:
+        assert geometric_exceeds(c, q, c * q**n, n - 1)
+
+
+def test_geometric_exceeds_is_fast_for_a_ratio_near_one():
+    # c = 1, q = 1 - 10^-6: q^n crosses 1/2 between n = 693,146 and 693,147,
+    # where the exact powers have millions of bits
+    q, half = Fraction(999_999, 1_000_000), Fraction(1, 2)
+    ns = (693_146, 693_147, 693_150, 10**9, 10**40)
+    start = time.perf_counter()
+    got = [geometric_exceeds(Fraction(1), q, half, n) for n in ns]
+    assert time.perf_counter() - start < 1.0
+    with mpmath.workprec(256):
+        exact = [mpmath.power(mpmath.mpf(999_999) / 1_000_000, n) > 0.5 for n in ns]
+    assert got == exact == [True, False, False, False, False]
 
 
 def test_validate_schedule_geometric_s_from_a_large_n0():

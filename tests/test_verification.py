@@ -114,7 +114,7 @@ def test_omega_majorization_pass_and_fail():
 # orbit audits
 
 def test_lemma_inequalities_dense_and_fallback(disk_config):
-    dense = ar.trajectory_for(disk_config, 1500, dense=True, record_ref=True)
+    dense = ar.trajectory_for(disk_config, 1500, record_ref=True)
     rep = ar.check_lemma_inequalities(dense)
     assert rep.passed, rep.to_json()
     # without reference distances the audit checks (a), (b) and the cap only
@@ -125,7 +125,7 @@ def test_lemma_inequalities_dense_and_fallback(disk_config):
 
 
 def test_lemma_inequalities_catch_doctored_orbit(km_config):
-    traj = ar.trajectory_for(km_config, 500, dense=True, record_ref=True)
+    traj = ar.trajectory_for(km_config, 500, record_ref=True)
     assert traj.fold(100) == 20    # x_n is fixed from 20 on
     traj.residuals[traj.fold(100)] = 10.0   # breaks (b) at n=19 and the 2b cap
     rep = ar.check_lemma_inequalities(traj)
@@ -135,7 +135,7 @@ def test_lemma_inequalities_catch_doctored_orbit(km_config):
 
 
 def test_lemma_inequalities_catch_bad_reference_distances(km_config):
-    traj = ar.trajectory_for(km_config, 300, dense=True, record_ref=True)
+    traj = ar.trajectory_for(km_config, 300, record_ref=True)
     k = traj.fold(200)             # 20, where x_n is fixed from
     traj.ref_distances[k] = traj.ref_distances[k - 1] + 1.0
     rep = ar.check_lemma_inequalities(traj)
