@@ -26,10 +26,13 @@ sched = ar.Schedule(ar.seq_constant("1/2"), ar.seq_constant(0),
                     ar.theta_linear(4), 1, 0, ar.gamma_zero())
 start = ar.make_point(E2, (1.0, 0.0))
 traj = ar.run_trajectory(E2, T, start, sched, 12)
-for n in (0, 1, 2, 3, 8, 12):
-    x = traj.points[n]
-    print(f"  n={n:2d}  x = ({x.coords[0]:+.6f}, {x.coords[1]:+.6f})"
-          f"   residual = {traj.residuals[n]:.2e}")
+# The runner records residuals, not iterates: step x_n with ishikawa_step.
+x = start
+for n in range(13):
+    if n in (0, 1, 2, 3, 8, 12):
+        print(f"  n={n:2d}  x = ({x.coords[0]:+.6f}, {x.coords[1]:+.6f})"
+              f"   residual = {traj.residuals[n]:.2e}")
+    x, _ = ar.ishikawa_step(E2, T, x, 0.5, 0.0)
 
 # ---------------------------------------------------------------------------
 print("\nGenuine Ishikawa: inner steps s_n = 2^-(n+1) on the same mapping.")

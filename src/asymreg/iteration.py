@@ -6,12 +6,11 @@
 with s_n = 0 giving the one-stage averaged scheme as a special case.  The
 runner records the residuals d(x_n, T x_n), the inner residuals
 d(x_n, T y_n) and, given a reference point z, the distances d(x_n, z),
-d(y_n, z) and d(T y_n, z) at every step, and the points themselves at a
-configurable stride (dense storage of long orbits is the memory hog, the
-residual arrays are cheap).  Each step takes d(x_n, T y_n) and x_{n+1} from
-one fused dist_combine call, which on the disk is one Mobius translation.
-Stored points are kept as raw coordinates, one float64 array per list;
-`Trajectory.points` and `inner_points` build Point objects on first access.
+d(y_n, z) and d(T y_n, z) at every step.  Of the iterates x_n and y_n it
+keeps only the cycle below; `ishikawa_step` recomputes any other.  A step
+takes d(x_n, T x_n) with y_n, and d(x_n, T y_n) with x_{n+1}, from fused
+dist_combine calls (one when s_n = 0), each on the disk one Mobius
+translation.
 
 The runner stops at the first detected bitwise repeat of the orbit state.
 Once lambda_n and s_n are constant, a step is a fixed function of x_n, so
@@ -36,8 +35,6 @@ share their high digits, so no tail row costs a str(n) of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -49,13 +46,10 @@ from .geometry import (
     raw_dist_combine,
     raw_ops,
     to_raw,
-    uses_complex,
 )
 from .mappings import ApproxFixedPointSpec, MappingSpec, raw_apply_fn
 from .moduli import Schedule, seq_float_plan
 
-# Orbits longer than this stride their stored points automatically.
-_DENSE_POINT_LIMIT = 100_000
 # trajectory_to_csv builds and writes this many rows at a time, which keeps
 # its memory small next to the orbit arrays.
 _CSV_CHUNK_ROWS = 1 << 12
@@ -70,7 +64,7 @@ class IterationError(ValueError):
 @dataclass
 class Trajectory:
     """A recorded orbit of `steps` steps, a prefix plus a cycle: index n of
-    the orbit is stored at fold(n), which is n below tail_from and
+    the orbit is recorded at fold(n), which is n below tail_from and
     tail_from + (n - tail_from) % len(cycle) from there on.  With a cut-off,
     tail_from is period_from, the arrays hold [0, period_from + period), and
     x_n = cycle[fold(n) - tail_from] from tail_from on, y_n likewise in
@@ -82,10 +76,8 @@ class Trajectory:
     schedule: Schedule
     start: Point
     steps: int
-    residuals: np.ndarray               # d(x_n, T x_n) at the stored n
-    inner_residuals: np.ndarray         # d(x_n, T y_n) at the stored n < steps
-    point_coords: np.ndarray            # x_n at the stored_indices n < tail_from, a row each
-    inner_point_coords: np.ndarray      # y_n at the same n
+    residuals: np.ndarray               # d(x_n, T x_n) at the recorded n
+    inner_residuals: np.ndarray         # d(x_n, T y_n) at the recorded n < steps
     cycle: tuple[Point, ...]            # x_n, n = tail_from .. tail_from+p-1
     inner_cycle: tuple[Point, ...]      # y_n at the same n
     # moduli.seq_float_plan of lambda_n and of s_n, (head, tail, const_from):
@@ -97,7 +89,6 @@ class Trajectory:
     ref_distances: np.ndarray | None = None          # d(x_n, z), z = ref_point
     inner_ref_distances: np.ndarray | None = None    # d(y_n, z)
     t_inner_ref_distances: np.ndarray | None = None  # d(T y_n, z)
-    store_every: int = 1
     # The cut-off: x_{c+p} == x_c bitwise for c = period_from, p = period,
     # with c + p <= steps.  For p = 1, c is the first n with T x_n == x_n, or
     # once lambda_n and s_n are constant, the first n with x_{n+1} == x_n.
@@ -116,7 +107,7 @@ class Trajectory:
         return self.steps if self.period_from is None else self.period_from
 
     def fold(self, idx):
-        """The stored index of index idx of the orbit, an int or int array."""
+        """The recorded index of index idx of the orbit, an int or int array."""
         c, p = self.tail_from, len(self.cycle)
         if np.ndim(idx) == 0:
             return idx if idx < c else c + (idx - c) % p
@@ -128,28 +119,14 @@ class Trajectory:
         return [np.concatenate([head[:count], np.full(max(0, count - const_from), tail)])
                 for head, tail, const_from in (self.lam_plan, self.s_plan)]
 
+    # Unused here; perfbench/spans.py still reads these three views of the
+    # cycle, and they go when it reads the arrays' nbytes instead.
     @property
     def stored_indices(self) -> np.ndarray:
-        """The indices n whose points were kept: every store_every-th, and steps."""
-        return np.append(np.arange(0, self.steps, self.store_every), self.steps)
+        return np.arange(self.tail_from, self.tail_from + len(self.cycle))
 
-    @cached_property
-    def points(self) -> list[Point]:
-        """x_n at stored_indices."""
-        return self._points(self.point_coords, self.cycle, 0)
-
-    @cached_property
-    def inner_points(self) -> list[Point]:
-        """y_n at the stored indices below steps."""
-        return self._points(self.inner_point_coords, self.inner_cycle, 1)
-
-    def _points(self, coords: np.ndarray, ring: tuple[Point, ...],
-                drop: int) -> list[Point]:
-        kind = self.space.kind
-        out = [Point(kind, tuple(row)) for row in coords.tolist()]
-        indices = self.stored_indices
-        tail = indices[len(out):len(indices) - drop] - self.tail_from
-        return out + [ring[k] for k in (tail % len(ring)).tolist()]
+    points = property(lambda self: list(self.cycle))
+    inner_points = property(lambda self: list(self.inner_cycle))
 
 
 def ishikawa_step(space: SpaceModel, m: MappingSpec, x: Point,
@@ -176,24 +153,20 @@ def _same_bits(a, b) -> bool:
 
 def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
                    schedule: Schedule, steps: int, *,
-                   store_every: int | None = None,
                    afp: ApproxFixedPointSpec | None = None,
                    ref_point: Point | None = None) -> Trajectory:
     """Run `steps` updates from x0, recording residuals at every step.
 
     With a reference point z, also records d(x_n, z), d(y_n, z) and
-    d(T y_n, z) at every step, which lets the audit checks work on
-    downsampled orbits.  The loop stops at the first detected bitwise repeat
-    x_{c+p} == x_c (recorded as `period_from` and `period`) and keeps the
-    indices [0, c+p), which hold every value of the orbit.
+    d(T y_n, z) at every step: with the residuals, all that the audit
+    checks read of the orbit.  The loop stops at the first detected bitwise
+    repeat x_{c+p} == x_c (recorded as `period_from` and `period`) and
+    keeps the indices [0, c+p), which hold every value of the orbit, and
+    the p states of its cycle.
     """
     check_point(space, x0)
     if steps < 0:
         raise IterationError("steps must be a natural")
-    if store_every is None:
-        store_every = 1 if steps <= _DENSE_POINT_LIMIT else steps // _DENSE_POINT_LIMIT + 1
-    if store_every < 1:
-        raise IterationError("store_every must be >= 1")
 
     dist_fn, combine_fn = raw_ops(space)
     dist_combine = raw_dist_combine(space)
@@ -211,9 +184,6 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
     else:
         ref_d = y_ref_d = ty_ref_d = None
 
-    xs: list = []           # raw x_n at the stored n
-    ys: list = []           # raw y_n at the same indices
-
     x = to_raw(space, x0)
     period_from = period = None
     # The checkpoint x_{mark_at}: set to x_n at n = const_from, and moved to
@@ -230,12 +200,10 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
         tx = f(x)
         if s == 0.0:
             r, x_next = dist_combine(x, tx, lam)
-            y = x
-            ty = tx
+            y, ty = x, tx
             inner[n] = r
         else:
-            r = dist_fn(x, tx)
-            y = combine_fn(x, tx, s)
+            r, y = dist_combine(x, tx, s)
             ty = f(y)
             inner[n], x_next = dist_combine(x, ty, lam)
         residuals[n] = r
@@ -244,9 +212,6 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
             ref_d[n] = dist_fn(x, z)
             y_ref_d[n] = dist_fn(y, z)
             ty_ref_d[n] = dist_fn(ty, z)
-        if n % store_every == 0:
-            xs.append(x)
-            ys.append(y)
 
         # Before const_from only a fixed point, T x_n == x_n, is a repeat
         # whose block the later steps reproduce.
@@ -263,44 +228,31 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
         residuals[steps] = dist_fn(x, f(x))
         if record:
             ref_d[steps] = dist_fn(x, z)
-        tail_from, ring, inner_ring = steps, [x], []
+        ring, inner_ring = [x], []
     else:
         # [0, c+p) holds every value; copies let the long buffers go
         residuals, inner, ref_d, y_ref_d, ty_ref_d = (
             None if a is None else a[:period_from + period].copy()
             for a in (residuals, inner, ref_d, y_ref_d, ty_ref_d))
         # p steps from the checkpoint x_c give the cycle's states
-        tail_from, ring, inner_ring, x = period_from, [], [], mark
+        ring, inner_ring, x = [], [], mark
         for _ in range(period):
             y = combine_fn(x, f(x), s_tail)
             ring.append(x)
             inner_ring.append(y)
             x = combine_fn(x, f(y), lam_tail)
-    kept = -(-tail_from // store_every)     # the stored n < tail_from
-    del xs[kept:], ys[kept:]
 
     return Trajectory(
         space=space, mapping=m, schedule=schedule, start=x0, steps=steps,
         residuals=residuals, inner_residuals=inner,
-        point_coords=_coords(space, xs), inner_point_coords=_coords(space, ys),
         cycle=tuple(from_raw(space, v) for v in ring),
         inner_cycle=tuple(from_raw(space, v) for v in inner_ring),
         lam_plan=lam_plan, s_plan=s_plan,
         afp=afp, ref_point=ref_point,
         ref_distances=ref_d, inner_ref_distances=y_ref_d,
         t_inner_ref_distances=ty_ref_d,
-        store_every=store_every,
         period_from=period_from, period=period,
     )
-
-
-def _coords(space: SpaceModel, raws: list) -> np.ndarray:
-    """Raw points as a (len(raws), dim) float64 array."""
-    if uses_complex(space):
-        return np.array(raws, dtype=np.complex128).view(np.float64).reshape(-1, 2)
-    flat = np.fromiter(chain.from_iterable(raws), dtype=np.float64,
-                       count=len(raws) * space.dim)
-    return flat.reshape(-1, space.dim)
 
 
 def partial_sums_alpha(schedule: Schedule, n: int):
@@ -320,7 +272,7 @@ def trajectory_to_csv(traj: Trajectory, target, report_every: int = 1) -> None:
 
     Rows below the cut-off c are written in chunks of _CSV_CHUNK_ROWS, with
     one repr per distinct float64 bit pattern of the chunk (so -0.0 and 0.0
-    stay apart).  From c on, row n repeats the fields of stored row
+    stay apart).  From c on, row n repeats the fields of recorded row
     c + (n - c) % p, and the rows are written in decade blocks by
     _tail_blocks; the final row has a blank inner_residual."""
     if report_every < 1:

@@ -228,18 +228,20 @@ def witness_point(afp: ApproxFixedPointSpec, delta: float) -> Point:
 
 
 def validate_afp(space: SpaceModel, m: MappingSpec, afp: ApproxFixedPointSpec) -> None:
-    """Sample the witness at delta = 1, 1e-1, ..., 1e-9."""
+    """Sample the witness at delta = 1, 1e-1, ..., 1e-9.  An exact fixed
+    point is the witness at every delta, so it is measured once."""
     check_point(space, afp.x)
     if not afp.b > 0:
         raise WitnessError("the bound b must be positive")
+    y = None
     for k in range(10):
         delta = 10.0 ** (-k)
-        y = witness_point(afp, delta)
-        d_xy = dist(space, afp.x, y)
+        if y is None or afp.fixed_point is None:
+            y = witness_point(afp, delta)
+            d_xy, res = dist(space, afp.x, y), dist(space, y, apply_map(space, m, y))
         if d_xy > afp.b * (1.0 + SLACK) + 1e-12:
             raise WitnessError(
                 f"witness at delta={delta:g} lies {d_xy!r} from the start, beyond b={afp.b!r}")
-        res = dist(space, y, apply_map(space, m, y))
         if not res < delta:
             raise WitnessError(
                 f"witness at delta={delta:g} has residual {res!r}, not below delta")

@@ -462,11 +462,15 @@ def eval_gamma(desc: ModulusDescriptor, delta) -> int:
     if desc.kind == GAMMA_GEOMETRIC_TAIL:
         c, q = desc.param("c"), desc.param("q")
         tail = c * (1 - desc.param("lambda_min")) * q / (1 - q)  # tail past N=0
-        n = 0
-        while tail > delta:
-            tail *= q
-            n += 1
-        return n
+        # the least n with tail q^n <= delta, in (lo, hi]: geometric_exceeds
+        # is monotone in n, so double hi past it, then bisect
+        lo, hi = -1, 1
+        while geometric_exceeds(tail, q, delta, hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if geometric_exceeds(tail, q, delta, mid) else (lo, mid)
+        return hi
     if desc.kind == GAMMA_SHIFTED:
         return max(0, eval_gamma(desc.param("inner"), delta) + desc.param("shift"))
     raise DescriptorError(f"{desc.kind!r} is not a gamma descriptor")

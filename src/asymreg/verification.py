@@ -6,9 +6,10 @@ convexity implication in both its real-valued and dyadic forms, the step
 inequalities of the averaged iteration, the residual cap 2b, and finally the
 soundness of the certified rates phi and delta against simulated orbits.
 
-Orbit checks read a trajectory as its runner stored it, a prefix plus a
-cycle: the audit checks the stored indices, which cover every step, and the
-soundness windows read each index n at `Trajectory.fold(n)`.
+Orbit checks read a trajectory as its runner recorded it, a prefix plus a
+cycle: the audit checks the recorded indices [0, c+p), which cover every
+step (c = tail_from, p = len(cycle)), and the soundness windows read each
+index n at `Trajectory.fold(n)`.
 
 Checks are deterministic: each owns an RNG stream derived from (seed, check
 name), and reports serialize to stable JSON.  Rates whose verification window
@@ -300,7 +301,7 @@ def check_lemma_inequalities(traj: Trajectory) -> CheckReport:
     plus the residual cap d(x_n, T x_n) <= 2b when fixed-point data rides
     along, with the lambda_n and s_n floats the orbit was stepped with.
 
-    It checks the stored indices, [0, c+p) after a cut, reading n + 1 at
+    It checks the recorded indices, [0, c+p) after a cut, reading n + 1 at
     fold(n + 1).  Every later n repeats fold(n): in (a), (b), the cap and
     c-inner/image/step with the same floats, since lambda_n and s_n are
     constant from c on, or else T x_c == x_c and every term from c on reads
@@ -309,7 +310,7 @@ def check_lemma_inequalities(traj: Trajectory) -> CheckReport:
     space, m = traj.space, traj.mapping
     report = CheckReport("lemma-inequalities", samples=traj.steps + 1)
     res = traj.residuals
-    last = len(traj.inner_residuals)        # the steps n < last are stored
+    last = len(traj.inner_residuals)        # the steps n < last are recorded
     after = traj.fold(np.arange(1, last + 1))
     lam, s = traj.schedule_floats(last)
     _bulk_fail(report, "a", (1.0 - s) * res[:last], traj.inner_residuals, SLACK)
@@ -435,7 +436,7 @@ def check_phi_soundness(config: ExperimentConfig, eps: float,
     if boundary:
         report.note(f"{boundary} residual(s) within 1e-9 of the eps boundary")
 
-    # an index past the stored ones repeats a stored one at or below it
+    # an index past the recorded ones repeats a recorded one at or below it
     hits = np.nonzero(res[:end + 1] < eps)[0]
     if len(hits):
         rr.empirical_first_hit = int(hits[0])

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import math
+import tracemalloc
 from array import array
 from fractions import Fraction
 from itertools import islice, repeat
@@ -49,6 +50,23 @@ def oracle_orbit(z0, rot, lam_fn, s_fn, steps):
     return xs, res
 
 
+def stepped_orbit(traj):
+    """x_n for n <= steps and y_n for n < steps, stepped with ishikawa_step
+    on the floats the runner used: the trajectory keeps only its cycle."""
+    lam, s = traj.schedule_floats(traj.steps)
+    xs, ys = [traj.start], []
+    for a, b in zip(lam.tolist(), s.tolist()):
+        x, y = ar.ishikawa_step(traj.space, traj.mapping, xs[-1], a, b)
+        xs.append(x)
+        ys.append(y)
+    return xs, ys
+
+
+def at(traj, n):
+    """x_n of the trajectory's cycle, for n >= tail_from."""
+    return traj.cycle[traj.fold(n) - traj.tail_from]
+
+
 def test_km_matches_independent_oracle():
     rot = cmath.exp(1j * math.pi / 2)
     m = ar.euclidean_rotation((0.0, 0.0), math.pi / 2)
@@ -56,9 +74,11 @@ def test_km_matches_independent_oracle():
                              km_schedule(), 100)
     xs, res = oracle_orbit(1.0 + 0.0j, rot, lambda n: 0.5, lambda n: 0.0, 100)
     np.testing.assert_allclose(traj.residuals, res, rtol=0, atol=1e-12)
-    for pos, n in enumerate(traj.stored_indices):
-        assert traj.points[pos].coords == pytest.approx(
-            (xs[n].real, xs[n].imag), abs=1e-12)
+    stepped, _ = stepped_orbit(traj)
+    for n, x in enumerate(stepped):
+        assert x.coords == pytest.approx((xs[n].real, xs[n].imag), abs=1e-12)
+    assert at(traj, 100).coords == pytest.approx(
+        (xs[100].real, xs[100].imag), abs=1e-12)
 
 
 def test_ishikawa_geometric_s_matches_oracle():
@@ -71,7 +91,7 @@ def test_ishikawa_geometric_s_matches_oracle():
     assert traj.stationary_from == 46     # the rest is read through fold
     np.testing.assert_allclose(traj.residuals[traj.fold(range(201))], res,
                                rtol=0, atol=1e-12)
-    assert traj.points[-1].coords == pytest.approx(
+    assert at(traj, 200).coords == pytest.approx(
         (xs[-1].real, xs[-1].imag), abs=1e-12)
 
 
@@ -94,12 +114,9 @@ def test_inner_residuals_definition():
     traj = ar.run_trajectory(E2, m, ar.make_point(E2, (1.0, 0.0)),
                              ishikawa_schedule(), 20)
     assert len(traj.inner_residuals) == 20
-    for pos, n in enumerate(traj.stored_indices):
-        if n >= 20:
-            continue
-        x = traj.points[pos]
-        ty = ar.apply_map(E2, m, traj.inner_points[pos])
-        assert traj.inner_residuals[n] == pytest.approx(
+    for n, (x, y) in enumerate(zip(*stepped_orbit(traj))):
+        ty = ar.apply_map(E2, m, y)
+        assert traj.inner_residuals[traj.fold(n)] == pytest.approx(
             ar.dist(E2, x, ty), abs=1e-12)
 
 
@@ -115,10 +132,9 @@ def test_disk_orbit_consistency_and_fejer():
     x0 = ar.make_point(D, (math.tanh(0.5), 0.0))
     fp = ar.make_point(D, (0.0, 0.0))
     traj = ar.run_trajectory(D, m, x0, km_schedule(), 200, ref_point=fp)
-    # residuals agree with a recomputation from the stored points
-    for pos, n in enumerate(traj.stored_indices):
-        x = traj.points[pos]
-        assert traj.residuals[n] == pytest.approx(
+    # residuals agree with a recomputation from the stepped points
+    for n, x in enumerate(stepped_orbit(traj)[0]):
+        assert traj.residuals[traj.fold(n)] == pytest.approx(
             ar.dist(D, x, ar.apply_map(D, m, x)), abs=1e-12)
     # the reference point is fixed, so d(x_n, fp) is nonincreasing
     rd = traj.ref_distances
@@ -128,18 +144,25 @@ def test_disk_orbit_consistency_and_fejer():
     assert len(traj.t_inner_ref_distances) == 200
 
 
-def test_store_every_controls_point_retention():
-    m = ar.euclidean_rotation((0.0, 0.0), 1.0)
-    x0 = ar.make_point(E2, (1.0, 0.0))
-    traj = ar.run_trajectory(E2, m, x0, km_schedule(), 10)
-    assert traj.stored_indices.tolist() == list(range(11))
-    traj = ar.run_trajectory(E2, m, x0, km_schedule(), 10, store_every=3)
-    assert traj.stored_indices.tolist() == [0, 3, 6, 9, 10]
-    assert len(traj.points) == 5
-    assert len(traj.inner_points) == 4      # final index has no inner point
-    traj = ar.run_trajectory(E2, m, x0, km_schedule(), 250_000)
-    assert len(traj.points) < 200_000       # auto stride kicked in
-    assert traj.stored_indices[-1] == 250_000
+def test_a_long_unrepeating_orbit_keeps_no_iterates():
+    # An Ishikawa disk rotation with s_n = c q^n, q near 1, finds no repeat
+    # in 10^5 steps; the runner's memory is its recorded arrays and the
+    # float plan of s_n, not a Point or a raw state per step.
+    lam = ar.seq_constant(Fraction(1, 2))
+    c, q = Fraction(1, 2), Fraction(9999, 10000)
+    sched = ar.Schedule(lam, ar.seq_geometric(c, q), ar.theta_linear(4), 2, 0,
+                        ar.gamma_for_geometric_s(c, q, lam))
+    m = ar.poincare_rotation((0.0, 0.0), 1.2)
+    x0 = ar.make_point(D, (0.46211715726000974, 0.0))
+    tracemalloc.start()
+    try:
+        traj = ar.run_trajectory(D, m, x0, sched, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.period_from is None and len(traj.cycle) == 1
+    recorded = traj.residuals.nbytes + traj.inner_residuals.nbytes
+    assert peak < 2 * recorded, (peak, recorded)
 
 
 def test_run_trajectory_validation():
@@ -147,8 +170,6 @@ def test_run_trajectory_validation():
     x0 = ar.make_point(E2, (1.0, 0.0))
     with pytest.raises(ar.IterationError):
         ar.run_trajectory(E2, m, x0, km_schedule(), -1)
-    with pytest.raises(ar.IterationError):
-        ar.run_trajectory(E2, m, x0, km_schedule(), 10, store_every=0)
 
 
 def test_ishikawa_step_matches_manual_composition():
@@ -447,7 +468,8 @@ def _rows(raw, dim):
 
 def assert_matches_uncut(traj, config, uncut):
     """Each recorded array read at fold(n) equals the uncut loop at n, byte
-    for byte, and so do the coordinates of every stored point."""
+    for byte, and so do the coordinates of x_n and y_n on the cycle, n in
+    [tail_from, tail_from + len(cycle))."""
     ref = uncut(config, traj.steps)
     steps = traj.steps
     for key in ("residuals", "inner_residuals", "ref_distances",
@@ -455,10 +477,9 @@ def assert_matches_uncut(traj, config, uncut):
         n = steps if key.startswith(("inner", "t_inner")) else steps + 1
         got = getattr(traj, key)[traj.fold(range(n))]
         assert got.tobytes() == ref[key][:n].tobytes(), key
-    stored = traj.stored_indices
-    assert stored.tolist() == [*range(0, steps, traj.store_every), steps]
-    for points, rows in ((traj.points, ref["x"][stored]),
-                         (traj.inner_points, ref["y"][stored[:-1]])):
+    c = traj.tail_from
+    for points, rows in ((traj.cycle, ref["x"][c:c + len(traj.cycle)]),
+                         (traj.inner_cycle, ref["y"][c:c + len(traj.inner_cycle)])):
         got = np.array([p.coords for p in points], dtype=np.float64)
         assert got.reshape(-1, config.space.dim).tobytes() == rows.tobytes()
 
@@ -510,54 +531,30 @@ def cut_configs(all_configs):
     }
 
 
-def assert_tail_shares_the_cycle(traj):
-    """The stored points from tail_from on are the len(cycle) Points of
-    the cycle, shared, and the inner points those of inner_cycle."""
-    for points, ring in ((traj.points, traj.cycle),
-                         (traj.inner_points, traj.inner_cycle)):
-        tail = {id(p) for n, p in zip(traj.stored_indices, points)
-                if n >= traj.tail_from}
-        assert tail <= {id(p) for p in ring}
-        assert len(tail) <= len(traj.cycle)
-
-
 @pytest.mark.parametrize("name", sorted(STATIONARY_FROM))
-def test_cutoff_matches_uncut_loop_dense(all_configs, name, uncut):
+def test_cutoff_matches_uncut_loop_short(all_configs, name, uncut):
     traj = ar.trajectory_for(all_configs[name], 10_000, record_ref=True)
-    assert traj.store_every == 1
     assert traj.stationary_from == STATIONARY_FROM[name]
     assert_matches_uncut(traj, all_configs[name], uncut)
 
 
 @pytest.mark.parametrize("name", sorted(STATIONARY_FROM))
-def test_cutoff_matches_uncut_loop_strided(all_configs, name, uncut):
-    # the largest horizon with the auto stride of 2
+def test_cutoff_matches_uncut_loop_long(all_configs, name, uncut):
     traj = ar.trajectory_for(all_configs[name], 199_999, record_ref=True)
-    assert traj.store_every == 2
     assert traj.stationary_from == STATIONARY_FROM[name]
     assert_matches_uncut(traj, all_configs[name], uncut)
-    assert_tail_shares_the_cycle(traj)      # one Point object
 
 
-def test_points_are_built_once_from_the_coordinate_arrays(all_configs):
-    traj = ar.trajectory_for(all_configs["rotation_pi_euclidean"], 50)  # x_20 is fixed
-    assert "points" not in vars(traj) and "inner_points" not in vars(traj)
-    assert traj.point_coords.shape == traj.inner_point_coords.shape == (20, 2)
-    assert traj.points is traj.points                     # cached
-    assert len(traj.points) == 51 and len(traj.inner_points) == 50
-    assert [p.coords for p in traj.points[:20]] == \
-        [tuple(row) for row in traj.point_coords.tolist()]
-    assert [p.coords for p in traj.inner_points[:20]] == \
-        [tuple(row) for row in traj.inner_point_coords.tolist()]
-    assert traj.cycle == traj.inner_cycle and len(traj.cycle) == 1
-    assert all(p is traj.cycle[0] for p in traj.points[20:])
-    assert all(p is traj.inner_cycle[0] for p in traj.inner_points[20:])
-    assert len({id(p) for p in traj.points[:20]}) == 20
-
-    traj = ar.trajectory_for(all_configs["rotation_poincare"], 50)
-    assert traj.period_from is None and traj.inner_cycle == ()
-    assert traj.point_coords.shape == traj.inner_point_coords.shape == (50, 2)
-    assert traj.points[-1] is traj.cycle[0] and len(traj.inner_points) == 50
+def test_points_are_the_cycle(all_configs, cut_configs):
+    for config, steps in ((all_configs["rotation_pi_euclidean"], 50),   # x_20 is fixed
+                          (cut_configs["plane-rotation-0.67pi"], 3000),  # p = 4
+                          (all_configs["rotation_poincare"], 50)):       # no cut
+        traj = ar.trajectory_for(config, steps)
+        assert len(traj.points) == len(traj.cycle)
+        assert traj.points == list(traj.cycle)
+        assert traj.inner_points == list(traj.inner_cycle)
+        assert traj.stored_indices.tolist() == \
+            list(range(traj.tail_from, traj.tail_from + len(traj.cycle)))
 
 
 def test_cutoff_edge_cases(all_configs, cut_configs, uncut):
@@ -577,22 +574,19 @@ def test_cutoff_edge_cases(all_configs, cut_configs, uncut):
         assert traj.stationary_from == cut
         assert_matches_uncut(traj, rot, uncut)
 
-    for every in (3, 7):                              # 20 % every != 0
-        traj = ar.run_trajectory(rot.space, rot.mapping, rot.start,
-                                 rot.schedule, 50, store_every=every,
-                                 ref_point=ar.reference_point(rot))
-        assert traj.stationary_from == 20
-        assert_matches_uncut(traj, rot, uncut)
+    traj = ar.run_trajectory(rot.space, rot.mapping, rot.start, rot.schedule,
+                             50, ref_point=ar.reference_point(rot))
+    assert traj.stationary_from == 20
+    assert_matches_uncut(traj, rot, uncut)
 
     # x_2050 == x_2046: the repeat closes on the last step, or past it
     plane = cut_configs["plane-rotation-0.67pi"]
     for steps, cut in ((2050, (2046, 4)), (2049, (None, None))):
-        for every in (1, 3):
-            traj = ar.run_trajectory(
-                plane.space, plane.mapping, plane.start, plane.schedule, steps,
-                store_every=every, ref_point=ar.reference_point(plane))
-            assert (traj.period_from, traj.period) == cut
-            assert_matches_uncut(traj, plane, uncut)
+        traj = ar.run_trajectory(
+            plane.space, plane.mapping, plane.start, plane.schedule, steps,
+            ref_point=ar.reference_point(plane))
+        assert (traj.period_from, traj.period) == cut
+        assert_matches_uncut(traj, plane, uncut)
 
 
 @pytest.fixture(scope="module")
@@ -607,10 +601,10 @@ def live_disk_config(all_configs):
 def test_live_disk_rotation_matches_uncut_loop(live_disk_config, uncut):
     assert live_disk_config.mapping.center == (0.0, 0.0)
     traj = ar.trajectory_for(live_disk_config, 199_999, record_ref=True)
-    assert traj.store_every == 2 and traj.stationary_from == 2996
+    assert traj.stationary_from == 2996
     assert_matches_uncut(traj, live_disk_config, uncut)
     traj = ar.trajectory_for(live_disk_config, 10_000, record_ref=True)
-    assert traj.store_every == 1 and traj.stationary_from == 2996
+    assert traj.stationary_from == 2996
     assert traj.residuals[2996] > 0.0
     assert_matches_uncut(traj, live_disk_config, uncut)
 
@@ -635,10 +629,9 @@ def test_zero_lambda_tail_matches_uncut_loop(all_configs, live_disk_config, name
     sched = ar.Schedule(lam, old.s_seq, old.theta, old.L, old.N0, old.gamma)
     config = dataclasses.replace(base, schedule=sched)
     cut = 1074 if name.startswith("ishikawa") else 5
-    for steps, every in ((2_001, 3), (2_000, 1)):
+    for steps in (2_001, 2_000):
         traj = ar.run_trajectory(config.space, config.mapping, config.start,
-                                 sched, steps, store_every=every,
-                                 ref_point=ar.reference_point(config))
+                                 sched, steps, ref_point=ar.reference_point(config))
         assert traj.stationary_from == cut
         assert traj.residuals[-1] > 0.0
         assert np.all(traj.residuals[5:] == traj.residuals[5])
@@ -649,15 +642,13 @@ def test_zero_lambda_tail_matches_uncut_loop(all_configs, live_disk_config, name
 def test_periodic_cutoff_matches_uncut_loop(cut_configs, name, uncut):
     config = cut_configs[name]
     c, p = PERIODIC[name]
-    # strided at 199,999, and dense at 20,000 steps, so that every cut
-    # fires; the dense case reads the prefix of the strided one's reference
-    for steps, every in ((199_999, 2), (20_000, 1)):
+    # at 199,999 and at 20,000 steps, so that every cut fires; the shorter
+    # run reads the prefix of the longer one's reference
+    for steps in (199_999, 20_000):
         traj = ar.trajectory_for(config, steps, record_ref=True)
-        assert traj.store_every == every
         assert (traj.period_from, traj.period) == (c, p)
         assert traj.residuals[c] > 0.0                # T x_c != x_c
         assert_matches_uncut(traj, config, uncut)
-        assert_tail_shares_the_cycle(traj)
         assert len(traj.cycle) == len(traj.inner_cycle) == p
         if name == "plane-ishikawa-0.3pi":
             assert all(y != x for x, y in zip(traj.cycle, traj.inner_cycle))
@@ -706,7 +697,7 @@ def test_a_cut_trajectory_stores_its_prefix_only(cut_configs, name):
     c, p = CUTS[name]
     traj = ar.trajectory_for(config, 199_999, record_ref=True)
     arrays = {key: v for key, v in vars(traj).items() if isinstance(v, np.ndarray)}
-    assert len(arrays) == 7, sorted(arrays)
+    assert len(arrays) == 5, sorted(arrays)
     assert all(len(v) <= c + p + 1 for v in arrays.values()), \
         {key: len(v) for key, v in arrays.items()}
     assert len(traj.residuals) == len(traj.ref_distances) == c + p

@@ -148,6 +148,34 @@ def test_validate_afp_accepts_exact_fixed_point():
     assert ar.derived_bound(E2, m, afp) == 2.0
 
 
+def test_validate_afp_measures_a_fixed_point_once(monkeypatch):
+    m = ar.euclidean_rotation((0.0, 0.0), math.pi)
+    x = ar.make_point(E2, (1.0, 0.0))
+    calls = []
+    real = ar.mappings.apply_map
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ar.mappings, "apply_map", counted)
+    ar.validate_afp(E2, m, ar.ApproxFixedPointSpec(x, 1.0, ar.make_point(E2, (0.0, 0.0))))
+    assert len(calls) == 1
+    # a witness map still answers each of the ten deltas
+    ar.validate_afp(E2, m, ar.ApproxFixedPointSpec(
+        x, 1.0, witness=lambda delta: ar.make_point(E2, (0.0, 0.0))))
+    assert len(calls) == 11
+
+
+def test_validate_afp_names_the_first_delta_a_fixed_point_misses():
+    # z = (1e-4, 0) is 2e-4 from its image under the rotation by pi
+    m = ar.euclidean_rotation((0.0, 0.0), math.pi)
+    x = ar.make_point(E2, (1.0, 0.0))
+    afp = ar.ApproxFixedPointSpec(x, 1.0, ar.make_point(E2, (1e-4, 0.0)))
+    with pytest.raises(ar.WitnessError, match=r"delta=0\.0001 has residual 0\.0002"):
+        ar.validate_afp(E2, m, afp)
+
+
 def test_validate_afp_rejects_small_b():
     m = ar.euclidean_rotation((0.0, 0.0), math.pi)
     x = ar.make_point(E2, (1.0, 0.0))

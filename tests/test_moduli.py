@@ -244,6 +244,46 @@ def test_gamma_geometric_matches_oracle(delta):
     assert ar.eval_gamma(geo, delta) == oracle_geometric_gamma(c, q, lam, delta)
 
 
+def exact_loop_gamma(c, q, lam_min, delta):
+    # the tail c (1 - lam_min) q^(n+1) / (1 - q), one exact product per index
+    tail, n = c * (1 - lam_min) * q / (1 - q), 0
+    while tail > delta:
+        tail *= q
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("c, q, lam, delta", [
+    (Fraction(1, 2), Fraction(9, 10), Fraction(1, 2), Fraction(1, 1000)),
+    (1, Fraction(99, 100), 0, Fraction(1, 3)),
+    (Fraction(3, 2), Fraction(1, 7), Fraction(1, 4), Fraction(1, 10**12)),
+    (1, Fraction(99, 100), 1, Fraction(1, 2)),           # a zero tail
+    (1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),  # tail 1/2: N = 0
+    (1, Fraction(1, 2), Fraction(1, 2), Fraction(1, 4)),  # a tie at N = 1
+])
+def test_gamma_geometric_search_matches_the_oracle(c, q, lam, delta):
+    geo = ar.gamma_geometric_tail(c, q, lam)
+    assert ar.eval_gamma(geo, delta) == oracle_geometric_gamma(c, q, lam, delta)
+
+
+def test_gamma_geometric_search_matches_the_exact_loop():
+    q = Fraction(999, 1000)
+    for delta in (Fraction(1, 2), Fraction(1, 1024)):
+        geo = ar.gamma_geometric_tail(1, q, Fraction(1, 2))
+        assert ar.eval_gamma(geo, delta) == exact_loop_gamma(1, q, Fraction(1, 2), delta)
+
+
+def test_gamma_geometric_is_fast_for_a_ratio_near_one():
+    # the exact loop had not returned after 10 s here
+    c, q, lam, delta = 1, Fraction(99999, 100000), Fraction(1, 2), Fraction(1, 2)
+    start = time.perf_counter()
+    n = ar.eval_gamma(ar.gamma_geometric_tail(c, q, lam), delta)
+    assert time.perf_counter() - start < 1.0
+    tail = c * (1 - lam) * q / (1 - q)
+    assert geometric_exceeds(tail, q, delta, n - 1)
+    assert not geometric_exceeds(tail, q, delta, n)
+
+
 @given(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(1, 1)),
        st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(1, 1)))
 def test_gamma_antitone(d1, d2):
