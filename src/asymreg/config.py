@@ -38,6 +38,7 @@ from .mappings import (
     WitnessError,
     declared_fixed_point,
     in_domain,
+    raw_apply_fn,
     validate_afp,
 )
 from .moduli import (
@@ -274,6 +275,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         except GeometryError as exc:
             raise _err("config.afp.fixed_point", str(exc)) from exc
     else:
+        _check_mapping(space, mapping)
         fp = declared_fixed_point(space, mapping)
         if fp is None:
             raise _err("config.afp.fixed_point",
@@ -307,21 +309,24 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return config
 
 
+def _check_mapping(space: SpaceModel, mapping: MappingSpec) -> None:
+    """Each center of the mapping is a point of space, and raw_apply_fn builds it."""
+    for path, center in (("config.mapping.center", mapping.center),
+                         ("config.mapping.domain.center", mapping.domain.center)):
+        if center is not None:
+            try:
+                make_point(space, center)
+            except GeometryError as exc:
+                raise _err(path, str(exc)) from exc
+    try:
+        raw_apply_fn(space, mapping)
+    except MappingError as exc:
+        raise _err("config.mapping", str(exc)) from exc
+
+
 def validate_config(config: ExperimentConfig) -> None:
     """Cross-component coherence beyond field-level parsing."""
-    kind = config.mapping.kind
-    if kind in (EUCLIDEAN_ROTATION, EUCLIDEAN_REFLECTION_AVERAGE) \
-            and config.space.kind != EUCLIDEAN:
-        raise _err("config.mapping.kind",
-                   f"{kind} requires a Euclidean space, got {config.space.kind}")
-    if kind == POINCARE_ROTATION and config.space.kind != POINCARE_DISK:
-        raise _err("config.mapping.kind",
-                   f"{kind} requires the disk model, got {config.space.kind}")
-    if config.mapping.center is not None:
-        try:
-            make_point(config.space, config.mapping.center)
-        except GeometryError as exc:
-            raise _err("config.mapping.center", str(exc)) from exc
+    _check_mapping(config.space, config.mapping)
     try:
         if not in_domain(config.space, config.mapping, config.start):
             raise _err("config.start", "start point lies outside the mapping domain")

@@ -54,8 +54,16 @@ class SpaceModel:
 
 @dataclass(frozen=True)
 class Point:
+    """A point of a model, held as the value its raw kernels take: a complex
+    on the disk and the plane, a tuple of floats in every other dimension."""
+
     model: str
-    coords: tuple[float, ...]
+    raw: complex | tuple[float, ...]
+
+    @property
+    def coords(self) -> tuple[float, ...]:
+        raw = self.raw
+        return (raw.real, raw.imag) if type(raw) is complex else raw
 
 
 def euclidean(dim: int = 2, modulus: ModulusDescriptor | None = None) -> SpaceModel:
@@ -81,43 +89,34 @@ def make_point(space: SpaceModel, coords) -> Point:
         if n2 >= 1.0 - DISK_MARGIN:
             raise PointOutsideModelError(
                 f"point with |z|^2 = {n2!r} is not interior to the disk")
-    return Point(space.kind, coords)
+    return Point(space.kind, raw_point(space, coords))
 
 
-def check_point(space: SpaceModel, p: Point) -> None:
+def raw_point(space: SpaceModel, coords):
+    """The raw value of the point of space with these coordinates, unchecked."""
+    return complex(*coords) if space.dim == 2 else tuple(coords)
+
+
+def check_point(space: SpaceModel, p: Point):
+    """p.raw, once p is a point of space's model and dimension."""
     if p.model != space.kind:
         raise DimensionMismatchError(
             f"point of model {p.model!r} used in {space.kind!r}")
-    if len(p.coords) != space.dim:
-        raise DimensionMismatchError(
-            f"expected {space.dim} coordinates, got {len(p.coords)}")
+    raw = p.raw
+    n = 2 if type(raw) is complex else len(raw)
+    if n != space.dim:
+        raise DimensionMismatchError(f"expected {space.dim} coordinates, got {n}")
+    return raw
 
 
 # ---------------------------------------------------------------------------
 # raw kernels.  The disk and the Euclidean plane use complex numbers, other
-# Euclidean dimensions use plain tuples; the iteration loop works on these
-# representations and wraps back into Point at recording boundaries.
+# Euclidean dimensions use plain tuples, as Point.raw holds them; the
+# iteration loop and the samplers call these kernels directly.
 # Every combine returns x itself when t == 0 or x == y: a degenerate
 # geodesic is its endpoint, bitwise, which the iteration's stationarity
 # cut-off and its lambda_n = 0 steps rely on.  The fused dist_combine kernels
 # return d(x, y) alongside; on the disk they share one Mobius translation.
-
-def uses_complex(space: SpaceModel) -> bool:
-    return space.kind == POINCARE_DISK or space.dim == 2
-
-
-def to_raw(space: SpaceModel, p: Point):
-    check_point(space, p)
-    if uses_complex(space):
-        return complex(p.coords[0], p.coords[1])
-    return p.coords
-
-
-def from_raw(space: SpaceModel, raw) -> Point:
-    if uses_complex(space):
-        return Point(space.kind, (raw.real, raw.imag))
-    return Point(space.kind, tuple(raw))
-
 
 def _clamp_disk(z: complex) -> complex:
     n2 = z.real * z.real + z.imag * z.imag
@@ -183,23 +182,14 @@ def _e_dist_combine_t(x: tuple, y: tuple, t: float) -> tuple[float, tuple]:
 
 
 def raw_ops(space: SpaceModel):
-    """(dist_fn, combine_fn) on the raw representation of the model."""
+    """(dist, combine, dist_combine) on the raw representation of the model;
+    dist_combine(x, y, t) is (d(x, y), (1 - t) x (+) t y) sharing the work
+    of both, bitwise equal to the pair (dist(x, y), combine(x, y, t))."""
     if space.kind == POINCARE_DISK:
-        return _p_dist, _p_combine
+        return _p_dist, _p_combine, _p_dist_combine
     if space.dim == 2:
-        return _e_dist_c, _e_combine_c
-    return _e_dist_t, _e_combine_t
-
-
-def raw_dist_combine(space: SpaceModel):
-    """dist_combine(x, y, t) -> (d(x, y), (1 - t) x (+) t y) on the raw
-    representation, sharing the work of both; bitwise equal to the pair
-    (dist_fn(x, y), combine_fn(x, y, t)) of raw_ops."""
-    if space.kind == POINCARE_DISK:
-        return _p_dist_combine
-    if space.dim == 2:
-        return _e_dist_combine_c
-    return _e_dist_combine_t
+        return _e_dist_c, _e_combine_c, _e_dist_combine_c
+    return _e_dist_t, _e_combine_t, _e_dist_combine_t
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +197,15 @@ def raw_dist_combine(space: SpaceModel):
 # orbit runner bitwise
 
 def dist(space: SpaceModel, x: Point, y: Point) -> float:
-    dist_fn, _ = raw_ops(space)
-    return dist_fn(to_raw(space, x), to_raw(space, y))
+    return raw_ops(space)[0](check_point(space, x), check_point(space, y))
 
 
 def combine(space: SpaceModel, x: Point, y: Point, lam: float) -> Point:
     """The point (1 - lam) x (+) lam y on the geodesic from x to y."""
-    xr, yr = to_raw(space, x), to_raw(space, y)
+    xr, yr = check_point(space, x), check_point(space, y)
     if not 0.0 <= lam <= 1.0:
         raise ParameterRangeError(f"lambda = {lam!r} outside [0, 1]")
-    _, combine_fn = raw_ops(space)
-    return from_raw(space, combine_fn(xr, yr, lam))
+    return Point(space.kind, raw_ops(space)[1](xr, yr, lam))
 
 
 def uc_modulus_eval(space: SpaceModel, r: float, eps: float) -> float:

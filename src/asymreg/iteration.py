@@ -38,15 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    Point,
-    SpaceModel,
-    check_point,
-    from_raw,
-    raw_dist_combine,
-    raw_ops,
-    to_raw,
-)
+from .geometry import Point, SpaceModel, check_point, raw_ops
 from .mappings import ApproxFixedPointSpec, MappingSpec, raw_apply_fn
 from .moduli import Schedule, seq_float_plan
 
@@ -132,17 +124,16 @@ class Trajectory:
 def ishikawa_step(space: SpaceModel, m: MappingSpec, x: Point,
                   lam: float, s: float) -> tuple[Point, Point]:
     """One update: returns (x_next, y)."""
-    check_point(space, x)
+    xr = check_point(space, x)
     if not 0.0 <= lam <= 1.0:
         raise IterationError(f"lambda = {lam!r} outside [0, 1]")
     if not 0.0 <= s <= 1.0:
         raise IterationError(f"s = {s!r} outside [0, 1]")
     f = raw_apply_fn(space, m)
-    _, combine_fn = raw_ops(space)
-    xr = to_raw(space, x)
+    combine_fn = raw_ops(space)[1]
     y = combine_fn(xr, f(xr), s)
     x_next = combine_fn(xr, f(y), lam)
-    return from_raw(space, x_next), from_raw(space, y)
+    return Point(space.kind, x_next), Point(space.kind, y)
 
 
 def _same_bits(a, b) -> bool:
@@ -164,12 +155,11 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
     keeps the indices [0, c+p), which hold every value of the orbit, and
     the p states of its cycle.
     """
-    check_point(space, x0)
+    x = check_point(space, x0)
     if steps < 0:
         raise IterationError("steps must be a natural")
 
-    dist_fn, combine_fn = raw_ops(space)
-    dist_combine = raw_dist_combine(space)
+    dist_fn, combine_fn, dist_combine = raw_ops(space)
     f = raw_apply_fn(space, m)
 
     lam_head, lam_tail, lam_k = lam_plan = seq_float_plan(schedule.lambda_seq, steps)
@@ -179,12 +169,11 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
     residuals, inner = np.empty(steps + 1), np.empty(steps)
     record = ref_point is not None
     if record:
-        z = to_raw(space, ref_point)
+        z = check_point(space, ref_point)
         ref_d, y_ref_d, ty_ref_d = np.empty(steps + 1), np.empty(steps), np.empty(steps)
     else:
         ref_d = y_ref_d = ty_ref_d = None
 
-    x = to_raw(space, x0)
     period_from = period = None
     # The checkpoint x_{mark_at}: set to x_n at n = const_from, and moved to
     # x_n whenever n reaches move_at, after windows of 2, 4, 8, ... steps.
@@ -245,8 +234,8 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
     return Trajectory(
         space=space, mapping=m, schedule=schedule, start=x0, steps=steps,
         residuals=residuals, inner_residuals=inner,
-        cycle=tuple(from_raw(space, v) for v in ring),
-        inner_cycle=tuple(from_raw(space, v) for v in inner_ring),
+        cycle=tuple(Point(space.kind, v) for v in ring),
+        inner_cycle=tuple(Point(space.kind, v) for v in inner_ring),
         lam_plan=lam_plan, s_plan=s_plan,
         afp=afp, ref_point=ref_point,
         ref_distances=ref_d, inner_ref_distances=y_ref_d,

@@ -27,10 +27,8 @@ from .geometry import (
     SpaceModel,
     check_point,
     dist,
-    from_raw,
     make_point,
     raw_ops,
-    to_raw,
 )
 from .moduli import SLACK
 
@@ -109,10 +107,11 @@ def metric_projection(center, radius: float, domain: DomainSpec | None = None) -
                        radius=float(radius), domain=domain or whole_space())
 
 
-def _require_center(space: SpaceModel, m: MappingSpec) -> Point:
+def _require_center(space: SpaceModel, m: MappingSpec):
+    """The raw value of m's center in space."""
     if m.center is None:
         raise MappingError(f"{m.kind} needs a center")
-    return make_point(space, m.center)
+    return make_point(space, m.center).raw
 
 
 def raw_apply_fn(space: SpaceModel, m: MappingSpec) -> Callable:
@@ -124,12 +123,11 @@ def raw_apply_fn(space: SpaceModel, m: MappingSpec) -> Callable:
     if kind == EUCLIDEAN_ROTATION:
         if space.kind != EUCLIDEAN or space.dim < 2:
             raise MappingError("rotation needs a Euclidean model of dim >= 2")
-        center = _require_center(space, m)
+        c = _require_center(space, m)
         rot = cmath.exp(1j * m.angle)
         if space.dim == 2:
-            c = complex(*center.coords)
             return lambda z: c + (z - c) * rot
-        c0, c1 = center.coords[0], center.coords[1]
+        c0, c1 = c[0], c[1]
 
         def rotate_first_two(p: tuple) -> tuple:
             w = complex(p[0] - c0, p[1] - c1) * rot
@@ -140,17 +138,15 @@ def raw_apply_fn(space: SpaceModel, m: MappingSpec) -> Callable:
     if kind == EUCLIDEAN_REFLECTION_AVERAGE:
         if space.kind != EUCLIDEAN:
             raise MappingError("reflection average needs a Euclidean model")
-        center = _require_center(space, m)
         # midpoint of z and its reflection 2c - z is c for every z
-        c_raw = to_raw(space, center)
-        return lambda z: c_raw
+        c = _require_center(space, m)
+        return lambda z: c
 
     if kind == POINCARE_ROTATION:
         if space.kind != POINCARE_DISK:
             raise MappingError("disk rotation needs the Poincare model")
-        center = _require_center(space, m)
+        c = _require_center(space, m)
         rot = cmath.exp(1j * m.angle)
-        c = complex(*center.coords)
         if c == 0:
             return lambda z: z * rot
         cc = c.conjugate()
@@ -163,16 +159,15 @@ def raw_apply_fn(space: SpaceModel, m: MappingSpec) -> Callable:
         return rotate_about
 
     if kind == METRIC_PROJECTION:
-        center = _require_center(space, m)
+        c = _require_center(space, m)
         radius = m.radius
-        c_raw = to_raw(space, center)
-        dist_fn, combine_fn = raw_ops(space)
+        dist_fn, combine_fn, _ = raw_ops(space)
 
         def project(z):
-            d = dist_fn(c_raw, z)
+            d = dist_fn(c, z)
             if d <= radius:
                 return z
-            return combine_fn(c_raw, z, radius / d)
+            return combine_fn(c, z, radius / d)
 
         return project
 
@@ -188,10 +183,10 @@ def in_domain(space: SpaceModel, m: MappingSpec, x: Point) -> bool:
 
 
 def apply_map(space: SpaceModel, m: MappingSpec, x: Point) -> Point:
-    check_point(space, x)
+    xr = check_point(space, x)
     if not in_domain(space, m, x):
         raise DomainError("point outside the mapping's domain")
-    return from_raw(space, raw_apply_fn(space, m)(to_raw(space, x)))
+    return Point(space.kind, raw_apply_fn(space, m)(xr))
 
 
 def declared_fixed_point(space: SpaceModel, m: MappingSpec) -> Point | None:

@@ -30,10 +30,13 @@ from .geometry import (
     POINCARE_DISK,
     Point,
     SpaceModel,
-    combine,
+    check_point,
     dist,
-    make_point,
+    raw_ops,
+    raw_point,
 )
+# Unused here; perfbench/spans._COUNTED still wraps this name in this module.
+from .geometry import combine  # noqa: F401
 from .iteration import Trajectory, run_trajectory
 from .mappings import MappingSpec, apply_map, declared_fixed_point
 from .moduli import (
@@ -51,6 +54,7 @@ from .report import CheckReport
 
 EUCLID_SAMPLE_RADIUS = 10.0
 DISK_SAMPLE_RADIUS = 5.0  # hyperbolic distance to the origin
+_SAMPLE_RADIUS = {EUCLIDEAN: EUCLID_SAMPLE_RADIUS, POINCARE_DISK: DISK_SAMPLE_RADIUS}
 # The soundness window [phi, phi + SOUNDNESS_WINDOW] is simulated and read.
 SOUNDNESS_WINDOW = 1000
 
@@ -63,32 +67,31 @@ def _rng(seed: int, name: str) -> random.Random:
 def sample_point(space: SpaceModel, rng: random.Random) -> Point:
     """Euclidean: uniform in the ball of radius 10.  Disk: uniform direction
     with hyperbolic distance to the origin uniform in [0, 5]."""
-    if space.kind == POINCARE_DISK:
-        t = rng.random() * DISK_SAMPLE_RADIUS
-        phi = rng.random() * 2.0 * math.pi
-        r = math.tanh(t / 2.0)
-        return Point(space.kind, (r * math.cos(phi), r * math.sin(phi)))
-    vec = [rng.gauss(0.0, 1.0) for _ in range(space.dim)]
-    norm = math.sqrt(sum(v * v for v in vec)) or 1.0
-    scale = EUCLID_SAMPLE_RADIUS * rng.random() ** (1.0 / space.dim) / norm
-    return Point(space.kind, tuple(v * scale for v in vec))
+    return Point(space.kind, _draw(space, rng, _SAMPLE_RADIUS[space.kind]))
 
 
 def sample_point_near(space: SpaceModel, rng: random.Random,
                       x: Point, max_dist: float) -> Point:
     """A point y with d(x, y) <= max_dist."""
+    return Point(space.kind, _draw(space, rng, max_dist, check_point(space, x)))
+
+
+def _draw(space: SpaceModel, rng: random.Random, radius: float, center=None):
+    """A raw point within distance radius of the raw point center (of the
+    origin when None), drawn as sample_point draws it."""
     if space.kind == POINCARE_DISK:
-        t = rng.random() * max_dist
+        t = rng.random() * radius
         phi = rng.random() * 2.0 * math.pi
-        w = complex(math.tanh(t / 2.0) * math.cos(phi),
-                    math.tanh(t / 2.0) * math.sin(phi))
-        z = complex(*x.coords)
-        out = (z + w) / (1.0 + z.conjugate() * w)
-        return Point(space.kind, (out.real, out.imag))
+        r = math.tanh(t / 2.0)
+        w = complex(r * math.cos(phi), r * math.sin(phi))
+        return w if center is None else (center + w) / (1.0 + center.conjugate() * w)
     vec = [rng.gauss(0.0, 1.0) for _ in range(space.dim)]
     norm = math.sqrt(sum(v * v for v in vec)) or 1.0
-    scale = max_dist * rng.random() ** (1.0 / space.dim) / norm
-    return Point(space.kind, tuple(c + v * scale for c, v in zip(x.coords, vec)))
+    scale = radius * rng.random() ** (1.0 / space.dim) / norm
+    if center is None:
+        return raw_point(space, [v * scale for v in vec])
+    c = Point(space.kind, center).coords
+    return raw_point(space, [a + v * scale for a, v in zip(c, vec)])
 
 
 # ---------------------------------------------------------------------------
@@ -98,42 +101,45 @@ def check_space_axioms(space: SpaceModel, samples: int = 10_000, seed: int = 0,
                        combine_override=None) -> CheckReport:
     """Metric axioms plus the four convexity identities of the combination
     map: (W1) point-to-segment convexity, (W2) constant-speed
-    parameterization, (W3) endpoint symmetry, (W4) joint convexity."""
+    parameterization, (W3) endpoint symmetry, (W4) joint convexity.
+    combine_override, a raw (x, y, t) combine, replaces the model's."""
     report = CheckReport("space-axioms", samples=samples)
-    comb = combine_override or combine
+    d, comb, _ = raw_ops(space)
+    comb = combine_override or comb
+    radius = _SAMPLE_RADIUS[space.kind]
     rng = _rng(seed, f"space-axioms:{space.kind}:{space.dim}")
     for i in range(samples):
-        x, y, z, w = (sample_point(space, rng) for _ in range(4))
+        x, y, z, w = (_draw(space, rng, radius) for _ in range(4))
         lam, lam2 = rng.random(), rng.random()
 
-        dxy = dist(space, x, y)
+        dxy = d(x, y)
         tol_rel = SLACK * (1.0 + dxy)
         if dxy < 0:
             report.fail({"axiom": "nonnegative", "i": i}, dxy, 0.0, 0.0)
-        if dist(space, x, x) > 1e-12:
-            report.fail({"axiom": "identity", "i": i}, dist(space, x, x), 0.0, 1e-12)
-        if abs(dxy - dist(space, y, x)) > tol_rel:
-            report.fail({"axiom": "symmetry", "i": i}, dist(space, y, x), dxy, tol_rel)
-        dxz, dyz = dist(space, x, z), dist(space, y, z)
+        if d(x, x) > 1e-12:
+            report.fail({"axiom": "identity", "i": i}, d(x, x), 0.0, 1e-12)
+        if abs(dxy - d(y, x)) > tol_rel:
+            report.fail({"axiom": "symmetry", "i": i}, d(y, x), dxy, tol_rel)
+        dxz, dyz = d(x, z), d(y, z)
         tol_tri = SLACK * (1.0 + dxy + dyz)
         if dxz > dxy + dyz + tol_tri:
             report.fail({"axiom": "triangle", "i": i}, dxz, dxy + dyz, tol_tri)
 
-        w_lam = comb(space, x, y, lam)
-        w_lam2 = comb(space, x, y, lam2)
-        lhs = dist(space, z, w_lam)
+        w_lam = comb(x, y, lam)
+        w_lam2 = comb(x, y, lam2)
+        lhs = d(z, w_lam)
         rhs = (1.0 - lam) * dxz + lam * dyz
         if lhs > rhs + SLACK:
             report.fail({"axiom": "W1", "i": i, "lam": lam}, lhs, rhs, SLACK)
-        lhs = abs(dist(space, w_lam, w_lam2) - abs(lam - lam2) * dxy)
+        lhs = abs(d(w_lam, w_lam2) - abs(lam - lam2) * dxy)
         if lhs > tol_rel:
             report.fail({"axiom": "W2", "i": i, "lam": lam, "lam2": lam2},
-                        dist(space, w_lam, w_lam2), abs(lam - lam2) * dxy, tol_rel)
-        lhs = dist(space, w_lam, comb(space, y, x, 1.0 - lam))
+                        d(w_lam, w_lam2), abs(lam - lam2) * dxy, tol_rel)
+        lhs = d(w_lam, comb(y, x, 1.0 - lam))
         if lhs > SLACK:
             report.fail({"axiom": "W3", "i": i, "lam": lam}, lhs, 0.0, SLACK)
-        lhs = dist(space, comb(space, x, z, lam), comb(space, y, w, lam))
-        rhs = (1.0 - lam) * dxy + lam * dist(space, z, w)
+        lhs = d(comb(x, z, lam), comb(y, w, lam))
+        rhs = (1.0 - lam) * dxy + lam * d(z, w)
         if lhs > rhs + SLACK:
             report.fail({"axiom": "W4", "i": i, "lam": lam}, lhs, rhs, SLACK)
     return report
@@ -150,15 +156,17 @@ def check_uc_implication(space: SpaceModel, samples: int = 10_000, seed: int = 0
     d((1-lam) x (+) lam y, a) <= (1 - 2 lam (1 - lam) eta(s, eps)) r."""
     desc = eta or space.modulus
     report = CheckReport("uc-implication")
+    d, comb, _ = raw_ops(space)
+    radius = _SAMPLE_RADIUS[space.kind]
     rng = _rng(seed, f"uc-implication:{space.kind}")
     effective = 0
     for i in range(samples):
-        a, x, y = (sample_point(space, rng) for _ in range(3))
-        rmax = max(dist(space, x, a), dist(space, y, a))
+        a, x, y = (_draw(space, rng, radius) for _ in range(3))
+        rmax = max(d(x, a), d(y, a))
         if rmax == 0.0:
             continue
         r = rmax * (1.0 + rng.random())
-        dxy = dist(space, x, y)
+        dxy = d(x, y)
         eps = min(2.0, dxy / r)
         if i % 2 == 1:
             eps *= rng.random()
@@ -166,9 +174,9 @@ def check_uc_implication(space: SpaceModel, samples: int = 10_000, seed: int = 0
             continue
         effective += 1
 
-        mid = combine(space, x, y, 0.5)
+        mid = comb(x, y, 0.5)
         bound = (1.0 - eval_eta(desc, r, eps)) * r
-        lhs = dist(space, mid, a)
+        lhs = d(mid, a)
         if lhs > bound + SLACK:
             report.fail({"form": "midpoint", "i": i, "r": r, "eps": eps},
                         lhs, bound, SLACK)
@@ -176,7 +184,7 @@ def check_uc_implication(space: SpaceModel, samples: int = 10_000, seed: int = 0
         lam = rng.random()
         s = r * (1.0 + 2.0 * rng.random())
         bound = (1.0 - 2.0 * lam * (1.0 - lam) * eval_eta(desc, s, eps)) * r
-        lhs = dist(space, combine(space, x, y, lam), a)
+        lhs = d(comb(x, y, lam), a)
         if lhs > bound + SLACK:
             report.fail({"form": "general-lambda", "i": i, "r": r, "s": s,
                          "eps": eps, "lam": lam}, lhs, bound, SLACK)
@@ -199,13 +207,14 @@ def check_dyadic_uc_implication(space: SpaceModel, desc: ModulusDescriptor,
         raise ValueError("dyadic implication check runs on a Euclidean model")
     name = "uc-implication-dyadic-" + ("strict" if conclusion_strict else "weak")
     report = CheckReport(name, samples=samples)
+    d, comb, _ = raw_ops(space)
     rng = _rng(seed, f"{name}:{space.dim}")
     activations = 0
     for i in range(samples):
         k = rng.randrange(0, 4)
         if i % 2 == 0:
-            a, x, y = (sample_point(space, rng) for _ in range(3))
-            rmax = max(dist(space, x, a), dist(space, y, a))
+            a, x, y = (_draw(space, rng, EUCLID_SAMPLE_RADIUS) for _ in range(3))
+            rmax = max(d(x, a), d(y, a))
             if rmax == 0.0:
                 continue
             r = rmax * (1.0 + 0.001 + rng.random())
@@ -213,10 +222,10 @@ def check_dyadic_uc_implication(space: SpaceModel, desc: ModulusDescriptor,
             a, x, y, r = _near_threshold_triple(space, rng, k)
         m = eval_eta1(desc, r, k)
         threshold = (1.0 - 2.0 ** (-m)) * r
-        if dist(space, combine(space, x, y, 0.5), a) <= threshold:
+        if d(comb(x, y, 0.5), a) <= threshold:
             continue
         activations += 1
-        dxy = dist(space, x, y)
+        dxy = d(x, y)
         bound = 2.0 ** (-k) * r
         tol = SLACK * (1.0 + r)
         ok = dxy < bound + tol if conclusion_strict else dxy <= bound + tol
@@ -229,9 +238,9 @@ def check_dyadic_uc_implication(space: SpaceModel, desc: ModulusDescriptor,
 
 
 def _near_threshold_triple(space: SpaceModel, rng: random.Random, k: int):
-    """x, y near the sphere of radius r about a, separated by 2^-(k+2) r,
-    so the midpoint premise of the dyadic implication activates."""
-    a = sample_point(space, rng)
+    """Raw x, y near the sphere of radius r about a raw a, separated by
+    2^-(k+2) r, so the midpoint premise of the dyadic implication activates."""
+    a = _draw(space, rng, EUCLID_SAMPLE_RADIUS)
     e1 = [rng.gauss(0.0, 1.0) for _ in range(space.dim)]
     n1 = math.sqrt(sum(v * v for v in e1)) or 1.0
     e1 = [v / n1 for v in e1]
@@ -245,10 +254,9 @@ def _near_threshold_triple(space: SpaceModel, rng: random.Random, k: int):
     d_ax = r * (1.0 - w)
     sep = 2.0 ** (-k - 2) * r
     h = math.sqrt(d_ax * d_ax - sep * sep / 4.0)
-    x = Point(space.kind, tuple(c + h * u + 0.5 * sep * v
-                                for c, u, v in zip(a.coords, e1, e2)))
-    y = Point(space.kind, tuple(c + h * u - 0.5 * sep * v
-                                for c, u, v in zip(a.coords, e1, e2)))
+    ac = Point(space.kind, a).coords
+    x = raw_point(space, [c + h * u + 0.5 * sep * v for c, u, v in zip(ac, e1, e2)])
+    y = raw_point(space, [c + h * u - 0.5 * sep * v for c, u, v in zip(ac, e1, e2)])
     return a, x, y, r
 
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -109,6 +110,9 @@ def mutate(**patches):
     return d
 
 
+DISK = {"kind": "PoincareDisk", "dim": 2}
+
+
 @pytest.mark.parametrize("patch,fragment", [
     ({"schedule__L": ...}, "config.schedule.L"),
     ({"space__kind": "Banach"}, "config.space.kind"),
@@ -124,10 +128,36 @@ def mutate(**patches):
     ({"seed": "abc"}, "config.seed"),
     ({"caps": {"max_steps": 0}}, "config.caps.max_steps"),
     ({"mapping__frobnicate": 1}, "frobnicate"),
+    # a mapping that does not fit the space, with and without afp.fixed_point
+    ({"afp__fixed_point": ..., "mapping__center": [0.0, 0.0, 0.0]},
+     "config.mapping.center: expected 2 coordinates"),
+    ({"space": DISK, "start": [0.4, 0.0], "afp__fixed_point": ...,
+      "mapping": {"kind": "PoincareRotation", "center": [1.5, 0.0], "angle": "pi"}},
+     "config.mapping.center: point with"),
+    ({"space__dim": 1, "start": [1.0], "afp__fixed_point": [0.0],
+      "mapping__center": [0.0]}, "config.mapping: rotation needs"),
+    ({"mapping__domain": {"kind": "ClosedBall", "center": [0.0, 0.0, 0.0], "radius": 5.0}},
+     "config.mapping.domain.center: expected 2 coordinates"),
+    ({"space": DISK, "start": [0.4, 0.0], "afp__fixed_point": [0.0, 0.0],
+      "mapping": {"kind": "PoincareRotation", "center": [0.0, 0.0], "angle": "pi",
+                  "domain": {"kind": "ClosedBall", "center": [1.5, 0.0], "radius": 1.0}}},
+     "config.mapping.domain.center: point with"),
 ])
-def test_bad_config_errors_name_the_path(patch, fragment):
+def test_bad_config_errors_name_the_path(tmp_path, capsys, patch, fragment):
+    data = mutate(**patch)
     with pytest.raises(ar.ConfigError, match=fragment):
-        ar.config_from_dict(mutate(**patch))
+        ar.config_from_dict(data)
+    target = tmp_path / "bad.json"
+    target.write_text(json.dumps(data))
+    assert main(["rate", "--config", str(target), "--eps", "0.5"]) == 2
+    assert re.search(fragment, capsys.readouterr().err)
+
+
+def test_validate_config_rejects_a_mismatched_mapping():
+    config = ar.config_from_dict(base_dict())
+    bad = dataclasses.replace(config, mapping=ar.poincare_rotation((0.0, 0.0), math.pi))
+    with pytest.raises(ar.ConfigError, match=r"^config\.mapping"):
+        ar.validate_config(bad)
 
 
 @pytest.mark.parametrize("data,prefix", [
@@ -243,6 +273,18 @@ def test_top_level_unknown_key_rejected():
 
 GOLDEN_DOCS = {name: json.loads((CONFIG_DIR / f"{name}.json").read_text())
                for name in ALL_NAMES}
+
+
+def _without_fixed_point(doc):
+    doc = copy.deepcopy(doc)
+    del doc["afp"]["fixed_point"]
+    return doc
+
+
+# Without afp.fixed_point the loader takes the fixed point the mapping
+# declares, so the fuzzer also starts from each golden config without it.
+GOLDEN_DOCS |= {f"{name}-declared": _without_fixed_point(GOLDEN_DOCS[name])
+                for name in ALL_NAMES}
 
 
 def _field_paths(value, path=()):

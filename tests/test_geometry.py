@@ -15,11 +15,7 @@ from asymreg.geometry import (
     _e_combine_c,
     _e_combine_t,
     _p_combine,
-    from_raw,
-    raw_dist_combine,
     raw_ops,
-    to_raw,
-    uses_complex,
 )
 
 E2 = ar.euclidean(2)
@@ -155,6 +151,16 @@ def test_model_mismatch_rejected():
     p = ar.make_point(E2, (0.0, 0.0))
     with pytest.raises(ar.DimensionMismatchError):
         ar.dist(D, p, p)
+    with pytest.raises(ar.DimensionMismatchError, match="expected 3 coordinates, got 2"):
+        ar.dist(E3, p, p)
+    p3 = ar.make_point(E3, (1.0, 2.0, 3.0))
+    with pytest.raises(ar.DimensionMismatchError, match="expected 5 coordinates, got 3"):
+        ar.combine(ar.euclidean(5), p3, p3, 0.5)
+    q = ar.make_point(D, (0.5, 0.0))
+    with pytest.raises(ar.DimensionMismatchError, match="model"):
+        ar.dist(E2, q, q)
+    with pytest.raises(ar.DimensionMismatchError, match="model"):
+        ar.sample_point_near(E2, random.Random(0), q, 1.0)
 
 
 def test_combine_rejects_out_of_range_lambda():
@@ -172,13 +178,12 @@ def test_combine_near_boundary_stays_interior():
     assert m.coords[0] ** 2 + m.coords[1] ** 2 < 1.0 - DISK_MARGIN / 2
 
 
-def test_raw_representation_round_trip():
-    assert uses_complex(E2) and uses_complex(D) and not uses_complex(E3)
-    p = ar.make_point(E2, (1.5, -2.5))
-    assert to_raw(E2, p) == complex(1.5, -2.5)
-    assert from_raw(E2, to_raw(E2, p)).coords == p.coords
-    p3 = ar.make_point(E3, (1.0, 2.0, 3.0))
-    assert from_raw(E3, to_raw(E3, p3)).coords == p3.coords
+def test_point_holds_the_raw_kernel_value():
+    for space, coords in ((E2, (1.5, -0.0)), (D, (-0.0, 0.25)),
+                          (E3, (1.0, -0.0, 3.0))):
+        p = ar.make_point(space, coords)
+        assert type(p.raw) is (complex if space.dim == 2 else tuple)
+        assert _bits(p.coords) == _bits(coords)
 
 
 def test_space_constructors():
@@ -310,8 +315,7 @@ def _kernel_cases(name, rng):
 @pytest.mark.parametrize("name", sorted(REF_OPS))
 def test_dist_combine_matches_separate_formulas_bitwise(name):
     space, ref_dist, ref_combine = REF_OPS[name]
-    fused = raw_dist_combine(space)
-    dist_fn, combine_fn = raw_ops(space)
+    dist_fn, combine_fn, fused = raw_ops(space)
     clamped = guarded = equal = 0
     for x, y, t in _kernel_cases(name, random.Random(2024)):
         d, z = fused(x, y, t)
@@ -334,7 +338,7 @@ def test_dist_combine_t0_returns_x_itself():
     for space, x, y in ((E2, complex(-0.0, 1.5), complex(2.0, -1.0)),
                         (ar.euclidean(5), (-0.0, 1.0, 2.0, 3.0, 4.0),
                          (1.0, 1.0, 1.0, 1.0, 1.0))):
-        d, z = raw_dist_combine(space)(x, y, 0.0)
+        d, z = raw_ops(space)[2](x, y, 0.0)
         assert z is x
         assert d == raw_ops(space)[0](x, y)
 

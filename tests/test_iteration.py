@@ -14,7 +14,7 @@ from conftest import CONFIG_DIR
 
 import asymreg as ar
 from asymreg import iteration
-from asymreg.geometry import raw_ops, to_raw, uses_complex
+from asymreg.geometry import raw_ops
 from asymreg.mappings import raw_apply_fn
 from asymreg.moduli import seq_float_plan
 
@@ -425,16 +425,17 @@ def uncut():
 
 def _run_uncut(config, steps):
     space, sched = config.space, config.schedule
-    dist_fn, combine_fn = raw_ops(space)
+    dist_fn, combine_fn, _ = raw_ops(space)
     f = raw_apply_fn(space, config.mapping)
-    z = to_raw(space, ar.reference_point(config))
+    z = ar.reference_point(config).raw
     res, rd = np.empty(steps + 1), np.empty(steps + 1)
     inner, yrd, tyrd = np.empty(steps), np.empty(steps), np.empty(steps)
     # raw points: complex numbers on the disk and the plane, else tuples
-    shape = (steps + 1,) if uses_complex(space) else (steps + 1, space.dim)
-    dtype = np.complex128 if uses_complex(space) else np.float64
+    x = config.start.raw
+    plane = type(x) is complex
+    shape = (steps + 1,) if plane else (steps + 1, space.dim)
+    dtype = np.complex128 if plane else np.float64
     xs, ys = np.empty(shape, dtype), np.empty((steps,) + shape[1:], dtype)
-    x = to_raw(space, config.start)
     for n, lam, s in zip(range(steps), float_terms(sched.lambda_seq),
                          float_terms(sched.s_seq)):
         tx = f(x)

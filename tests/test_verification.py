@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import asymreg as ar
+from asymreg.geometry import raw_ops
 
 E2 = ar.euclidean(2)
 E5 = ar.euclidean(5)
@@ -20,8 +21,10 @@ def test_space_axioms_pass_all_models():
 
 
 def test_space_axioms_catch_broken_combine():
-    def bad(space, x, y, lam):
-        return ar.combine(space, x, y, lam * lam)
+    combine_fn = raw_ops(E2)[1]
+
+    def bad(x, y, lam):
+        return combine_fn(x, y, lam * lam)
     rep = ar.check_space_axioms(E2, samples=300, seed=3, combine_override=bad)
     assert not rep.passed
     axioms = {dict(f.inputs)["axiom"] for f in rep.failures}
