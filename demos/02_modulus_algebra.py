@@ -56,7 +56,7 @@ geo = ar.Schedule(ar.seq_constant(half), ar.seq_geometric(half, half),
                   ar.theta_linear(4), 2, 0,
                   ar.gamma_geometric_tail(half, half, half))
 deltas = [Fraction(1, 2 ** j) for j in range(8)]
-print(f"  s_n = 2^-(n+1):  gamma(1/16) = {geo.gamma_at(Fraction(1, 16))}")
+print(f"  s_n = 2^-(n+1):  gamma(1/16) = {ar.eval_gamma(geo.gamma, Fraction(1, 16))}")
 print(f"  {ar.verify_gamma(geo, deltas, n_max=1_000).summary_line()}")
 eager = ar.Schedule(geo.lambda_seq, geo.s_seq, geo.theta, 2, 0,
                     ar.gamma_shifted(geo.gamma, -1))

@@ -14,7 +14,7 @@ under configs/: `rate --k 0 --k 100` at each eps of its grid and at 2.5,
 `sweep`, `run` at the smallest grid eps, and `verify-space`.  For every case
 and repeat, a child process imports asymreg.cli from DIR (default: src/ of
 this checkout), calls main once with --json (and --out into a temporary
-directory for run and sweep), and reports:
+directory for run and sweep; see cli_digest.digest_main), and reports:
 
 - cpu_s: the CPU seconds of that main call (time.process_time);
 - peak_rss_mb: the peak resident set size of the whole child process
@@ -23,9 +23,9 @@ directory for run and sweep), and reports:
   and the sample count of each check and the overall verdict;
 - stdout_sha256: the sha256 of the printed JSON, and files_sha256: that of
   each file written under --out, both with the temporary directory's path
-  replaced by OUT_TOKEN, so that two checkouts that print and write the
-  same bytes get the same hashes; output_stable says whether every repeat
-  got the same hashes.
+  replaced by cli_digest.OUT_TOKEN, so that two checkouts that print and
+  write the same bytes get the same hashes; output_stable says whether
+  every repeat got the same hashes.
 
 The output file holds these per case, with the median CPU time and the
 largest peak RSS over the repeats, next to the Python and numpy versions and
@@ -43,38 +43,20 @@ import shlex
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 
-OUT_TOKEN = "<OUT>"
-
 CHILD = r"""
-import contextlib, hashlib, io, json, pathlib, resource, sys, tempfile, time
-sys.path.insert(0, sys.argv[1])
-argv, token = json.loads(sys.argv[2]), sys.argv[3]
+import json, resource, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from asymreg.cli import main
-
-def sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-with tempfile.TemporaryDirectory() as out:
-    extra = ["--json"] + (["--out", out] if argv[0] in ("run", "sweep") else [])
-    printed = io.StringIO()
-    start = time.process_time()
-    with contextlib.redirect_stdout(printed):
-        code = main(argv + extra)
-    cpu = time.process_time() - start
-    files = {str(f.relative_to(out)): sha(f.read_bytes().replace(out.encode(), token.encode()))
-             for f in sorted(pathlib.Path(out).rglob("*")) if f.is_file()}
-    stdout_sha = sha(printed.getvalue().replace(out, token).encode())
-rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"code": code, "cpu_s": cpu, "rss_kb": rss_kb,
-                  "printed": printed.getvalue(), "stdout_sha256": stdout_sha,
-                  "files_sha256": files}))
+from cli_digest import digest_main
+result = digest_main(main, json.loads(sys.argv[3]))
+result["rss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps(result))
 """
 
 
@@ -93,13 +75,27 @@ def golden_cases() -> dict[str, str]:
 
 
 def run_case(src: Path, argv: list[str]) -> dict:
-    done = subprocess.run([sys.executable, "-c", CHILD, str(src), json.dumps(argv), OUT_TOKEN],
+    done = subprocess.run([sys.executable, "-c", CHILD, str(src), str(ROOT / "scripts"),
+                           json.dumps(argv)],
                           cwd=ROOT, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def outcome(printed: str) -> dict:
+    """What a case's printed JSON says: the orbit's length and cut-off, and
+    the verdict and sample count of each check and overall."""
+    doc = json.loads(printed)
+    return {
+        "steps": doc.get("steps"),
+        "period_from": doc.get("period_from"),
+        "period": doc.get("period"),
+        "verdicts": {c["check_name"]: c["verdict"] for c in doc.get("checks", [])},
+        "samples": {c["check_name"]: c["samples"] for c in doc.get("checks", [])},
+        "verdict": doc.get("verdict"),
+    }
+
+
 def summarize(name: str, argv: list[str], runs: list[dict]) -> dict:
-    doc = json.loads(runs[-1]["printed"])
     cpu = [r["cpu_s"] for r in runs]
     rss = [r["rss_kb"] / 1024 for r in runs]
     return {
@@ -110,12 +106,7 @@ def summarize(name: str, argv: list[str], runs: list[dict]) -> dict:
         "cpu_s_median": statistics.median(cpu),
         "peak_rss_mb": rss,
         "peak_rss_mb_max": max(rss),
-        "steps": doc.get("steps"),
-        "period_from": doc.get("period_from"),
-        "period": doc.get("period"),
-        "verdicts": {c["check_name"]: c["verdict"] for c in doc.get("checks", [])},
-        "samples": {c["check_name"]: c["samples"] for c in doc.get("checks", [])},
-        "verdict": doc.get("verdict"),
+        **outcome(runs[-1]["printed"]),
         "stdout_sha256": runs[-1]["stdout_sha256"],
         "files_sha256": runs[-1]["files_sha256"],
         "output_stable": all((r["stdout_sha256"], r["files_sha256"])

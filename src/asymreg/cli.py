@@ -25,7 +25,7 @@ from .config import HARD_STEP_CAP, Caps, ConfigError, ExperimentConfig, load_con
 from .geometry import EUCLIDEAN
 from .iteration import run_trajectory, trajectory_to_csv
 from .moduli import eta_to_eta1
-from .rates import RateError
+from .rates import RateError, evaluated
 # Unused here; perfbench/spans._SPANNED still wraps these names in this module.
 from .rates import compute_delta, compute_phi, epsilon_shortcut, inputs_for  # noqa: F401
 from .report import FAIL, PASS, UNVERIFIED_AT_SCALE, CheckReport
@@ -165,17 +165,18 @@ def _worst(reports) -> str:
 # subcommands
 
 def _cmd_verify_space(config: ExperimentConfig, args) -> int:
-    space, seed, n = config.space, config.seed, args.samples
-    reports = [
-        check_space_axioms(space, samples=n, seed=seed),
-        check_uc_implication(space, samples=n, seed=seed),
-    ]
-    if space.kind == EUCLIDEAN:
-        reports.append(check_dyadic_uc_implication(
-            space, eta_to_eta1(space.modulus), conclusion_strict=True,
-            samples=n, seed=seed))
+    reports = evaluated("space.modulus", _space_checks, config.space, args.samples, config.seed)
     _emit(reports, args.json)
     return _exit_code(reports)
+
+
+def _space_checks(space, n: int, seed: int) -> list[CheckReport]:
+    reports = [check_space_axioms(space, samples=n, seed=seed),
+               check_uc_implication(space, samples=n, seed=seed)]
+    if space.kind == EUCLIDEAN:
+        reports.append(check_dyadic_uc_implication(
+            space, eta_to_eta1(space.modulus), conclusion_strict=True, samples=n, seed=seed))
+    return reports
 
 
 def _rate_doc(config: ExperimentConfig, eps: float, k_list) -> dict:
@@ -210,8 +211,11 @@ def _cmd_run(config: ExperimentConfig, args) -> int:
     extra: dict = {}
 
     steps = args.steps
-    if steps is None and args.eps is not None:
-        steps = certify(config, args.eps).window_end
+    if args.eps is not None:
+        # a bad eps or a descriptor outside its domain ends the run here,
+        # before anything is simulated or written
+        window_end = certify(config, args.eps).window_end
+        steps = window_end if steps is None else steps
     steps = min(10_000 if steps is None else steps, step_cap(config))
 
     traj = run_trajectory(

@@ -42,12 +42,14 @@ from .mappings import (
     validate_afp,
 )
 from .moduli import (
+    ROLE_ETA,
+    ROLE_GAMMA,
+    ROLE_NATURAL,
     ModulusDescriptor,
     Schedule,
     ScheduleError,
     descriptor_from_dict,
     descriptor_to_dict,
-    eta_quadratic,
     sequence_from_dict,
     validate_schedule,
 )
@@ -166,14 +168,14 @@ def _parse_space(data, path: str) -> SpaceModel:
     _unknown_keys(data, {"kind", "dim", "modulus"}, path)
     modulus = None
     if "modulus" in data:
-        modulus = _parse_descriptor(data["modulus"], f"{path}.modulus")
+        modulus = _parse_descriptor(data["modulus"], f"{path}.modulus", ROLE_ETA)
     if kind == EUCLIDEAN:
         dim = _as_int(data.get("dim", 2), f"{path}.dim", minimum=1)
-        return euclidean(dim, modulus or eta_quadratic())
+        return euclidean(dim, modulus)
     if kind == POINCARE_DISK:
         if "dim" in data and data["dim"] != 2:
             raise _err(f"{path}.dim", "the disk model is two-dimensional")
-        return poincare_disk(modulus or eta_quadratic())
+        return poincare_disk(modulus)
     raise _err(f"{path}.kind", f"unknown space kind {kind!r}")
 
 
@@ -220,16 +222,11 @@ def _parse_mapping(data, path: str) -> MappingSpec:
     return MappingSpec(kind, center, angle, radius, domain)
 
 
-def _parse_sequence(data, path: str) -> ModulusDescriptor:
+def _parse_descriptor(data, path: str, role: str | None = None) -> ModulusDescriptor:
+    """The descriptor at path: a modulus of a kind that plays role, or an
+    averaging sequence when no role is given."""
     try:
-        return sequence_from_dict(data)
-    except (ValueError, TypeError) as exc:
-        raise _err(path, str(exc)) from exc
-
-
-def _parse_descriptor(data, path: str):
-    try:
-        return descriptor_from_dict(data)
+        return sequence_from_dict(data) if role is None else descriptor_from_dict(data, role)
     except (ValueError, TypeError) as exc:
         raise _err(path, str(exc)) from exc
 
@@ -238,13 +235,13 @@ def _parse_schedule(data, path: str) -> Schedule:
     data = _object(data, path)
     _unknown_keys(data, {"lambda", "s", "theta", "L", "N0", "gamma"}, path)
     schedule = Schedule(
-        lambda_seq=_parse_sequence(_get(data, "lambda", path), f"{path}.lambda"),
-        s_seq=_parse_sequence(_get(data, "s", path), f"{path}.s"),
-        theta=_parse_descriptor(_get(data, "theta", path), f"{path}.theta"),
+        lambda_seq=_parse_descriptor(_get(data, "lambda", path), f"{path}.lambda"),
+        s_seq=_parse_descriptor(_get(data, "s", path), f"{path}.s"),
+        theta=_parse_descriptor(_get(data, "theta", path), f"{path}.theta", ROLE_NATURAL),
         L=_as_int(_get(data, "L", path), f"{path}.L", minimum=1),
         N0=_as_int(_get(data, "N0", path, required=False, default=0),
                    f"{path}.N0", minimum=0),
-        gamma=_parse_descriptor(_get(data, "gamma", path), f"{path}.gamma"),
+        gamma=_parse_descriptor(_get(data, "gamma", path), f"{path}.gamma", ROLE_GAMMA),
     )
     try:
         validate_schedule(schedule)

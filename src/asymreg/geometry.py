@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .moduli import ModulusDescriptor, eval_eta, eta_quadratic
+from .moduli import ModulusDescriptor, eta_quadratic
 
 EUCLIDEAN = "Euclidean"
 POINCARE_DISK = "PoincareDisk"
@@ -206,8 +206,3 @@ def combine(space: SpaceModel, x: Point, y: Point, lam: float) -> Point:
     if not 0.0 <= lam <= 1.0:
         raise ParameterRangeError(f"lambda = {lam!r} outside [0, 1]")
     return Point(space.kind, raw_ops(space)[1](xr, yr, lam))
-
-
-def uc_modulus_eval(space: SpaceModel, r: float, eps: float) -> float:
-    """Evaluate the model's uniform-convexity modulus eta(r, eps)."""
-    return eval_eta(space.modulus, r, eps)

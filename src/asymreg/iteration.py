@@ -40,7 +40,7 @@ import numpy as np
 
 from .geometry import Point, SpaceModel, check_point, raw_ops
 from .mappings import ApproxFixedPointSpec, MappingSpec, raw_apply_fn
-from .moduli import Schedule, seq_float_plan
+from .moduli import Schedule, seq_float_plan, seq_value
 
 # trajectory_to_csv builds and writes this many rows at a time, which keeps
 # its memory small next to the orbit arrays.
@@ -250,7 +250,7 @@ def partial_sums_alpha(schedule: Schedule, n: int):
         raise IterationError("n must be a natural")
     total = 0
     for i in range(n + 1):
-        total += schedule.s_at(i) * (1 - schedule.lambda_at(i))
+        total += seq_value(schedule.s_seq, i) * (1 - seq_value(schedule.lambda_seq, i))
     return total
 
 

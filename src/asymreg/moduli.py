@@ -16,6 +16,12 @@ round-trip through files.  The families:
 - omega(n): majorization modulus of a self-map T at a base point x,
   d(x, y) <= n implies d(x, Ty) <= omega(n).
 
+Each kind has one constructor, which checks its fields (integers through
+as_int), and one row in the builder table, which names the roles it plays:
+eta, eta1 (also eta2), eta3, natural (theta, omega, a dyadic gamma's inner)
+or gamma.  A wrapper's constructor checks the role of its inner, the config
+loader that of space.modulus, schedule.theta and schedule.gamma.
+
 The averaging sequences lambda_n and s_n are descriptors of the same
 record type, with their own kinds: Constant, Geometric c q^n, or Tabulated
 values followed by a constant tail.  seq_parts, the one place that tells
@@ -69,6 +75,13 @@ GAMMA_SHIFTED = "GammaShifted"
 OMEGA_AFFINE = "OmegaAffine"
 TABULATED = "Tabulated"
 
+# Descriptor roles, what a kind can stand for (see _DESCRIPTOR_BUILDERS).
+ROLE_ETA = "eta"
+ROLE_ETA1 = "eta1"          # eta1 and eta2, (r, k) -> natural
+ROLE_ETA3 = "eta3"
+ROLE_NATURAL = "natural"    # theta, omega, the inner of a dyadic gamma
+ROLE_GAMMA = "gamma"
+
 SEQ_CONSTANT = "Constant"
 SEQ_GEOMETRIC = "Geometric"
 SEQ_TABULATED = "Tabulated"
@@ -87,10 +100,10 @@ class ScheduleError(ValueError):
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce int, float, str 'p/q', or Fraction to an exact Fraction."""
+    """Coerce int, float, str 'p/q', or Fraction (not a bool) to a Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -100,6 +113,15 @@ def as_fraction(value) -> Fraction:
             raise DescriptorError(f"non-finite value {value!r}")
         return Fraction(value)
     raise DescriptorError(f"cannot interpret {value!r} as a rational")
+
+
+def as_int(value, name: str, minimum: int | None = None) -> int:
+    """The integer field name: an int (no bool, float or str), >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DescriptorError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DescriptorError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def ceil_frac(x: Fraction) -> int:
@@ -157,10 +179,7 @@ def _desc(kind: str, **params) -> ModulusDescriptor:
 
 def eta_quadratic(denominator: int = 8) -> ModulusDescriptor:
     """eta(r, eps) = eps^2 / denominator, independent of r."""
-    denominator = int(denominator)
-    if denominator <= 0:
-        raise DescriptorError("denominator must be positive")
-    return _desc(ETA_QUADRATIC, denominator=denominator)
+    return _desc(ETA_QUADRATIC, denominator=as_int(denominator, "denominator", 1))
 
 
 def eta_hilbert() -> ModulusDescriptor:
@@ -177,10 +196,7 @@ def eta_constant(value) -> ModulusDescriptor:
 
 def eta1_affine(a: int, b: int) -> ModulusDescriptor:
     """eta1(r, k) = a*k + b, independent of r."""
-    a, b = int(a), int(b)
-    if a < 0 or b < 0:
-        raise DescriptorError("eta1 coefficients must be naturals")
-    return _desc(ETA1_AFFINE, a=a, b=b)
+    return _desc(ETA1_AFFINE, a=as_int(a, "a", 0), b=as_int(b, "b", 0))
 
 
 def eta3_k_plus_ceil() -> ModulusDescriptor:
@@ -190,7 +206,7 @@ def eta3_k_plus_ceil() -> ModulusDescriptor:
 
 def eta3_affine(a: int, b: int) -> ModulusDescriptor:
     """eta3(q, k) = a*k + b, independent of q."""
-    return _desc(ETA3_AFFINE, a=int(a), b=int(b))
+    return _desc(ETA3_AFFINE, a=as_int(a, "a", 0), b=as_int(b, "b", 0))
 
 
 def theta_linear(a, b=0) -> ModulusDescriptor:
@@ -207,7 +223,7 @@ def gamma_zero() -> ModulusDescriptor:
 
 def gamma_dyadic_shift(c: int) -> ModulusDescriptor:
     """gamma(delta) = max(0, max(0, ceil(-log2 delta)) + c)."""
-    return _desc(GAMMA_DYADIC_SHIFT, c=int(c))
+    return _desc(GAMMA_DYADIC_SHIFT, c=as_int(c, "c"))
 
 
 def gamma_geometric_tail(c, q, lambda_min) -> ModulusDescriptor:
@@ -222,22 +238,25 @@ def gamma_geometric_tail(c, q, lambda_min) -> ModulusDescriptor:
 def gamma_from_dyadic(dyadic: ModulusDescriptor) -> ModulusDescriptor:
     """Adapt a dyadic modulus p -> gamma_d(p) to real arguments:
     gamma(delta) = gamma_d(max(0, ceil(-log2 delta)))."""
-    return _desc(GAMMA_FROM_DYADIC, inner=dyadic)
+    return _desc(GAMMA_FROM_DYADIC, inner=require_role(dyadic, ROLE_NATURAL))
 
 
 def gamma_shifted(inner: ModulusDescriptor, shift: int) -> ModulusDescriptor:
     """gamma(delta) = max(0, inner(delta) + shift).  Used for fault injection."""
-    return _desc(GAMMA_SHIFTED, inner=inner, shift=int(shift))
+    return _desc(GAMMA_SHIFTED, inner=require_role(inner, ROLE_GAMMA),
+                 shift=as_int(shift, "shift"))
 
 
 def omega_affine(slope: int, shift: int) -> ModulusDescriptor:
     """omega(n) = slope*n + shift on naturals (also serves as a generic
     natural -> natural affine map, e.g. the inner form of a dyadic gamma)."""
-    return _desc(OMEGA_AFFINE, slope=int(slope), shift=int(shift))
+    return _desc(OMEGA_AFFINE, slope=as_int(slope, "slope"), shift=as_int(shift, "shift"))
 
 
 def tabulated(points: Iterable[tuple[int, int]]) -> ModulusDescriptor:
-    pts = tuple(sorted((int(k), int(v)) for k, v in points))
+    """A table k -> v of naturals, defined at its arguments k only."""
+    pts = tuple(sorted((as_int(k, "table argument"), as_int(v, "table value", 0))
+                       for k, v in points))
     if len({k for k, _ in pts}) != len(pts):
         raise DescriptorError("tabulated arguments must be distinct")
     return _desc(TABULATED, points=pts)
@@ -257,7 +276,12 @@ def eta_to_eta1(eta: ModulusDescriptor) -> ModulusDescriptor:
         return eta1_affine(2, ceil_log2_frac(den, 1))
     if eta.kind == ETA_CONSTANT:
         return eta1_affine(0, max(0, ceil_neg_log2(eta.param("value"))))
-    return _desc(ETA1_FROM_ETA, inner=eta)
+    return eta1_from_eta(eta)
+
+
+def eta1_from_eta(eta: ModulusDescriptor) -> ModulusDescriptor:
+    """eta1(r, k) = ceil(-log2 eta(r, 2^-k)) as a wrapper, unsimplified."""
+    return _desc(ETA1_FROM_ETA, inner=require_role(eta, ROLE_ETA))
 
 
 def eta1_to_eta(eta1: ModulusDescriptor) -> ModulusDescriptor:
@@ -266,7 +290,7 @@ def eta1_to_eta(eta1: ModulusDescriptor) -> ModulusDescriptor:
     The clamp keeps the dyadic precision index a natural when eps > 1; the
     resulting modulus is pointwise smaller, hence still valid.
     """
-    return _desc(ETA_FROM_ETA1, inner=eta1)
+    return _desc(ETA_FROM_ETA1, inner=require_role(eta1, ROLE_ETA1))
 
 
 def eta2_to_eta1(eta2: ModulusDescriptor) -> ModulusDescriptor:
@@ -277,7 +301,13 @@ def eta2_to_eta1(eta2: ModulusDescriptor) -> ModulusDescriptor:
     if eta2.kind == TABULATED:
         pts = [(k - 1, v) for k, v in eta2.param("points") if k >= 1]
         return tabulated(pts)
-    return _desc(ETA1_SHIFT, inner=eta2, shift=1)
+    return eta1_shift(eta2, 1)
+
+
+def eta1_shift(eta2: ModulusDescriptor, shift: int) -> ModulusDescriptor:
+    """eta1(r, k) = eta2(r, k + shift) as a wrapper, unsimplified."""
+    return _desc(ETA1_SHIFT, inner=require_role(eta2, ROLE_ETA1),
+                 shift=as_int(shift, "shift", 0))
 
 
 def eta3_to_eta2(eta3: ModulusDescriptor) -> ModulusDescriptor:
@@ -286,7 +316,7 @@ def eta3_to_eta2(eta3: ModulusDescriptor) -> ModulusDescriptor:
     Machine radii are dyadic rationals, so the evaluation is exact; for the
     shipped eta3 forms it is bounded by eta3(ceil(r), k) by monotonicity.
     """
-    return _desc(ETA2_FROM_ETA3, inner=eta3)
+    return _desc(ETA2_FROM_ETA3, inner=require_role(eta3, ROLE_ETA3))
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +339,6 @@ def gamma_for_geometric_s(c, q, lambda_seq: ModulusDescriptor) -> ModulusDescrip
     c, q = as_fraction(c), as_fraction(q)
     if c == 0:
         return gamma_zero()
-    if not 0 < q < 1:
-        raise DescriptorError("geometric ratio q must lie in (0, 1)")
     if c < 0 or c > 1:
         raise DescriptorError("need s_0 = c in [0, 1]")
     return gamma_geometric_tail(c, q, sequence_lower_bound(lambda_seq))
@@ -318,26 +346,19 @@ def gamma_for_geometric_s(c, q, lambda_seq: ModulusDescriptor) -> ModulusDescrip
 
 def omega_for_nonexpansive(b: int) -> ModulusDescriptor:
     """d(x, Tx) <= b and T nonexpansive give d(x, Ty) <= n + b."""
-    if b < 0:
-        raise DescriptorError("b must be a nonnegative natural")
-    return omega_affine(1, int(b))
+    return omega_affine(1, as_int(b, "b", 0))
 
 
 def omega_for_lipschitz(lstar: int, b: int) -> ModulusDescriptor:
     """T Lipschitz with constant at most L* and d(x, Tx) <= b:
     omega(n) = n + L* b."""
-    if lstar < 1 or b < 0:
-        raise DescriptorError("need L* >= 1 and b >= 0")
-    return omega_affine(1, int(lstar) * int(b))
+    return omega_affine(1, as_int(lstar, "L*", 1) * as_int(b, "b", 0))
 
 
 def omega_for_uniformly_continuous(alpha_t: ModulusDescriptor, b: int) -> ModulusDescriptor:
     """T uniformly continuous with modulus alpha_T (dyadic: d(x,y) <= 2^-alpha_T(k)
     gives d(Tx,Ty) <= 2^-k) and d(x, Tx) <= b: omega(n) = n 2^alpha_T(0) + 1 + b."""
-    if b < 0:
-        raise DescriptorError("b must be a nonnegative natural")
-    slope = 2 ** eval_nat(alpha_t, 0)
-    return omega_affine(slope, 1 + int(b))
+    return omega_affine(2 ** eval_nat(alpha_t, 0), 1 + as_int(b, "b", 0))
 
 
 def omega_for_bounded_space(diameter) -> ModulusDescriptor:
@@ -442,8 +463,6 @@ def _nat_fn(desc: ModulusDescriptor) -> Callable[[int], int]:
         slope, shift = desc.param("slope"), desc.param("shift")
         return lambda n: max(0, slope * n + shift)
     if desc.kind == TABULATED:
-        if any(v < 0 for _, v in desc.param("points")):
-            raise DescriptorDomainError("a natural-valued table holds a negative value")
         return _table_fn(desc)
     raise DescriptorError(f"{desc.kind!r} is not a natural-valued descriptor")
 
@@ -487,27 +506,6 @@ def _table_fn(desc: ModulusDescriptor) -> Callable[[int], int]:
     return lookup
 
 
-def declared_monotonicity(desc: ModulusDescriptor) -> dict[str, str]:
-    """Monotonicity flags per argument, spot-checkable by sampling."""
-    kind = desc.kind
-    if kind in (ETA_QUADRATIC, ETA_HILBERT, ETA_CONSTANT, ETA_FROM_ETA1):
-        return {"r": "nonincreasing", "eps": "nondecreasing"}
-    if kind in (ETA1_AFFINE, ETA1_FROM_ETA, ETA1_SHIFT, ETA2_FROM_ETA3):
-        return {"r": "nondecreasing", "k": "nondecreasing"}
-    if kind in (ETA3_K_PLUS_CEIL, ETA3_AFFINE):
-        return {"q": "nondecreasing", "k": "nondecreasing"}
-    if kind == THETA_LINEAR:
-        return {"n": "nondecreasing"}
-    if kind in (GAMMA_ZERO, GAMMA_DYADIC_SHIFT, GAMMA_GEOMETRIC_TAIL,
-                GAMMA_FROM_DYADIC, GAMMA_SHIFTED):
-        return {"delta": "nonincreasing"}
-    if kind == OMEGA_AFFINE:
-        return {"n": "nondecreasing"}
-    if kind == TABULATED:
-        return {"n": "nondecreasing"}
-    raise DescriptorError(f"unknown kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # averaging sequences and the schedule
 
@@ -528,11 +526,9 @@ def seq_geometric(c, q) -> ModulusDescriptor:
 
 
 def seq_tabulated(values: Sequence, tail) -> ModulusDescriptor:
-    vals = tuple(as_fraction(v) for v in values)
-    tail = as_fraction(tail)
-    for v in list(vals) + [tail]:
-        if not 0 <= v <= 1:
-            raise DescriptorError("sequence values must lie in [0, 1]")
+    vals, tail = tuple(as_fraction(v) for v in values), as_fraction(tail)
+    if not all(0 <= v <= 1 for v in (*vals, tail)):
+        raise DescriptorError("sequence values must lie in [0, 1]")
     return _desc(SEQ_TABULATED, values=vals, tail=tail)
 
 
@@ -687,18 +683,6 @@ class Schedule:
     N0: int
     gamma: ModulusDescriptor
 
-    def lambda_at(self, n: int) -> Fraction:
-        return seq_value(self.lambda_seq, n)
-
-    def s_at(self, n: int) -> Fraction:
-        return seq_value(self.s_seq, n)
-
-    def theta_at(self, n: int) -> int:
-        return eval_nat(self.theta, n)
-
-    def gamma_at(self, delta) -> int:
-        return eval_gamma(self.gamma, delta)
-
 
 def validate_schedule(schedule: Schedule) -> None:
     """Raise ScheduleError naming the violated hypothesis, if any."""
@@ -716,12 +700,11 @@ def validate_schedule(schedule: Schedule) -> None:
         raise ScheduleError(
             f"s_n <= 1 - 1/L fails for n >= N0: sup s_n = {sup_s} > {bound}"
         )
-    mono = declared_monotonicity(schedule.theta)
-    if mono.get("n") != "nondecreasing":
-        raise ScheduleError("theta must be nondecreasing")
-    declared = declared_monotonicity(schedule.gamma)
-    if declared.get("delta") != "nonincreasing":
-        raise ScheduleError("gamma must be antitone in the precision")
+    try:
+        require_role(schedule.theta, ROLE_NATURAL, "theta")
+        require_role(schedule.gamma, ROLE_GAMMA, "gamma")
+    except DescriptorError as exc:
+        raise ScheduleError(str(exc)) from None
 
 
 def alpha_terms_float(schedule: Schedule, count: int, start: int = 0) -> np.ndarray:
@@ -766,7 +749,7 @@ def verify_gamma(schedule: Schedule, deltas: Sequence, n_max: int = 10_000) -> C
     if n_max < 1:
         raise DescriptorDomainError("n_max must be >= 1")
     try:
-        gammas = [schedule.gamma_at(d) for d in deltas]
+        gammas = [eval_gamma(schedule.gamma, d) for d in deltas]
     except (DescriptorError, DescriptorDomainError) as exc:
         report.fail({"error": str(exc)}, 0.0, 0.0, SLACK)
         return report
@@ -800,36 +783,47 @@ def descriptor_to_dict(value):
     return value
 
 
-# kind -> (builder, fields, nested).  A builder of None keeps the fields as
-# ints, apart from the nested ones, which name descriptors.
+# kind -> (builder, fields, roles).  The builder takes the fields in order
+# and checks them; a field "inner" names a nested descriptor, whose role the
+# builder checks too.
 _DESCRIPTOR_BUILDERS = {
-    ETA_QUADRATIC: (eta_quadratic, ("denominator",), ()),
-    ETA_HILBERT: (eta_hilbert, (), ()),
-    ETA_CONSTANT: (eta_constant, ("value",), ()),
-    ETA1_AFFINE: (eta1_affine, ("a", "b"), ()),
-    ETA3_K_PLUS_CEIL: (eta3_k_plus_ceil, (), ()),
-    ETA3_AFFINE: (eta3_affine, ("a", "b"), ()),
-    THETA_LINEAR: (theta_linear, ("a", "b"), ()),
-    GAMMA_ZERO: (gamma_zero, (), ()),
-    GAMMA_DYADIC_SHIFT: (gamma_dyadic_shift, ("c",), ()),
-    GAMMA_GEOMETRIC_TAIL: (gamma_geometric_tail, ("c", "q", "lambda_min"), ()),
-    OMEGA_AFFINE: (omega_affine, ("slope", "shift"), ()),
-    TABULATED: (tabulated, ("points",), ()),
-    # wrapper kinds: fields naming nested descriptors
-    ETA_FROM_ETA1: (None, ("inner",), ("inner",)),
-    ETA1_FROM_ETA: (None, ("inner",), ("inner",)),
-    ETA1_SHIFT: (None, ("inner", "shift"), ("inner",)),
-    ETA2_FROM_ETA3: (None, ("inner",), ("inner",)),
-    GAMMA_FROM_DYADIC: (None, ("inner",), ("inner",)),
-    GAMMA_SHIFTED: (None, ("inner", "shift"), ("inner",)),
+    ETA_QUADRATIC: (eta_quadratic, ("denominator",), (ROLE_ETA,)),
+    ETA_HILBERT: (eta_hilbert, (), (ROLE_ETA,)),
+    ETA_CONSTANT: (eta_constant, ("value",), (ROLE_ETA,)),
+    ETA_FROM_ETA1: (eta1_to_eta, ("inner",), (ROLE_ETA,)),
+    ETA1_AFFINE: (eta1_affine, ("a", "b"), (ROLE_ETA1,)),
+    ETA1_FROM_ETA: (eta1_from_eta, ("inner",), (ROLE_ETA1,)),
+    ETA1_SHIFT: (eta1_shift, ("inner", "shift"), (ROLE_ETA1,)),
+    ETA2_FROM_ETA3: (eta3_to_eta2, ("inner",), (ROLE_ETA1,)),
+    ETA3_K_PLUS_CEIL: (eta3_k_plus_ceil, (), (ROLE_ETA3,)),
+    ETA3_AFFINE: (eta3_affine, ("a", "b"), (ROLE_ETA3,)),
+    THETA_LINEAR: (theta_linear, ("a", "b"), (ROLE_NATURAL,)),
+    OMEGA_AFFINE: (omega_affine, ("slope", "shift"), (ROLE_NATURAL,)),
+    TABULATED: (tabulated, ("points",), (ROLE_ETA1, ROLE_ETA3, ROLE_NATURAL)),
+    GAMMA_ZERO: (gamma_zero, (), (ROLE_GAMMA,)),
+    GAMMA_DYADIC_SHIFT: (gamma_dyadic_shift, ("c",), (ROLE_GAMMA,)),
+    GAMMA_GEOMETRIC_TAIL: (gamma_geometric_tail, ("c", "q", "lambda_min"), (ROLE_GAMMA,)),
+    GAMMA_FROM_DYADIC: (gamma_from_dyadic, ("inner",), (ROLE_GAMMA,)),
+    GAMMA_SHIFTED: (gamma_shifted, ("inner", "shift"), (ROLE_GAMMA,)),
 }
 
-# Separate from the modulus table, as "Tabulated" names a kind of both.
+# Separate from the modulus table, as "Tabulated" names a kind of both;
+# kind -> (builder, fields).
 _SEQUENCE_BUILDERS = {
-    SEQ_CONSTANT: (seq_constant, ("value",), ()),
-    SEQ_GEOMETRIC: (seq_geometric, ("c", "q"), ()),
-    SEQ_TABULATED: (seq_tabulated, ("values", "tail"), ()),
+    SEQ_CONSTANT: (seq_constant, ("value",)),
+    SEQ_GEOMETRIC: (seq_geometric, ("c", "q")),
+    SEQ_TABULATED: (seq_tabulated, ("values", "tail")),
 }
+
+
+def require_role(desc, role: str, what: str = "inner") -> ModulusDescriptor:
+    """desc, once checked to be a modulus of a kind that plays role (by its
+    fields, a table is no Tabulated sequence)."""
+    row = _DESCRIPTOR_BUILDERS.get(getattr(desc, "kind", None))
+    if row is None or role not in row[2] or tuple(k for k, _ in desc.params) != row[1]:
+        raise DescriptorError(f"{what} {getattr(desc, 'kind', desc)!r} "
+                              f"does not play the role {role!r}")
+    return desc
 
 
 def _from_dict(data, builders: dict, what: str) -> ModulusDescriptor:
@@ -838,30 +832,22 @@ def _from_dict(data, builders: dict, what: str) -> ModulusDescriptor:
     kind = data["kind"]
     if kind not in builders:
         raise DescriptorError(f"unknown {what} kind {kind!r}")
-    builder, fields, nested = builders[kind]
-    extra = set(data) - {"kind"} - set(fields)
-    if extra:
-        raise DescriptorError(f"{kind}: unknown field(s) {sorted(extra)}")
-    values = {}
-    for name in fields:
-        if name not in data:
-            raise DescriptorError(f"{kind}: missing field {name!r}")
-        raw = data[name]
-        if name in nested:
-            values[name] = descriptor_from_dict(raw)
-        elif name == "points":
-            values[name] = tuple((int(k), int(v)) for k, v in raw)
-        else:
-            values[name] = raw
-    if builder is not None:
-        return builder(**values)
-    params = tuple((name, values[name] if name in nested else int(values[name]))
-                   for name in fields)
-    return ModulusDescriptor(kind, params)
+    builder, fields = builders[kind][:2]
+    if set(data) != {"kind", *fields}:
+        raise DescriptorError(f"{kind}: fields {sorted(set(data) - {'kind'})}, "
+                              f"expected {list(fields)}")
+    try:
+        return builder(*[descriptor_from_dict(data[name]) if name == "inner" else data[name]
+                         for name in fields])
+    except DescriptorError as exc:
+        raise DescriptorError(f"{kind}: {exc}") from None
 
 
-def descriptor_from_dict(data: dict) -> ModulusDescriptor:
-    return _from_dict(data, _DESCRIPTOR_BUILDERS, "descriptor")
+def descriptor_from_dict(data: dict, role: str | None = None) -> ModulusDescriptor:
+    """The modulus descriptor of a config dict, checked to play role if one
+    is given."""
+    desc = _from_dict(data, _DESCRIPTOR_BUILDERS, "descriptor")
+    return desc if role is None else require_role(desc, role, "kind")
 
 
 def sequence_from_dict(data: dict) -> ModulusDescriptor:

@@ -110,7 +110,7 @@ class RateReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _evaluated(field_name: str, fn, *args):
+def evaluated(field_name: str, fn, *args):
     """fn(*args), with a descriptor evaluated outside its domain (or
     malformed) raised as a RateError that names the config field."""
     try:
@@ -142,7 +142,7 @@ def compute_p(inputs: RateInputs) -> int:
     arg = _eta_argument(inputs)
     eps = as_fraction(inputs.eps)
     b1 = as_fraction(inputs.b) + 1
-    eta = _evaluated("space.modulus", eval_eta_lower, inputs.eta, b1, arg)
+    eta = evaluated("space.modulus", eval_eta_lower, inputs.eta, b1, arg)
     if eta <= 0:
         raise RateError("eta evaluated to a nonpositive value")
     return ceil_frac(inputs.L * b1 / (eps * eta))
@@ -151,7 +151,7 @@ def compute_p(inputs: RateInputs) -> int:
 def compute_gamma0(inputs: RateInputs) -> int:
     """gamma0 = gamma(eps / (8 b)), evaluated at the exact rational."""
     delta = as_fraction(inputs.eps) / (8 * as_fraction(inputs.b))
-    return _evaluated("schedule.gamma", eval_gamma, inputs.gamma, delta)
+    return evaluated("schedule.gamma", eval_gamma, inputs.gamma, delta)
 
 
 def compute_phi(inputs: RateInputs) -> RateReport:
@@ -159,7 +159,7 @@ def compute_phi(inputs: RateInputs) -> RateReport:
     inputs tuple, so configs sharing it get bit-identical reports."""
     p = compute_p(inputs)
     gamma0 = compute_gamma0(inputs)
-    phi = _evaluated("schedule.theta", eval_nat, inputs.theta, p + gamma0 + 1 + inputs.N0)
+    phi = evaluated("schedule.theta", eval_nat, inputs.theta, p + gamma0 + 1 + inputs.N0)
     return RateReport(P=p, gamma0=gamma0, phi=phi)
 
 
@@ -169,7 +169,7 @@ def compute_delta(inputs: RateInputs, k: int) -> int:
     if k < 0:
         raise RateError("k must be a natural")
     p = compute_p(inputs)
-    delta = _evaluated("schedule.theta", eval_nat, inputs.theta, p + k + inputs.N0)
+    delta = evaluated("schedule.theta", eval_nat, inputs.theta, p + k + inputs.N0)
     if delta < k:
         raise RateError(f"theta({p + k + inputs.N0}) = {delta} < k = {k}; "
                         "theta is not a divergence witness")

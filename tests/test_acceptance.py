@@ -107,8 +107,8 @@ def test_criterion_4_phi_soundness(golden_configs, soundness_trajectories):
     ref = golden_configs["rotation_pi_euclidean"]
     ri = ar.inputs_for(0.5, ref.space.modulus, ref.afp.b, ref.schedule)
     assert (ri.b, ri.L, ri.N0) == (1.0, 1, 0)
-    assert ref.schedule.theta_at(7) == 28          # theta(n) = 4n
-    assert ref.schedule.gamma_at(Fraction(1, 16)) == 0
+    assert ar.eval_nat(ref.schedule.theta, 7) == 28          # theta(n) = 4n
+    assert ar.eval_gamma(ref.schedule.gamma, Fraction(1, 16)) == 0
     rr = ar.compute_phi(ri)
     assert rr.P == 512 and rr.phi == 2052
     elapsed = time.perf_counter() - start

@@ -77,19 +77,30 @@ def test_rate_rejects_a_negative_k_on_both_branches(capsys, eps):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("argv", [["rate", "--eps", "0.5"], ["run", "--eps", "0.5"],
-                                  ["sweep"]])
-def test_a_descriptor_outside_its_domain_is_a_rate_error(tmp_path, capsys, argv):
-    # gamma(eps / 8b) = inner(4), past the table's last argument 1
+# gamma(eps / 8b) = inner(4), past the table's last argument 1
+GAMMA_PAST_TABLE = ("schedule", "gamma", {
+    "kind": "GammaFromDyadic", "inner": {"kind": "Tabulated", "points": [[0, 0], [1, 0]]}})
+# eta(r, eps) = 2^-table(k) for k = max(0, ceil(-log2 eps)), defined at k = 0 only
+ETA_PAST_TABLE = ("space", "modulus", {
+    "kind": "EtaFromEta1", "inner": {"kind": "Tabulated", "points": [[0, 1]]}})
+
+
+@pytest.mark.parametrize("argv, patch, error", [
+    (["rate", "--eps", "0.5"], GAMMA_PAST_TABLE, "schedule.gamma: argument 4"),
+    (["run", "--eps", "0.5"], GAMMA_PAST_TABLE, "schedule.gamma: argument 4"),
+    (["sweep"], GAMMA_PAST_TABLE, "schedule.gamma: argument 4"),
+    (["verify-space", "--samples", "200"], ETA_PAST_TABLE, "space.modulus: argument 1"),
+], ids=["rate", "run", "sweep", "verify-space"])
+def test_a_descriptor_outside_its_domain_is_a_rate_error(tmp_path, capsys, argv, patch,
+                                                         error):
     doc = ar.config_to_dict(ar.load_config(KM))
-    doc["schedule"]["gamma"] = {"kind": "GammaFromDyadic",
-                                "inner": {"kind": "Tabulated", "points": [[0, 0], [1, 0]]}}
-    path = tmp_path / "gamma.json"
+    section, key, desc = patch
+    doc[section][key] = desc
+    path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    out = ["--out", str(tmp_path / "out")] if argv[0] != "rate" else []
+    out = ["--out", str(tmp_path / "out")] if argv[0] in ("run", "sweep") else []
     assert main(argv + ["--config", str(path)] + out) == 1
-    assert capsys.readouterr().err == \
-        "error: schedule.gamma: argument 4 outside the table\n"
+    assert capsys.readouterr().err == f"error: {error} outside the table\n"
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +264,15 @@ def test_a_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv, flag):
     assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("eps", ["0", "-0.5"])
-def test_a_nonpositive_eps_is_a_rate_error(tmp_path, capsys, eps):
-    assert main(["run", "--config", KM, "--eps", eps, "--out", str(tmp_path)]) == 1
+@pytest.mark.parametrize("eps, steps", [
+    pytest.param("0", [], id="0"),
+    pytest.param("-0.5", [], id="-0.5"),
+    pytest.param("0", ["--steps", "10"], id="0-steps"),
+])
+def test_a_nonpositive_eps_is_a_rate_error(tmp_path, capsys, eps, steps):
+    assert main(["run", "--config", KM, "--eps", eps, "--out", str(tmp_path)] + steps) == 1
     assert "eps must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_seed_override_changes_sampling(capsys):

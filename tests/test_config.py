@@ -142,6 +142,36 @@ DISK = {"kind": "PoincareDisk", "dim": 2}
       "mapping": {"kind": "PoincareRotation", "center": [0.0, 0.0], "angle": "pi",
                   "domain": {"kind": "ClosedBall", "center": [1.5, 0.0], "radius": 1.0}}},
      "config.mapping.domain.center: point with"),
+    # an integer field takes an int only, never truncated or coerced
+    ({"space__modulus": {"kind": "EtaQuadratic", "denominator": 2.7}},
+     "config.space.modulus: EtaQuadratic: denominator must be an integer, got 2.7"),
+    ({"space__modulus": {"kind": "EtaQuadratic", "denominator": True}},
+     "config.space.modulus: EtaQuadratic: denominator must be an integer, got True"),
+    ({"space__modulus": {"kind": "EtaQuadratic", "denominator": "3"}},
+     "config.space.modulus: EtaQuadratic: denominator must be an integer, got '3'"),
+    ({"schedule__lambda__value": True},
+     "config.schedule.lambda: Constant: cannot interpret True as a rational"),
+    ({"schedule__gamma": {"kind": "GammaShifted", "inner": {"kind": "GammaZero"},
+                          "shift": 2.9}},
+     "config.schedule.gamma: GammaShifted: shift must be an integer, got 2.9"),
+    ({"schedule__theta": {"kind": "Tabulated", "points": [[0, 0], [1.2, 5]]}},
+     "config.schedule.theta: Tabulated: table argument must be an integer, got 1.2"),
+    # fields out of range, which failed with a TypeError on evaluation
+    ({"space__modulus": {"kind": "EtaFromEta1", "inner": {
+        "kind": "Eta2FromEta3", "inner": {"kind": "Eta3Affine", "a": -1, "b": 0}}}},
+     "config.space.modulus: EtaFromEta1: Eta2FromEta3: Eta3Affine: a must be >= 0, got -1"),
+    ({"space__modulus": {"kind": "EtaFromEta1", "inner": {
+        "kind": "Tabulated", "points": [[0, 1], [1, -1]]}}},
+     "config.space.modulus: EtaFromEta1: Tabulated: table value must be >= 0, got -1"),
+    # a kind in the wrong role
+    ({"space__modulus": {"kind": "Eta1Affine", "a": 2, "b": 3}},
+     "config.space.modulus: kind 'Eta1Affine' does not play the role 'eta'"),
+    ({"schedule__gamma": {"kind": "GammaFromDyadic",
+                          "inner": {"kind": "EtaQuadratic", "denominator": 8}}},
+     "config.schedule.gamma: GammaFromDyadic: inner 'EtaQuadratic' does not play the "
+     "role 'natural'"),
+    ({"schedule__theta": {"kind": "GammaZero"}},
+     "config.schedule.theta: kind 'GammaZero' does not play the role 'natural'"),
 ])
 def test_bad_config_errors_name_the_path(tmp_path, capsys, patch, fragment):
     data = mutate(**patch)

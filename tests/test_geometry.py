@@ -193,7 +193,7 @@ def test_space_constructors():
     assert ar.poincare_disk().dim == 2
     with pytest.raises(ar.DimensionMismatchError):
         ar.euclidean(0)
-    assert ar.uc_modulus_eval(E2, 2.0, 0.25) == pytest.approx(1 / 128, abs=0)
+    assert ar.eval_eta(E2.modulus, 2.0, 0.25) == pytest.approx(1 / 128, abs=0)
 
 
 @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asymreg as ar
+from asymreg import moduli
 from asymreg.moduli import (
     geometric_exceeds,
     ceil_frac,
@@ -550,16 +552,13 @@ def test_verify_theta_geometric_passes_n_zero_at_a_zero_mass():
     assert ar.verify_theta(sched, n_max=1).passed
 
 
-def test_negative_table_theta_fails_the_witness_check():
-    # theta(1) = -5 must not read S(-5) from the end of the prefix table
-    lam = ar.seq_tabulated([Fraction(1, 2)] * 8, Fraction(1, 2))
-    theta = ar.descriptor_from_dict({"kind": "Tabulated", "points": [[0, 0], [1, -5]]})
-    sched = ar.Schedule(lam, ar.seq_constant(0), theta, 1, 0, ar.gamma_zero())
-    rep = ar.verify_theta(sched, n_max=1)
-    assert not rep.passed
-    assert "negative" in dict(rep.failures[0].inputs)["error"]
-    with pytest.raises(ar.DescriptorDomainError, match="negative"):
-        ar.eval_nat(theta, 0)
+def test_a_negative_table_value_is_rejected_where_built():
+    # a table theta(1) = -5 would have verify_theta read S(-5) from the end
+    # of the prefix table, and an eta1 table 2^5: no table holds one
+    with pytest.raises(ar.DescriptorError, match="table value must be >= 0, got -5"):
+        ar.tabulated([(0, 0), (1, -5)])
+    with pytest.raises(ar.DescriptorError, match="^Tabulated: table value"):
+        ar.descriptor_from_dict({"kind": "Tabulated", "points": [[0, 0], [1, -5]]})
 
 
 def float_verify_theta(schedule, n_max):
@@ -699,19 +698,35 @@ ALL_DESCRIPTORS = [
     ar.eta3_k_plus_ceil(),
     ar.eta3_affine(2, 3),
     ar.eta_to_eta1(ar.eta_hilbert()),
+    ar.eta1_from_eta(ar.eta_quadratic()),          # not simplified to Eta1Affine
     ar.eta1_to_eta(ar.eta1_affine(2, 3)),
+    ar.eta1_to_eta(ar.tabulated([(0, 1), (1, 3)])),
     ar.eta2_to_eta1(ar.eta3_to_eta2(ar.eta3_k_plus_ceil())),
+    ar.eta1_shift(ar.eta1_affine(2, 3), 2),        # not simplified either
     ar.eta3_to_eta2(ar.eta3_affine(2, 3)),
+    ar.eta3_to_eta2(ar.tabulated([(0, 1)])),
     ar.theta_linear(4),
     ar.theta_linear(Fraction(16, 3), Fraction(1, 7)),
     ar.gamma_zero(),
     ar.gamma_dyadic_shift(3),
     ar.gamma_geometric_tail(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
     ar.gamma_from_dyadic(ar.omega_affine(1, -2)),
+    ar.gamma_from_dyadic(ar.theta_linear(2)),
     ar.gamma_shifted(ar.gamma_dyadic_shift(3), -1),
     ar.omega_affine(1, 3),
     ar.tabulated([(0, 1), (1, 3)]),
 ]
+
+ALL_SEQUENCES = [
+    ar.seq_constant(Fraction(1, 2)),
+    ar.seq_geometric(Fraction(1, 2), Fraction(1, 2)),
+    ar.seq_tabulated([Fraction(1, 2)], 0),
+]
+
+
+def test_the_round_trips_cover_every_kind_of_both_builder_tables():
+    assert {d.kind for d in ALL_DESCRIPTORS} == set(moduli._DESCRIPTOR_BUILDERS)
+    assert {s.kind for s in ALL_SEQUENCES} == set(moduli._SEQUENCE_BUILDERS)
 
 
 @pytest.mark.parametrize("desc", ALL_DESCRIPTORS, ids=lambda d: d.kind)
@@ -731,10 +746,43 @@ def test_descriptor_from_dict_rejects_garbage():
 
 
 def test_sequence_round_trip():
-    for seq in (ar.seq_constant(Fraction(1, 2)),
-                ar.seq_geometric(Fraction(1, 2), Fraction(1, 2)),
-                ar.seq_tabulated([Fraction(1, 2)], 0)):
+    for seq in ALL_SEQUENCES:
         assert ar.sequence_from_dict(ar.descriptor_to_dict(seq)) == seq
+
+
+@pytest.mark.parametrize("build, inner", [
+    (ar.eta1_to_eta, ar.eta_quadratic()),
+    (ar.eta1_from_eta, ar.eta1_affine(2, 3)),
+    (lambda d: ar.eta1_shift(d, 1), ar.eta3_affine(2, 3)),
+    (ar.eta3_to_eta2, ar.eta1_affine(2, 3)),
+    (ar.gamma_from_dyadic, ar.eta_quadratic()),
+    (ar.gamma_from_dyadic, ar.seq_tabulated([0], 0)),     # a sequence, not a table
+    (lambda d: ar.gamma_shifted(d, 1), ar.omega_affine(1, 0)),
+], ids=["EtaFromEta1", "Eta1FromEta", "Eta1Shift", "Eta2FromEta3",
+        "GammaFromDyadic", "GammaFromDyadic-sequence", "GammaShifted"])
+def test_a_wrapper_rejects_an_inner_in_another_role(build, inner):
+    with pytest.raises(ar.DescriptorError, match="^inner .* does not play the role"):
+        build(inner)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ar.eta_quadratic(8.0), lambda: ar.eta_quadratic(True),
+    lambda: ar.eta1_affine("2", 3), lambda: ar.eta3_affine(2, -1),
+    lambda: ar.gamma_dyadic_shift(1.5), lambda: ar.omega_affine(1, 0.5),
+    lambda: ar.tabulated([(0.5, 1)]), lambda: ar.eta1_shift(ar.eta1_affine(1, 0), -1),
+    lambda: ar.omega_for_nonexpansive(1.5),
+])
+def test_an_integer_field_takes_an_int_in_range_only(build):
+    with pytest.raises(ar.DescriptorError, match="must be (an integer|>= )"):
+        build()
+
+
+def test_validate_schedule_reads_the_roles_of_theta_and_gamma():
+    sched = km_schedule()
+    with pytest.raises(ar.ScheduleError, match="theta 'GammaZero' does not play the role"):
+        ar.validate_schedule(dataclasses.replace(sched, theta=ar.gamma_zero()))
+    with pytest.raises(ar.ScheduleError, match="gamma 'ThetaLinear' does not play the role"):
+        ar.validate_schedule(dataclasses.replace(sched, gamma=ar.theta_linear(4)))
 
 
 @settings(max_examples=25)
