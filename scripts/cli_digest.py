@@ -23,12 +23,12 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_main(main, argv: list[str], token: str = OUT_TOKEN) -> dict:
+def digest_main(main, argv: list[str]) -> dict:
     """main(argv) once with --json, and with --out a fresh temporary
     directory for run and sweep: the exit code, the CPU seconds of the call
     (time.process_time), what it printed, and stdout_sha256 and
     files_sha256, the sha256 of the printed text and of each file written
-    under --out, with the directory's path replaced by token."""
+    under --out, with the directory's path replaced by OUT_TOKEN."""
     with tempfile.TemporaryDirectory() as out:
         extra = ["--json"] + (["--out", out] if argv[0] in ("run", "sweep") else [])
         printed = io.StringIO()
@@ -36,8 +36,8 @@ def digest_main(main, argv: list[str], token: str = OUT_TOKEN) -> dict:
         with contextlib.redirect_stdout(printed):
             code = main(argv + extra)
         cpu = time.process_time() - start
-        files = {str(f.relative_to(out)): _sha(f.read_bytes().replace(out.encode(), token.encode()))
+        files = {str(f.relative_to(out)): _sha(f.read_bytes().replace(out.encode(), OUT_TOKEN.encode()))
                  for f in sorted(Path(out).rglob("*")) if f.is_file()}
-        stdout_sha = _sha(printed.getvalue().replace(out, token).encode())
+        stdout_sha = _sha(printed.getvalue().replace(out, OUT_TOKEN).encode())
     return {"code": code, "cpu_s": cpu, "printed": printed.getvalue(),
             "stdout_sha256": stdout_sha, "files_sha256": files}

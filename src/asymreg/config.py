@@ -45,9 +45,11 @@ from .moduli import (
     ROLE_ETA,
     ROLE_GAMMA,
     ROLE_NATURAL,
+    DescriptorError,
     ModulusDescriptor,
     Schedule,
     ScheduleError,
+    as_int,
     descriptor_from_dict,
     descriptor_to_dict,
     sequence_from_dict,
@@ -104,11 +106,11 @@ def _get(data: dict, key: str, path: str, required: bool = True, default=None):
 
 
 def _as_int(value, path: str, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _err(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise _err(path, f"must be >= {minimum}, got {value}")
-    return value
+    """moduli.as_int, its error naming path."""
+    try:
+        return as_int(value, path.rpartition(".")[2], minimum)
+    except DescriptorError as exc:
+        raise _err(path, str(exc)) from None
 
 
 def _as_number(value, path: str, positive: bool = False) -> float:

@@ -358,7 +358,8 @@ def omega_for_lipschitz(lstar: int, b: int) -> ModulusDescriptor:
 def omega_for_uniformly_continuous(alpha_t: ModulusDescriptor, b: int) -> ModulusDescriptor:
     """T uniformly continuous with modulus alpha_T (dyadic: d(x,y) <= 2^-alpha_T(k)
     gives d(Tx,Ty) <= 2^-k) and d(x, Tx) <= b: omega(n) = n 2^alpha_T(0) + 1 + b."""
-    return omega_affine(2 ** eval_nat(alpha_t, 0), 1 + as_int(b, "b", 0))
+    slope = 2 ** eval_nat(alpha_t, 0)
+    return omega_affine(slope, 1 + as_int(b, "b", 0))
 
 
 def omega_for_bounded_space(diameter) -> ModulusDescriptor:
@@ -526,9 +527,11 @@ def seq_geometric(c, q) -> ModulusDescriptor:
 
 
 def seq_tabulated(values: Sequence, tail) -> ModulusDescriptor:
-    vals, tail = tuple(as_fraction(v) for v in values), as_fraction(tail)
-    if not all(0 <= v <= 1 for v in (*vals, tail)):
-        raise DescriptorError("sequence values must lie in [0, 1]")
+    vals = tuple(as_fraction(v) for v in values)
+    tail = as_fraction(tail)
+    for v in list(vals) + [tail]:
+        if not 0 <= v <= 1:
+            raise DescriptorError("sequence values must lie in [0, 1]")
     return _desc(SEQ_TABULATED, values=vals, tail=tail)
 
 

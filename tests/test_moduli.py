@@ -777,6 +777,33 @@ def test_an_integer_field_takes_an_int_in_range_only(build):
         build()
 
 
+# role -> the evaluator of that role, at one point of its domain
+ROLE_EVALUATORS = {
+    moduli.ROLE_ETA: lambda d: eval_eta_lower(d, 1, Fraction(1, 4)),
+    moduli.ROLE_ETA1: lambda d: ar.eval_eta1(d, 1.0, 1),
+    moduli.ROLE_ETA3: lambda d: ar.eval_eta3(d, Fraction(1), 1),
+    moduli.ROLE_NATURAL: lambda d: ar.eval_nat(d, 1),
+    moduli.ROLE_GAMMA: lambda d: ar.eval_gamma(d, Fraction(1, 4)),
+}
+
+
+@pytest.mark.parametrize("desc", ALL_DESCRIPTORS, ids=lambda d: d.kind)
+@pytest.mark.parametrize("role", sorted(ROLE_EVALUATORS))
+def test_the_roles_of_a_kind_are_the_roles_its_evaluators_accept(desc, role):
+    evaluate = ROLE_EVALUATORS[role]
+    if role in moduli._DESCRIPTOR_BUILDERS[desc.kind][2]:
+        assert moduli.require_role(desc, role) is desc
+        try:
+            evaluate(desc)
+        except ar.DescriptorDomainError:
+            pass            # a table or a wrapper of one, read off its arguments
+    else:
+        with pytest.raises(ar.DescriptorError, match="does not play the role"):
+            moduli.require_role(desc, role)
+        with pytest.raises(ar.DescriptorError, match="is not an? .*descriptor"):
+            evaluate(desc)
+
+
 def test_validate_schedule_reads_the_roles_of_theta_and_gamma():
     sched = km_schedule()
     with pytest.raises(ar.ScheduleError, match="theta 'GammaZero' does not play the role"):
