@@ -258,6 +258,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                          "eps_grid", "seed", "caps"}, "config")
     space = _parse_space(_get(data, "space", "config"), "config.space")
     mapping = _parse_mapping(_get(data, "mapping", "config"), "config.mapping")
+    _check_mapping(space, mapping)
     try:
         start = make_point(space, _as_coords(_get(data, "start", "config"),
                                              "config.start"))
@@ -274,7 +275,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         except GeometryError as exc:
             raise _err("config.afp.fixed_point", str(exc)) from exc
     else:
-        _check_mapping(space, mapping)
         fp = declared_fixed_point(space, mapping)
         if fp is None:
             raise _err("config.afp.fixed_point",
@@ -304,7 +304,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     config = ExperimentConfig(space, mapping, start, schedule, afp,
                               eps_grid, seed, caps)
-    validate_config(config)
+    _check_start(config)
     return config
 
 
@@ -326,6 +326,11 @@ def _check_mapping(space: SpaceModel, mapping: MappingSpec) -> None:
 def validate_config(config: ExperimentConfig) -> None:
     """Cross-component coherence beyond field-level parsing."""
     _check_mapping(config.space, config.mapping)
+    _check_start(config)
+
+
+def _check_start(config: ExperimentConfig) -> None:
+    """The start point lies in the mapping's domain, and the afp holds."""
     try:
         if not in_domain(config.space, config.mapping, config.start):
             raise _err("config.start", "start point lies outside the mapping domain")

@@ -823,7 +823,8 @@ def require_role(desc, role: str, what: str = "inner") -> ModulusDescriptor:
     """desc, once checked to be a modulus of a kind that plays role (by its
     fields, a table is no Tabulated sequence)."""
     row = _DESCRIPTOR_BUILDERS.get(getattr(desc, "kind", None))
-    if row is None or role not in row[2] or tuple(k for k, _ in desc.params) != row[1]:
+    # next(zip(*params), ()) is the tuple of the field names
+    if row is None or role not in row[2] or next(zip(*desc.params), ()) != row[1]:
         raise DescriptorError(f"{what} {getattr(desc, 'kind', desc)!r} "
                               f"does not play the role {role!r}")
     return desc
