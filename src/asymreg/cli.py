@@ -21,7 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import HARD_STEP_CAP, Caps, ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config
 from .geometry import EUCLIDEAN
 from .iteration import run_trajectory, trajectory_to_csv
 from .moduli import eta_to_eta1
@@ -118,10 +118,9 @@ def _load(args) -> ExperimentConfig:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    if args.max_steps is not None:
-        caps = Caps(max_steps=min(args.max_steps, HARD_STEP_CAP),
-                    report_every=config.caps.report_every)
-        config = dataclasses.replace(config, caps=caps)
+    if args.max_steps is not None:   # verification.step_cap applies HARD_STEP_CAP
+        config = dataclasses.replace(
+            config, caps=dataclasses.replace(config.caps, max_steps=args.max_steps))
     return config
 
 

@@ -1,9 +1,11 @@
 """Experiment configuration: JSON in, validated components out.
 
-A config bundles one space model, one mapping, a start point, the schedule
-with its witnesses, approximate fixed-point data, an epsilon grid, a seed,
-and step caps.  Parse errors carry the JSON path of the offending field.
-Serialization round-trips exactly (fractions as strings, floats as repr).
+A config bundles one space model, one mapping (on its domain), a start point,
+the schedule with its witnesses, approximate fixed-point data, an epsilon
+grid, a seed, and step caps.  The space, domain and mapping are built by
+their kind's one constructor, which checks the values, from the fields that
+_SECTIONS lists; config checks JSON types and names the JSON path of every
+error.  Serialization round-trips exactly (fractions as strings, floats as repr).
 """
 
 from __future__ import annotations
@@ -32,14 +34,20 @@ from .mappings import (
     POINCARE_ROTATION,
     WHOLE_SPACE,
     ApproxFixedPointSpec,
-    DomainSpec,
     MappingError,
     MappingSpec,
     WitnessError,
+    closed_ball,
     declared_fixed_point,
+    euclidean_reflection_average,
+    euclidean_rotation,
+    identity,
     in_domain,
+    metric_projection,
+    poincare_rotation,
     raw_apply_fn,
     validate_afp,
+    whole_space,
 )
 from .moduli import (
     ROLE_ETA,
@@ -97,12 +105,10 @@ def _object(data, path: str) -> dict:
     return data
 
 
-def _get(data: dict, key: str, path: str, required: bool = True, default=None):
-    if key in data:
-        return data[key]
-    if required:
+def _get(data: dict, key: str, path: str):
+    if key not in data:
         raise _err(f"{path}.{key}", "missing required field")
-    return default
+    return data[key]
 
 
 def _as_int(value, path: str, minimum: int | None = None) -> int:
@@ -148,6 +154,13 @@ def parse_angle(value, path: str = "angle") -> float:
     return _as_number(value, path)
 
 
+def _point(space: SpaceModel, coords, path: str) -> Point:
+    try:
+        return make_point(space, coords)
+    except GeometryError as exc:
+        raise _err(path, str(exc)) from exc
+
+
 def _unknown_keys(data: dict, allowed: set[str], path: str) -> None:
     extra = set(data) - allowed
     if extra:
@@ -155,73 +168,75 @@ def _unknown_keys(data: dict, allowed: set[str], path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# sections
+# sections: space, domain and mapping
 
-def _kind(data: dict, path: str) -> str:
-    kind = _get(data, "kind", path)
-    if not isinstance(kind, str):
-        raise _err(f"{path}.kind", f"expected a string, got {kind!r}")
-    return kind
-
-
-def _parse_space(data, path: str) -> SpaceModel:
-    data = _object(data, path)
-    kind = _kind(data, path)
-    _unknown_keys(data, {"kind", "dim", "modulus"}, path)
-    modulus = None
-    if "modulus" in data:
-        modulus = _parse_descriptor(data["modulus"], f"{path}.modulus", ROLE_ETA)
-    if kind == EUCLIDEAN:
-        dim = _as_int(data.get("dim", 2), f"{path}.dim", minimum=1)
-        return euclidean(dim, modulus)
-    if kind == POINCARE_DISK:
-        if "dim" in data and data["dim"] != 2:
-            raise _err(f"{path}.dim", "the disk model is two-dimensional")
-        return poincare_disk(modulus)
-    raise _err(f"{path}.kind", f"unknown space kind {kind!r}")
-
-
-def _parse_domain(data, path: str) -> DomainSpec:
-    data = _object(data, path)
-    kind = _kind(data, path)
-    if kind == WHOLE_SPACE:
-        _unknown_keys(data, {"kind"}, path)
-        return DomainSpec(WHOLE_SPACE)
-    if kind == CLOSED_BALL:
-        _unknown_keys(data, {"kind", "center", "radius"}, path)
-        center = _as_coords(_get(data, "center", path), f"{path}.center")
-        radius = _as_number(_get(data, "radius", path), f"{path}.radius", positive=True)
-        return DomainSpec(CLOSED_BALL, center, radius)
-    raise _err(f"{path}.kind", f"unknown domain kind {kind!r}")
-
-
-_MAPPING_FIELDS = {
-    IDENTITY: set(),
-    EUCLIDEAN_ROTATION: {"center", "angle"},
-    EUCLIDEAN_REFLECTION_AVERAGE: {"center"},
-    POINCARE_ROTATION: {"center", "angle"},
-    METRIC_PROJECTION: {"center", "radius"},
+# section -> kind -> (constructor, fields).  The constructor takes the fields by
+# name and checks them; an error whose message starts with a field's name is that field's.
+_SECTIONS = {
+    "space": {
+        EUCLIDEAN: (euclidean, ("dim", "modulus")),
+        POINCARE_DISK: (poincare_disk, ("modulus",)),
+    },
+    "domain": {
+        WHOLE_SPACE: (whole_space, ()),
+        CLOSED_BALL: (closed_ball, ("center", "radius")),
+    },
+    "mapping": {
+        IDENTITY: (identity, ("domain",)),
+        EUCLIDEAN_ROTATION: (euclidean_rotation, ("center", "angle", "domain")),
+        EUCLIDEAN_REFLECTION_AVERAGE: (euclidean_reflection_average, ("center", "domain")),
+        POINCARE_ROTATION: (poincare_rotation, ("center", "angle", "domain")),
+        METRIC_PROJECTION: (metric_projection, ("center", "radius", "domain")),
+    },
 }
 
 
-def _parse_mapping(data, path: str) -> MappingSpec:
+def _section(section: str, data, path: str):
+    """The space, domain or mapping that data describes, built by its kind's constructor."""
     data = _object(data, path)
-    kind = _kind(data, path)
-    if kind not in _MAPPING_FIELDS:
-        raise _err(f"{path}.kind", f"unknown mapping kind {kind!r}")
-    fields = _MAPPING_FIELDS[kind]
-    _unknown_keys(data, fields | {"kind", "domain"}, path)
-    center = angle = radius = None
-    if "center" in fields:
-        center = _as_coords(_get(data, "center", path), f"{path}.center")
-    if "angle" in fields:
-        angle = parse_angle(_get(data, "angle", path), f"{path}.angle")
-    if "radius" in fields:
-        radius = _as_number(_get(data, "radius", path), f"{path}.radius", positive=True)
-    domain = DomainSpec(WHOLE_SPACE)
-    if "domain" in data:
-        domain = _parse_domain(data["domain"], f"{path}.domain")
-    return MappingSpec(kind, center, angle, radius, domain)
+    kind = _get(data, "kind", path)
+    if not isinstance(kind, str):
+        raise _err(f"{path}.kind", f"expected a string, got {kind!r}")
+    if kind not in _SECTIONS[section]:
+        raise _err(f"{path}.kind", f"unknown {section} kind {kind!r}")
+    constructor, fields = _SECTIONS[section][kind]
+    allowed = {"kind", *fields}
+    if kind == POINCARE_DISK:   # the disk takes no dim, but a config may say "dim": 2
+        if data.get("dim", 2) != 2:
+            raise _err(f"{path}.dim", "the disk model is two-dimensional")
+        allowed.add("dim")
+    _unknown_keys(data, allowed, path)
+    args = {name: _FIELDS[name][0](_get(data, name, path), f"{path}.{name}")
+            for name in fields if name in data or name not in _OPTIONAL}
+    try:
+        return constructor(**args)
+    except (GeometryError, MappingError) as exc:
+        name = str(exc).partition(" ")[0]
+        raise _err(f"{path}.{name}" if name in fields else path, str(exc)) from None
+
+
+def _write(section: str, record) -> dict:
+    """The config form of a space, domain or mapping; a None from a writer is left out."""
+    out = {"kind": record.kind}
+    for name in _SECTIONS[section][record.kind][1]:
+        if (value := _FIELDS[name][1](getattr(record, name))) is not None:
+            out[name] = value
+    return out
+
+
+# field -> (reader, writer); a name means the same in every section.  A reader
+# makes the JSON checks of its field, the constructor all others.  Fields in
+# _OPTIONAL may be left out, as their constructors have a default for them.
+_FIELDS = {
+    "dim": (lambda data, path: data, int),
+    "modulus": (lambda data, path: _parse_descriptor(data, path, ROLE_ETA), descriptor_to_dict),
+    "center": (_as_coords, list),
+    "angle": (parse_angle, float),
+    "radius": (_as_number, float),
+    "domain": (lambda data, path: _section("domain", data, path),
+               lambda domain: None if domain.kind == WHOLE_SPACE else _write("domain", domain)),
+}
+_OPTIONAL = {"dim", "modulus", "domain"}
 
 
 def _parse_descriptor(data, path: str, role: str | None = None) -> ModulusDescriptor:
@@ -241,8 +256,7 @@ def _parse_schedule(data, path: str) -> Schedule:
         s_seq=_parse_descriptor(_get(data, "s", path), f"{path}.s"),
         theta=_parse_descriptor(_get(data, "theta", path), f"{path}.theta", ROLE_NATURAL),
         L=_as_int(_get(data, "L", path), f"{path}.L", minimum=1),
-        N0=_as_int(_get(data, "N0", path, required=False, default=0),
-                   f"{path}.N0", minimum=0),
+        N0=_as_int(data.get("N0", 0), f"{path}.N0", minimum=0),
         gamma=_parse_descriptor(_get(data, "gamma", path), f"{path}.gamma", ROLE_GAMMA),
     )
     try:
@@ -256,29 +270,20 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     data = _object(data, "config")
     _unknown_keys(data, {"space", "mapping", "start", "schedule", "afp",
                          "eps_grid", "seed", "caps"}, "config")
-    space = _parse_space(_get(data, "space", "config"), "config.space")
-    mapping = _parse_mapping(_get(data, "mapping", "config"), "config.mapping")
+    space = _section("space", _get(data, "space", "config"), "config.space")
+    mapping = _section("mapping", _get(data, "mapping", "config"), "config.mapping")
     _check_mapping(space, mapping)
-    try:
-        start = make_point(space, _as_coords(_get(data, "start", "config"),
-                                             "config.start"))
-    except GeometryError as exc:
-        raise _err("config.start", str(exc)) from exc
+    start = _point(space, _as_coords(_get(data, "start", "config"), "config.start"),
+                   "config.start")
 
     afp_data = _object(_get(data, "afp", "config"), "config.afp")
     _unknown_keys(afp_data, {"b", "fixed_point"}, "config.afp")
     b = _as_number(_get(afp_data, "b", "config.afp"), "config.afp.b", positive=True)
+    path = "config.afp.fixed_point"
     if "fixed_point" in afp_data:
-        try:
-            fp = make_point(space, _as_coords(afp_data["fixed_point"],
-                                              "config.afp.fixed_point"))
-        except GeometryError as exc:
-            raise _err("config.afp.fixed_point", str(exc)) from exc
-    else:
-        fp = declared_fixed_point(space, mapping)
-        if fp is None:
-            raise _err("config.afp.fixed_point",
-                       f"required: mapping kind {mapping.kind!r} declares no fixed point")
+        fp = _point(space, _as_coords(afp_data["fixed_point"], path), path)
+    elif (fp := declared_fixed_point(space, mapping)) is None:
+        raise _err(path, f"required: mapping kind {mapping.kind!r} declares no fixed point")
     afp = ApproxFixedPointSpec(x=start, b=b, fixed_point=fp)
 
     schedule = _parse_schedule(_get(data, "schedule", "config"), "config.schedule")
@@ -289,18 +294,15 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     eps_grid = tuple(_as_number(v, f"config.eps_grid[{i}]", positive=True)
                      for i, v in enumerate(eps_raw))
 
-    seed = _as_int(_get(data, "seed", "config", required=False, default=0),
-                   "config.seed", minimum=0)
-    caps = Caps()
-    if "caps" in data:
-        caps_data = _object(data["caps"], "config.caps")
-        _unknown_keys(caps_data, {"max_steps", "report_every"}, "config.caps")
-        caps = Caps(
-            max_steps=_as_int(caps_data.get("max_steps", HARD_STEP_CAP),
-                              "config.caps.max_steps", minimum=1),
-            report_every=_as_int(caps_data.get("report_every", 1),
-                                 "config.caps.report_every", minimum=1),
-        )
+    seed = _as_int(data.get("seed", 0), "config.seed", minimum=0)
+    caps_data = _object(data.get("caps", {}), "config.caps")
+    _unknown_keys(caps_data, {"max_steps", "report_every"}, "config.caps")
+    caps = Caps(
+        max_steps=_as_int(caps_data.get("max_steps", HARD_STEP_CAP),
+                          "config.caps.max_steps", minimum=1),
+        report_every=_as_int(caps_data.get("report_every", 1),
+                             "config.caps.report_every", minimum=1),
+    )
 
     config = ExperimentConfig(space, mapping, start, schedule, afp,
                               eps_grid, seed, caps)
@@ -313,10 +315,7 @@ def _check_mapping(space: SpaceModel, mapping: MappingSpec) -> None:
     for path, center in (("config.mapping.center", mapping.center),
                          ("config.mapping.domain.center", mapping.domain.center)):
         if center is not None:
-            try:
-                make_point(space, center)
-            except GeometryError as exc:
-                raise _err(path, str(exc)) from exc
+            _point(space, center, path)
     try:
         raw_apply_fn(space, mapping)
     except MappingError as exc:
@@ -343,29 +342,10 @@ def _check_start(config: ExperimentConfig) -> None:
 # serialization
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    space: dict = {"kind": config.space.kind}
-    if config.space.kind == EUCLIDEAN:
-        space["dim"] = config.space.dim
-    space["modulus"] = descriptor_to_dict(config.space.modulus)
-
-    mapping: dict = {"kind": config.mapping.kind}
-    if config.mapping.center is not None:
-        mapping["center"] = list(config.mapping.center)
-    if config.mapping.angle is not None:
-        mapping["angle"] = config.mapping.angle
-    if config.mapping.radius is not None:
-        mapping["radius"] = config.mapping.radius
-    if config.mapping.domain.kind != WHOLE_SPACE:
-        mapping["domain"] = {
-            "kind": config.mapping.domain.kind,
-            "center": list(config.mapping.domain.center),
-            "radius": config.mapping.domain.radius,
-        }
-
     sched = config.schedule
     out = {
-        "space": space,
-        "mapping": mapping,
+        "space": _write("space", config.space),
+        "mapping": _write("mapping", config.mapping),
         "start": list(config.start.coords),
         "schedule": {
             "lambda": descriptor_to_dict(sched.lambda_seq),

@@ -5,6 +5,9 @@ Both expose the same primitives: the metric `dist`, the geodesic convex
 combination `combine(space, x, y, t)` returning the point a fraction t of the
 way from x to y, and an attached uniform-convexity modulus descriptor.
 
+Each model is built by its one constructor, from Python and from a config
+alike; it checks that dim is an integer >= 1 and the modulus an eta descriptor.
+
 Disk conventions, in complex notation: points z with |z|^2 < 1 - margin,
 distance d(x, y) = 2 artanh |(y - x) / (1 - conj(x) y)|, and geodesics
 computed by the Mobius translation taking x to the origin, a radial move,
@@ -18,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .moduli import ModulusDescriptor, eta_quadratic
+from .moduli import (ROLE_ETA, DescriptorError, ModulusDescriptor, as_int, eta_quadratic,
+                     require_role)
 
 EUCLIDEAN = "Euclidean"
 POINCARE_DISK = "PoincareDisk"
@@ -67,13 +71,22 @@ class Point:
 
 
 def euclidean(dim: int = 2, modulus: ModulusDescriptor | None = None) -> SpaceModel:
-    if dim < 1:
-        raise DimensionMismatchError("dimension must be >= 1")
-    return SpaceModel(EUCLIDEAN, dim, modulus or eta_quadratic())
+    try:
+        return SpaceModel(EUCLIDEAN, as_int(dim, "dim", 1), _eta(modulus))
+    except DescriptorError as exc:
+        raise DimensionMismatchError(str(exc)) from None
 
 
 def poincare_disk(modulus: ModulusDescriptor | None = None) -> SpaceModel:
-    return SpaceModel(POINCARE_DISK, 2, modulus or eta_quadratic())
+    return SpaceModel(POINCARE_DISK, 2, _eta(modulus))
+
+
+def _eta(modulus: ModulusDescriptor | None) -> ModulusDescriptor:
+    """The modulus of a model: eps^2/8 when none is given, else an eta descriptor."""
+    try:
+        return eta_quadratic() if modulus is None else require_role(modulus, ROLE_ETA, "modulus")
+    except DescriptorError as exc:
+        raise GeometryError(str(exc)) from None
 
 
 def make_point(space: SpaceModel, coords) -> Point:

@@ -6,6 +6,9 @@ first two coordinates), the map averaging a point with its reflection through
 a center (which collapses to the constant map onto that center), rotation of
 the Poincare disk about an interior center (a Mobius conjugate of a Euclidean
 rotation, hence an isometry), and the metric projection onto a closed ball.
+Each mapping and domain (whole space or closed ball) kind is built by its one
+constructor, from Python and from a config alike; it checks that an angle is
+finite and a radius positive and finite.
 
 An ApproxFixedPointSpec records a start point x, a bound b, and a witness:
 either an exact fixed point z with d(x, z) <= b or a map delta -> y_delta
@@ -17,6 +20,7 @@ rate machinery.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -61,14 +65,21 @@ class DomainSpec:
     radius: float | None = None
 
 
+def _finite(value, name: str, positive: bool = False) -> float:
+    """value as a float, once finite (and positive if asked); the message starts with name."""
+    value = float(value)
+    if not math.isfinite(value) or positive and value <= 0:
+        raise MappingError(f"{name} must be {'positive and ' * positive}finite, got {value!r}")
+    return value
+
+
 def whole_space() -> DomainSpec:
     return DomainSpec(WHOLE_SPACE)
 
 
 def closed_ball(center, radius: float) -> DomainSpec:
-    if radius <= 0:
-        raise MappingError("ball radius must be positive")
-    return DomainSpec(CLOSED_BALL, tuple(float(c) for c in center), float(radius))
+    return DomainSpec(CLOSED_BALL, tuple(map(float, center)),
+                      _finite(radius, "radius", positive=True))
 
 
 @dataclass(frozen=True)
@@ -85,26 +96,24 @@ def identity(domain: DomainSpec | None = None) -> MappingSpec:
 
 
 def euclidean_rotation(center, angle: float, domain: DomainSpec | None = None) -> MappingSpec:
-    return MappingSpec(EUCLIDEAN_ROTATION, tuple(float(c) for c in center),
-                       float(angle), domain=domain or whole_space())
+    return MappingSpec(EUCLIDEAN_ROTATION, tuple(map(float, center)),
+                       _finite(angle, "angle"), domain=domain or whole_space())
 
 
 def euclidean_reflection_average(center, domain: DomainSpec | None = None) -> MappingSpec:
-    return MappingSpec(EUCLIDEAN_REFLECTION_AVERAGE,
-                       tuple(float(c) for c in center),
+    return MappingSpec(EUCLIDEAN_REFLECTION_AVERAGE, tuple(map(float, center)),
                        domain=domain or whole_space())
 
 
 def poincare_rotation(center, angle: float, domain: DomainSpec | None = None) -> MappingSpec:
-    return MappingSpec(POINCARE_ROTATION, tuple(float(c) for c in center),
-                       float(angle), domain=domain or whole_space())
+    return MappingSpec(POINCARE_ROTATION, tuple(map(float, center)),
+                       _finite(angle, "angle"), domain=domain or whole_space())
 
 
 def metric_projection(center, radius: float, domain: DomainSpec | None = None) -> MappingSpec:
-    if radius <= 0:
-        raise MappingError("projection ball radius must be positive")
-    return MappingSpec(METRIC_PROJECTION, tuple(float(c) for c in center),
-                       radius=float(radius), domain=domain or whole_space())
+    return MappingSpec(METRIC_PROJECTION, tuple(map(float, center)),
+                       radius=_finite(radius, "radius", positive=True),
+                       domain=domain or whole_space())
 
 
 def _require_center(space: SpaceModel, m: MappingSpec):
@@ -190,11 +199,8 @@ def apply_map(space: SpaceModel, m: MappingSpec, x: Point) -> Point:
 
 
 def declared_fixed_point(space: SpaceModel, m: MappingSpec) -> Point | None:
-    """A point the map fixes by construction, when the kind determines one."""
-    if m.kind in (EUCLIDEAN_ROTATION, EUCLIDEAN_REFLECTION_AVERAGE,
-                  POINCARE_ROTATION, METRIC_PROJECTION):
-        return make_point(space, m.center)
-    return None
+    """The map's center, which every kind that has one fixes by construction."""
+    return None if m.center is None else make_point(space, m.center)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import asymreg as ar
 from asymreg.cli import main
+from asymreg.config import _SECTIONS, _section, _write
 
 from conftest import CONFIG_DIR, GOLDEN_NAMES
 
@@ -38,11 +39,45 @@ def test_golden_configs_load_and_round_trip(name):
     assert math.isfinite(ar.dist(cfg.space, cfg.start, tx))
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_config_to_dict_of_a_golden_config_is_its_file(name):
+    path = CONFIG_DIR / f"{name}.json"
+    assert ar.config_to_dict(ar.load_config(path)) == json.loads(path.read_text())
+
+
 def test_save_config_round_trips(tmp_path, km_config):
     out = tmp_path / "cfg.json"
     ar.save_config(km_config, out)
     assert ar.config_to_dict(ar.load_config(out)) == ar.config_to_dict(km_config)
     assert out.read_text().endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# the section table: every space, domain and mapping kind
+
+SECTION_CASES = [
+    ("space", ar.euclidean(3, ar.eta_hilbert())),
+    ("space", ar.poincare_disk(ar.eta_constant("1/4"))),
+    ("domain", ar.whole_space()),
+    ("domain", ar.closed_ball((0.5, -1.0), 2.0)),
+    ("mapping", ar.identity(ar.closed_ball((0.0, 0.0), 1.5))),
+    ("mapping", ar.euclidean_rotation((1.0, 0.0, 2.0), 3 * math.pi / 4)),
+    ("mapping", ar.euclidean_reflection_average((0.25, 0.5))),
+    ("mapping", ar.poincare_rotation((0.1, -0.2), -1.0, ar.closed_ball((0.0, 0.0), 0.8))),
+    ("mapping", ar.metric_projection((0.0, 0.0), 0.5)),
+]
+
+
+def test_the_section_round_trips_cover_every_row_of_the_table():
+    assert ({(section, record.kind) for section, record in SECTION_CASES}
+            == {(section, kind) for section, rows in _SECTIONS.items() for kind in rows})
+
+
+@pytest.mark.parametrize("section,record", SECTION_CASES,
+                         ids=[f"{s}-{r.kind}" for s, r in SECTION_CASES])
+def test_a_written_section_reads_back_to_the_record_its_constructor_built(section, record):
+    data = json.loads(json.dumps(_write(section, record)))
+    assert _section(section, data, f"config.{section}") == record
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +207,17 @@ DISK = {"kind": "PoincareDisk", "dim": 2}
      "role 'natural'"),
     ({"schedule__theta": {"kind": "GammaZero"}},
      "config.schedule.theta: kind 'GammaZero' does not play the role 'natural'"),
+    # a constructor's error, at the path of the field it names
+    ({"space__dim": 2.5}, "config.space.dim: dim must be an integer, got 2.5"),
+    ({"mapping": {"kind": "MetricProjection", "center": [0.0, 0.0], "radius": -1.0}},
+     "config.mapping.radius: radius must be positive and finite, got -1.0"),
+    ({"mapping__domain": {"kind": "ClosedBall", "center": [0.0, 0.0], "radius": 0}},
+     "config.mapping.domain.radius: radius must be positive and finite, got 0.0"),
+    # the section reader's own checks
+    ({"mapping__radius": 1.0}, r"config.mapping: unknown field\(s\): radius"),
+    ({"mapping__center": ...}, "config.mapping.center: missing required field"),
+    ({"space": {"kind": "PoincareDisk", "dim": 3}, "start": [0.4, 0.0]},
+     "config.space.dim: the disk model is two-dimensional"),
 ])
 def test_bad_config_errors_name_the_path(tmp_path, capsys, patch, fragment):
     data = mutate(**patch)

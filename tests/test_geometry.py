@@ -196,6 +196,21 @@ def test_space_constructors():
     assert ar.eval_eta(E2.modulus, 2.0, 0.25) == pytest.approx(1 / 128, abs=0)
 
 
+# What a config may not name, the constructors do not build either.
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: ar.euclidean(2, ar.eta1_affine(2, 3)), ar.GeometryError,
+     "modulus 'Eta1Affine' does not play the role 'eta'"),
+    (lambda: ar.poincare_disk(ar.gamma_zero()), ar.GeometryError,
+     "modulus 'GammaZero' does not play the role 'eta'"),
+    (lambda: ar.euclidean(2.5), ar.DimensionMismatchError, "dim must be an integer, got 2.5"),
+    (lambda: ar.euclidean(True), ar.DimensionMismatchError, "dim must be an integer, got True"),
+], ids=["euclidean-eta1-modulus", "disk-gamma-modulus", "euclidean-float-dim",
+        "euclidean-bool-dim"])
+def test_space_constructors_check_their_fields(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
 @given(st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5), st.floats(-5, 5),
        st.floats(0, 1))
 def test_euclidean_w2_property(ax, ay, bx, by, t):

@@ -124,6 +124,23 @@ def test_closed_ball_domain():
         ar.closed_ball((0.0, 0.0), 0.0)
 
 
+# What a config may not name, the constructors do not build either; each
+# message starts with the field's name, where config reports it.
+@pytest.mark.parametrize("build,message", [
+    (lambda: ar.closed_ball((0.0, 0.0), math.nan), "radius must be positive and finite, got nan"),
+    (lambda: ar.closed_ball((0.0, 0.0), math.inf), "radius must be positive and finite, got inf"),
+    (lambda: ar.metric_projection((0.0, 0.0), math.nan),
+     "radius must be positive and finite, got nan"),
+    (lambda: ar.metric_projection((0.0, 0.0), -1), "radius must be positive and finite, got -1.0"),
+    (lambda: ar.euclidean_rotation((0.0, 0.0), math.inf), "angle must be finite, got inf"),
+    (lambda: ar.poincare_rotation((0.0, 0.0), math.nan), "angle must be finite, got nan"),
+], ids=["ball-nan-radius", "ball-inf-radius", "projection-nan-radius",
+        "projection-negative-radius", "rotation-inf-angle", "disk-rotation-nan-angle"])
+def test_mapping_constructors_check_their_fields(build, message):
+    with pytest.raises(ar.MappingError, match=f"^{message}$"):
+        build()
+
+
 def test_declared_fixed_points_are_fixed():
     cases = [
         (E2, ar.euclidean_rotation((0.5, 0.5), 1.0)),
