@@ -40,7 +40,7 @@ import numpy as np
 
 from .geometry import Point, SpaceModel, check_point, raw_ops
 from .mappings import ApproxFixedPointSpec, MappingSpec, raw_apply_fn
-from .moduli import Schedule, seq_float_plan, seq_value
+from .moduli import Schedule, seq_float_plan
 
 # trajectory_to_csv builds and writes this many rows at a time, which keeps
 # its memory small next to the orbit arrays.
@@ -242,16 +242,6 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
         t_inner_ref_distances=ty_ref_d,
         period_from=period_from, period=period,
     )
-
-
-def partial_sums_alpha(schedule: Schedule, n: int):
-    """alpha_n = sum_{i=0..n} s_i (1 - lambda_i), exact Fraction."""
-    if n < 0:
-        raise IterationError("n must be a natural")
-    total = 0
-    for i in range(n + 1):
-        total += seq_value(schedule.s_seq, i) * (1 - seq_value(schedule.lambda_seq, i))
-    return total
 
 
 def trajectory_to_csv(traj: Trajectory, target, report_every: int = 1) -> None:

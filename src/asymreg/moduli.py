@@ -13,13 +13,11 @@ round-trip through files.  The families:
 - gamma(delta): Cauchy modulus for the partial sums alpha_n of
   s_k (1 - lambda_k), meaning alpha_{gamma(delta)+n} - alpha_{gamma(delta)}
   <= delta for every n.
-- omega(n): majorization modulus of a self-map T at a base point x,
-  d(x, y) <= n implies d(x, Ty) <= omega(n).
 
 Each kind has one constructor, which checks its fields (integers through
 as_int), and one row in the builder table, which names the roles it plays:
-eta, eta1 (also eta2), eta3, natural (theta, omega, a dyadic gamma's inner)
-or gamma.  A wrapper's constructor checks the role of its inner, the config
+eta, eta1 (also eta2), eta3, natural (theta, a dyadic gamma's inner) or
+gamma.  A wrapper's constructor checks the role of its inner, the config
 loader that of space.modulus, schedule.theta and schedule.gamma.
 
 The averaging sequences lambda_n and s_n are descriptors of the same
@@ -79,7 +77,7 @@ TABULATED = "Tabulated"
 ROLE_ETA = "eta"
 ROLE_ETA1 = "eta1"          # eta1 and eta2, (r, k) -> natural
 ROLE_ETA3 = "eta3"
-ROLE_NATURAL = "natural"    # theta, omega, the inner of a dyadic gamma
+ROLE_NATURAL = "natural"    # theta, the inner of a dyadic gamma
 ROLE_GAMMA = "gamma"
 
 SEQ_CONSTANT = "Constant"
@@ -248,8 +246,8 @@ def gamma_shifted(inner: ModulusDescriptor, shift: int) -> ModulusDescriptor:
 
 
 def omega_affine(slope: int, shift: int) -> ModulusDescriptor:
-    """omega(n) = slope*n + shift on naturals (also serves as a generic
-    natural -> natural affine map, e.g. the inner form of a dyadic gamma)."""
+    """n -> slope*n + shift on naturals, clamped at 0: a natural -> natural
+    affine map, e.g. the inner form of a dyadic gamma."""
     return _desc(OMEGA_AFFINE, slope=as_int(slope, "slope"), shift=as_int(shift, "shift"))
 
 
@@ -320,7 +318,7 @@ def eta3_to_eta2(eta3: ModulusDescriptor) -> ModulusDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# theta / gamma / omega constructors
+# theta / gamma constructors
 
 def theta_for_constant_lambda(lam) -> ModulusDescriptor:
     """Divergence witness for lambda_n = lam constant: theta(n) =
@@ -342,32 +340,6 @@ def gamma_for_geometric_s(c, q, lambda_seq: ModulusDescriptor) -> ModulusDescrip
     if c < 0 or c > 1:
         raise DescriptorError("need s_0 = c in [0, 1]")
     return gamma_geometric_tail(c, q, sequence_lower_bound(lambda_seq))
-
-
-def omega_for_nonexpansive(b: int) -> ModulusDescriptor:
-    """d(x, Tx) <= b and T nonexpansive give d(x, Ty) <= n + b."""
-    return omega_affine(1, as_int(b, "b", 0))
-
-
-def omega_for_lipschitz(lstar: int, b: int) -> ModulusDescriptor:
-    """T Lipschitz with constant at most L* and d(x, Tx) <= b:
-    omega(n) = n + L* b."""
-    return omega_affine(1, as_int(lstar, "L*", 1) * as_int(b, "b", 0))
-
-
-def omega_for_uniformly_continuous(alpha_t: ModulusDescriptor, b: int) -> ModulusDescriptor:
-    """T uniformly continuous with modulus alpha_T (dyadic: d(x,y) <= 2^-alpha_T(k)
-    gives d(Tx,Ty) <= 2^-k) and d(x, Tx) <= b: omega(n) = n 2^alpha_T(0) + 1 + b."""
-    slope = 2 ** eval_nat(alpha_t, 0)
-    return omega_affine(slope, 1 + as_int(b, "b", 0))
-
-
-def omega_for_bounded_space(diameter) -> ModulusDescriptor:
-    """Bounded space: omega(n) = ceil(diameter), constant."""
-    d = as_fraction(diameter)
-    if d < 0:
-        raise DescriptorError("diameter must be nonnegative")
-    return omega_affine(0, ceil_frac(d))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +414,7 @@ def eval_eta3(desc: ModulusDescriptor, q: Fraction, k: int) -> int:
 
 
 def eval_nat(desc: ModulusDescriptor, n: int) -> int:
-    """Evaluate a natural -> natural descriptor (theta, omega, tables)."""
+    """Evaluate a natural -> natural descriptor (theta, OmegaAffine, tables)."""
     if n < 0:
         raise DescriptorDomainError("argument must be a natural")
     return _nat_fn(desc)(n)

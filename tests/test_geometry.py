@@ -159,8 +159,6 @@ def test_model_mismatch_rejected():
     q = ar.make_point(D, (0.5, 0.0))
     with pytest.raises(ar.DimensionMismatchError, match="model"):
         ar.dist(E2, q, q)
-    with pytest.raises(ar.DimensionMismatchError, match="model"):
-        ar.sample_point_near(E2, random.Random(0), q, 1.0)
 
 
 def test_combine_rejects_out_of_range_lambda():

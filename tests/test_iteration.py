@@ -187,15 +187,6 @@ def test_ishikawa_step_matches_manual_composition():
         ar.ishikawa_step(E2, m, x, 0.5, -0.1)
 
 
-def test_partial_sums_alpha_exact():
-    sched = ishikawa_schedule()
-    assert ar.partial_sums_alpha(sched, 0) == Fraction(1, 4)
-    assert ar.partial_sums_alpha(sched, 1) == Fraction(3, 8)
-    assert ar.partial_sums_alpha(sched, 3) == Fraction(15, 32)
-    with pytest.raises(ar.IterationError):
-        ar.partial_sums_alpha(sched, -1)
-
-
 def test_trajectory_csv_golden():
     m = ar.euclidean_rotation((0.0, 0.0), math.pi)
     x0 = ar.make_point(E2, (1.0, 0.0))

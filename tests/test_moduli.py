@@ -3,6 +3,7 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -304,14 +305,9 @@ def test_gamma_rejects_bad_domain():
 
 
 # ---------------------------------------------------------------------------
-# omega catalog
+# natural-valued affine maps
 
-def test_omega_catalog_frozen():
-    assert ar.eval_nat(ar.omega_for_nonexpansive(3), 5) == 8
-    assert ar.eval_nat(ar.omega_for_lipschitz(3, 2), 1) == 7
-    omega = ar.omega_for_uniformly_continuous(ar.omega_affine(1, 2), 1)
-    assert omega == ar.omega_affine(4, 2)          # n 2^alpha(0) + 1 + b
-    assert ar.eval_nat(ar.omega_for_bounded_space(Fraction(7, 2)), 100) == 4
+def test_omega_affine_frozen():
     assert ar.eval_nat(ar.omega_affine(0, 4), 0) == 4
 
 
@@ -680,7 +676,9 @@ def test_verify_gamma_memory_does_not_grow_with_gamma():
 def test_gamma_witness_minimality():
     # gamma(1/16) = 2 is minimal: the window starting at 1 still exceeds 1/16
     sched = geometric_schedule()
-    alpha = [ar.partial_sums_alpha(sched, n) for n in range(40)]
+    # alpha_n = sum_{i<=n} s_i (1 - lambda_i), with s_i = 2^-(i+1), lambda_i = 1/2
+    alpha = list(accumulate(Fraction(1, 2) ** (i + 1) * (1 - Fraction(1, 2))
+                            for i in range(40)))
     assert ar.eval_gamma(sched.gamma, Fraction(1, 16)) == 2
     assert max(a - alpha[2] for a in alpha[2:]) <= Fraction(1, 16)
     assert max(a - alpha[1] for a in alpha[1:]) > Fraction(1, 16)
@@ -770,7 +768,6 @@ def test_a_wrapper_rejects_an_inner_in_another_role(build, inner):
     lambda: ar.eta1_affine("2", 3), lambda: ar.eta3_affine(2, -1),
     lambda: ar.gamma_dyadic_shift(1.5), lambda: ar.omega_affine(1, 0.5),
     lambda: ar.tabulated([(0.5, 1)]), lambda: ar.eta1_shift(ar.eta1_affine(1, 0), -1),
-    lambda: ar.omega_for_nonexpansive(1.5),
 ])
 def test_an_integer_field_takes_an_int_in_range_only(build):
     with pytest.raises(ar.DescriptorError, match="must be (an integer|>= )"):

@@ -1,10 +1,13 @@
 import dataclasses
+import random
 
 import numpy as np
 import pytest
 
 import asymreg as ar
+from asymreg import verification
 from asymreg.geometry import raw_ops
+from asymreg.verification import _draw
 
 E2 = ar.euclidean(2)
 E5 = ar.euclidean(5)
@@ -96,21 +99,31 @@ def test_nonexpansive_catalog():
              (E2, ar.euclidean_reflection_average((1.0, 0.0))),
              (E2, ar.metric_projection((0.0, 0.0), 1.0)),
              (D, ar.poincare_rotation((0.2, 0.1), 1.0)),
-             (D, ar.metric_projection((0.0, 0.0), 0.5))]
+             (D, ar.metric_projection((0.0, 0.0), 0.5)),
+             # a ClosedBall domain: the pairs are drawn inside it
+             (E2, ar.euclidean_rotation((0.0, 0.0), 1.0, ar.closed_ball((0.0, 0.0), 1.0))),
+             (D, ar.metric_projection((0.0, 0.0), 0.5, ar.closed_ball((0.0, 0.0), 2.0)))]
     for space, m in cases:
         rep = ar.check_nonexpansive(space, m, samples=300, seed=0)
         assert rep.passed, (m.kind, rep.to_json())
 
 
-def test_omega_majorization_pass_and_fail():
-    m = ar.euclidean_rotation((0.0, 0.0), 2.0)
-    x = ar.make_point(E2, (0.25, -0.5))
-    good = ar.check_omega_majorization(E2, m, x, ar.omega_for_nonexpansive(3),
-                                       samples=300, seed=1)
-    assert good.passed
-    bad = ar.check_omega_majorization(E2, m, x, ar.omega_affine(0, 0),
-                                      samples=300, seed=1)
-    assert not bad.passed
+@pytest.mark.parametrize("space, center", [(E2, (3.0, -1.0)), (D, (0.4, -0.3))],
+                         ids=["E2", "disk"])
+def test_nonexpansive_draws_its_pairs_inside_the_domain_ball(monkeypatch, space, center):
+    seen = []
+    monkeypatch.setattr(verification, "raw_apply_fn",
+                        lambda space, m: lambda z: seen.append(z) or z)
+    m = ar.identity(ar.closed_ball(center, 0.5))
+    assert ar.check_nonexpansive(space, m, samples=100, seed=0).passed
+    assert len(seen) == 200
+    assert all(ar.in_domain(space, m, ar.Point(space.kind, z)) for z in seen)
+
+
+def test_nonexpansive_fails_an_expanding_map(monkeypatch):
+    monkeypatch.setattr(verification, "raw_apply_fn", lambda space, m: lambda z: 2.0 * z)
+    rep = ar.check_nonexpansive(E2, ar.identity(), samples=50, seed=0)
+    assert rep.verdict == ar.FAIL and rep.failures
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +291,14 @@ def test_reports_are_deterministic_json(km_config):
     assert a.to_json() == b.to_json()
 
 
-def test_sample_point_targets_regions():
-    rng_pts = [ar.sample_point(E5, __import__("random").Random(f"{i}")) for i in range(50)]
-    assert all(sum(c * c for c in p.coords) <= 100.0 + 1e-9 for p in rng_pts)
-    origin = ar.make_point(D, (0.0, 0.0))
-    for i in range(50):
-        p = ar.sample_point(D, __import__("random").Random(i))
-        assert ar.dist(D, origin, p) <= 5.0 + 1e-9
-    x = ar.make_point(D, (0.3, 0.2))
-    for i in range(50):
-        y = ar.sample_point_near(D, __import__("random").Random(i), x, 2.0)
-        assert ar.dist(D, x, y) <= 2.0 + 1e-9
+@pytest.mark.parametrize("space", [E5, D], ids=["E5", "disk"])
+def test_draw_targets_regions(space):
+    d = raw_ops(space)[0]
+    origin = ar.make_point(space, (0.0,) * space.dim).raw
+    center = ar.make_point(space, (0.3, 0.2) + (0.0,) * (space.dim - 2)).raw
+    for c, radius in ((None, verification._SAMPLE_RADIUS[space.kind]), (center, 2.0)):
+        rng = random.Random(f"{space.kind}:{radius}")
+        dists = [d(origin if c is None else c, _draw(space, rng, radius, c))
+                 for _ in range(50)]
+        assert max(dists) <= radius + 1e-9
+        assert max(dists) > radius / 2
