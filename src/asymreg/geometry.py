@@ -19,7 +19,10 @@ radius tanh(t * artanh |u|) along the translated direction u.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .moduli import (ROLE_ETA, DescriptorError, ModulusDescriptor, as_int, eta_quadratic,
                      require_role)
@@ -31,6 +34,7 @@ POINCARE_DISK = "PoincareDisk"
 DISK_MARGIN = 1e-12
 # atanh argument guard; caps representable distances, far beyond sampling range.
 _ATANH_GUARD = 1.0 - 1e-15
+_TINY = sys.float_info.min
 
 
 class GeometryError(ValueError):
@@ -125,7 +129,7 @@ def check_point(space: SpaceModel, p: Point):
 # ---------------------------------------------------------------------------
 # raw kernels.  The disk and the Euclidean plane use complex numbers, other
 # Euclidean dimensions use plain tuples, as Point.raw holds them; the
-# iteration loop and the samplers call these kernels directly.
+# iteration loop and check_nonexpansive call these kernels directly.
 # Every combine returns x itself when t == 0 or x == y: a degenerate
 # geodesic is its endpoint, bitwise, which the iteration's stationarity
 # cut-off and its lambda_n = 0 steps rely on.  The fused dist_combine kernels
@@ -203,6 +207,58 @@ def raw_ops(space: SpaceModel):
     if space.dim == 2:
         return _e_dist_c, _e_combine_c, _e_dist_combine_c
     return _e_dist_t, _e_combine_t, _e_dist_combine_t
+
+
+# ---------------------------------------------------------------------------
+# array kernels: the raw kernels on arrays of points at once, for the
+# samplers.  An array of disk points of shape s is a complex array of shape
+# s, one of Euclidean points a float array of shape (*s, dim), the plane
+# included; t is a float or a float array of shape s.  Shapes broadcast, so
+# (2, n) points against (n,) points make 2 blocks of n pairs in one call.
+# The kernels agree with the raw kernels to a few ulp, not bitwise (on the
+# disk, to a few ulp of the translate |w|, see tests/test_verification.py).
+
+def _p_dist_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    w = (y - x) / (1.0 - x.conj() * y)
+    return 2.0 * np.arctanh(np.minimum(np.abs(w), _ATANH_GUARD))
+
+
+def _p_combine_array(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
+    u = (y - x) / (1.0 - x.conj() * y)
+    ru = np.abs(u)
+    a = np.arctanh(np.minimum(ru, _ATANH_GUARD))
+    # u == 0 where x == y: then m == 0, and the result is x
+    m = u * (np.tanh(t * a) / np.maximum(ru, _TINY))
+    z = (x + m) / (1.0 + x.conj() * m)
+    n2 = z.real * z.real + z.imag * z.imag
+    over = n2 >= 1.0 - DISK_MARGIN
+    z[over] *= np.sqrt((1.0 - 2.0 * DISK_MARGIN) / n2[over])
+    return z
+
+
+def _e_dist_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.square(x - y).sum(axis=-1))
+
+
+def _e_combine_array(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
+    t = np.asarray(t)[..., None]
+    return (1.0 - t) * x + t * y
+
+
+def array_ops(space: SpaceModel):
+    """(dist, combine) on blocks of points of the model."""
+    if space.kind == POINCARE_DISK:
+        return _p_dist_array, _p_combine_array
+    return _e_dist_array, _e_combine_array
+
+
+def raw_points(space: SpaceModel, block: np.ndarray) -> list:
+    """The raw values of a block's points, as the raw kernels take them."""
+    if space.kind == POINCARE_DISK:
+        return block.tolist()
+    if space.dim == 2:
+        return (block[:, 0] + 1j * block[:, 1]).tolist()
+    return list(map(tuple, block.tolist()))
 
 
 # ---------------------------------------------------------------------------

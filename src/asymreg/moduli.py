@@ -401,6 +401,51 @@ def eval_eta1(desc: ModulusDescriptor, r: float, k: int) -> int:
     raise DescriptorError(f"{desc.kind!r} is not an eta1 descriptor")
 
 
+# 1 + 8u for u = 2^-53: lifts a float formula that errs by a few u at most
+# (EtaHilbert's by about 4.3u) above the correctly rounded value.
+_ROUND_UP = 1.0 + 2.0 ** -50
+
+
+def eval_eta_array(desc: ModulusDescriptor, r: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """eval_eta at each (r[i], eps[i]), for r > 0 and eps in (0, 2] with
+    eps^2 in the normal float range: never below it, and at most a few ulp
+    above.  The closed forms are evaluated in floats and rounded up; the
+    forms built on eta1 take eval_eta1_array."""
+    if desc.kind == ETA_QUADRATIC:
+        return eps * eps / desc.param("denominator") * _ROUND_UP
+    if desc.kind == ETA_HILBERT:
+        # u / (1 + sqrt(1 - u)) for u = eps^2/4, with 1 - u = (2 - eps)(2 + eps)/4,
+        # which keeps its relative error small as eps nears 2
+        root = np.sqrt((2.0 - eps) * (2.0 + eps) * 0.25)
+        return eps * eps * 0.25 / (1.0 + root) * _ROUND_UP
+    if desc.kind == ETA_CONSTANT:
+        return np.full(np.shape(eps), float(desc.param("value")))
+    if desc.kind == ETA_FROM_ETA1:
+        # ceil(-log2 eps) = 1 - e for eps = f 2^e, f in [1/2, 1)
+        k = np.maximum(0, 1 - np.frexp(eps)[1])
+        return 2.0 ** -eval_eta1_array(desc.param("inner"), r, k)
+    raise DescriptorError(f"{desc.kind!r} is not an eta descriptor")
+
+
+def eval_eta1_array(desc: ModulusDescriptor, r: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """eval_eta1 at each (r[i], k[i]), as floats.  Of all kinds only
+    Eta3KPlusCeil reads r; a kind with no closed form here ignores r, and
+    eval_eta1 is called once per distinct k."""
+    if desc.kind == ETA1_SHIFT:
+        return eval_eta1_array(desc.param("inner"), r, k + desc.param("shift"))
+    if desc.kind == ETA2_FROM_ETA3 and desc.param("inner").kind == ETA3_K_PLUS_CEIL:
+        return k + np.ceil(r)
+    if desc.kind == ETA1_FROM_ETA and desc.param("inner").kind == ETA_FROM_ETA1:
+        # eta(r, 2^-k) = 2^-eta1'(r, k), so eta1 = max(0, eta1'(r, k))
+        return np.maximum(0.0, eval_eta1_array(desc.param("inner").param("inner"), r, k))
+    # a table over 0..max(k), filled at the k present (np.unique would page
+    # in about 1.5 MB of numpy's code)
+    present = np.flatnonzero(np.bincount(k))
+    table = np.zeros(present[-1] + 1)
+    table[present] = [eval_eta1(desc, 1.0, int(j)) for j in present]
+    return table[k]
+
+
 def eval_eta3(desc: ModulusDescriptor, q: Fraction, k: int) -> int:
     if q <= 0:
         raise DescriptorDomainError("eta3 takes a positive rational radius")

@@ -11,8 +11,11 @@ cycle: the audit checks the recorded indices [0, c+p), which cover every
 step (c = tail_from, p = len(cycle)), and the soundness windows read each
 index n at `Trajectory.fold(n)`.
 
-Checks are deterministic: each owns an RNG stream derived from (seed, check
-name), and reports serialize to stable JSON.  Rates whose verification window
+The sampled checks are batched.  Each owns one random stream seeded from
+(seed, check name), draws its samples as arrays, at most BLOCK at a time,
+and evaluates every inequality on a whole block through _bulk_fail, the
+comparison the orbit checks use too.  So checks are deterministic, and
+reports serialize to stable JSON.  Rates whose verification window
 exceeds the step cap are reported as unverified-at-scale, a warning rather
 than a failure.
 """
@@ -30,10 +33,11 @@ from .geometry import (
     POINCARE_DISK,
     Point,
     SpaceModel,
+    array_ops,
     dist,
     make_point,
     raw_ops,
-    raw_point,
+    raw_points,
 )
 # Unused here; perfbench/spans._COUNTED still wraps this name in this module.
 from .geometry import combine  # noqa: F401
@@ -43,8 +47,8 @@ from .moduli import (
     SLACK,
     ModulusDescriptor,
     as_fraction,
-    eval_eta,
-    eval_eta1,
+    eval_eta1_array,
+    eval_eta_array,
     verify_gamma,
     verify_theta,
 )
@@ -58,28 +62,66 @@ _SAMPLE_RADIUS = {EUCLIDEAN: EUCLID_SAMPLE_RADIUS, POINCARE_DISK: DISK_SAMPLE_RA
 SOUNDNESS_WINDOW = 1000
 
 
+# At most BLOCK samples are drawn and checked at a time, so that memory does
+# not grow with the sample count.  It is even, so a sample's index and its
+# position in its block have the same parity.
+BLOCK = 2 ** 14
+
+
 def _rng(seed: int, name: str) -> random.Random:
     # string seeding hashes stably (sha512), unlike tuple hashing
     return random.Random(f"{seed}:{name}")
 
 
-def _draw(space: SpaceModel, rng: random.Random, radius: float, center=None):
-    """A raw point within distance radius of the raw point center (of the
-    origin when None).  Euclidean: uniform in that ball.  Disk: uniform
-    direction, with hyperbolic distance to the center uniform in [0, radius]."""
+# The samplers draw their arrays from random.Random, not numpy.random, whose
+# import alone adds about 6 MB to the resident set of a process.
+
+def _uniform(rng: random.Random, shape: tuple) -> np.ndarray:
+    """Floats uniform in [0, 1) of the given shape, 53 random bits each,
+    from one getrandbits."""
+    size = math.prod(shape)
+    words = np.frombuffer(rng.getrandbits(64 * size).to_bytes(8 * size, "little"), np.uint64)
+    return (words >> 11).reshape(shape) * 2.0 ** -53
+
+
+def _normal(rng: random.Random, shape: tuple) -> np.ndarray:
+    """Standard normal floats: the real and imaginary parts of Box-Muller's
+    sqrt(-2 log(1 - u)) exp(2 pi i v) are two independent ones."""
+    size = math.prod(shape)
+    u, v = _uniform(rng, (2, (size + 1) // 2))
+    pairs = np.sqrt(-2.0 * np.log1p(-u)) * np.exp(2j * math.pi * v)
+    return pairs.view(float)[:size].reshape(shape)
+
+
+def _blocks(samples: int):
+    """(offset, size) of each block of samples."""
+    return ((start, min(BLOCK, samples - start)) for start in range(0, samples, BLOCK))
+
+
+def _unit(vec: np.ndarray) -> np.ndarray:
+    """Each vector of vec (along its last axis) scaled to norm 1; a zero
+    vector stays zero."""
+    norm = np.sqrt(np.square(vec).sum(axis=-1, keepdims=True))
+    return vec / np.where(norm == 0.0, 1.0, norm)
+
+
+def _draw_block(space: SpaceModel, rng: random.Random, shape: tuple, radius: float,
+                center: Point | None = None) -> np.ndarray:
+    """An array of points of the given shape, each within distance radius
+    of center (of the origin when None), in the form of geometry.array_ops:
+    (m, n) draws m blocks of n points.  Euclidean: uniform in that ball.
+    Disk: uniform direction, with hyperbolic distance to the center uniform
+    in [0, radius]."""
     if space.kind == POINCARE_DISK:
-        t = rng.random() * radius
-        phi = rng.random() * 2.0 * math.pi
-        r = math.tanh(t / 2.0)
-        w = complex(r * math.cos(phi), r * math.sin(phi))
-        return w if center is None else (center + w) / (1.0 + center.conjugate() * w)
-    vec = [rng.gauss(0.0, 1.0) for _ in range(space.dim)]
-    norm = math.sqrt(sum(v * v for v in vec)) or 1.0
-    scale = radius * rng.random() ** (1.0 / space.dim) / norm
-    if center is None:
-        return raw_point(space, [v * scale for v in vec])
-    c = Point(space.kind, center).coords
-    return raw_point(space, [a + v * scale for a, v in zip(c, vec)])
+        dist_to_center, turn = _uniform(rng, (2, *shape))
+        w = np.tanh(dist_to_center * (radius / 2.0)) * np.exp(2j * math.pi * turn)
+        if center is None:
+            return w
+        c = center.raw
+        return (c + w) / (1.0 + c.conjugate() * w)
+    vec = _unit(_normal(rng, (*shape, space.dim)))
+    block = vec * (radius * _uniform(rng, shape) ** (1.0 / space.dim))[..., None]
+    return block if center is None else block + center.coords
 
 
 # ---------------------------------------------------------------------------
@@ -90,46 +132,37 @@ def check_space_axioms(space: SpaceModel, samples: int = 10_000, seed: int = 0,
     """Metric axioms plus the four convexity identities of the combination
     map: (W1) point-to-segment convexity, (W2) constant-speed
     parameterization, (W3) endpoint symmetry, (W4) joint convexity.
-    combine_override, a raw (x, y, t) combine, replaces the model's."""
+    combine_override, an array (x, y, t) combine as geometry.array_ops
+    gives, replaces the model's."""
     report = CheckReport("space-axioms", samples=samples)
-    d, comb, _ = raw_ops(space)
+    d, comb = array_ops(space)
     comb = combine_override or comb
     radius = _SAMPLE_RADIUS[space.kind]
     rng = _rng(seed, f"space-axioms:{space.kind}:{space.dim}")
-    for i in range(samples):
-        x, y, z, w = (_draw(space, rng, radius) for _ in range(4))
-        lam, lam2 = rng.random(), rng.random()
+    for start, n in _blocks(samples):
+        x, y, z, w = _draw_block(space, rng, (4, n), radius)
+        lam, lam2 = _uniform(rng, (2, n))
 
-        dxy = d(x, y)
+        def fail(axiom, lhs, rhs, slack, **drawn):
+            _bulk_fail(report, {"axiom": axiom}, lhs, rhs, slack, "i", start, **drawn)
+
+        # the kernels broadcast: one call evaluates several pairs per sample
+        dxy, dxz, dyz, dzw, dxx, dyx = d(np.array((x, x, y, z, x, y)),
+                                         np.array((y, z, z, w, x, x)))
         tol_rel = SLACK * (1.0 + dxy)
-        if dxy < 0:
-            report.fail({"axiom": "nonnegative", "i": i}, dxy, 0.0, 0.0)
-        if d(x, x) > 1e-12:
-            report.fail({"axiom": "identity", "i": i}, d(x, x), 0.0, 1e-12)
-        if abs(dxy - d(y, x)) > tol_rel:
-            report.fail({"axiom": "symmetry", "i": i}, d(y, x), dxy, tol_rel)
-        dxz, dyz = d(x, z), d(y, z)
-        tol_tri = SLACK * (1.0 + dxy + dyz)
-        if dxz > dxy + dyz + tol_tri:
-            report.fail({"axiom": "triangle", "i": i}, dxz, dxy + dyz, tol_tri)
+        fail("nonnegative", 0.0, dxy, 0.0)
+        fail("identity", dxx, 0.0, 1e-12)
+        fail("symmetry", dyx, dxy, tol_rel, two_sided=True)
+        fail("triangle", dxz, dxy + dyz, SLACK * (1.0 + dxy + dyz))
 
-        w_lam = comb(x, y, lam)
-        w_lam2 = comb(x, y, lam2)
-        lhs = d(z, w_lam)
-        rhs = (1.0 - lam) * dxz + lam * dyz
-        if lhs > rhs + SLACK:
-            report.fail({"axiom": "W1", "i": i, "lam": lam}, lhs, rhs, SLACK)
-        lhs = abs(d(w_lam, w_lam2) - abs(lam - lam2) * dxy)
-        if lhs > tol_rel:
-            report.fail({"axiom": "W2", "i": i, "lam": lam, "lam2": lam2},
-                        d(w_lam, w_lam2), abs(lam - lam2) * dxy, tol_rel)
-        lhs = d(w_lam, comb(y, x, 1.0 - lam))
-        if lhs > SLACK:
-            report.fail({"axiom": "W3", "i": i, "lam": lam}, lhs, 0.0, SLACK)
-        lhs = d(comb(x, z, lam), comb(y, w, lam))
-        rhs = (1.0 - lam) * dxy + lam * d(z, w)
-        if lhs > rhs + SLACK:
-            report.fail({"axiom": "W4", "i": i, "lam": lam}, lhs, rhs, SLACK)
+        w_lam, w_lam2, w_rev = comb(np.array((x, x, y)), np.array((y, y, x)),
+                                    np.array((lam, lam2, 1.0 - lam)))
+        d_w1, d_w2, d_w3 = d(np.array((z, w_lam, w_lam)), np.array((w_lam, w_lam2, w_rev)))
+        fail("W1", d_w1, (1.0 - lam) * dxz + lam * dyz, SLACK, lam=lam)
+        fail("W2", d_w2, np.abs(lam - lam2) * dxy, tol_rel, two_sided=True, lam=lam, lam2=lam2)
+        fail("W3", d_w3, 0.0, SLACK, lam=lam)
+        fail("W4", d(*comb(np.array((x, y)), np.array((z, w)), lam)),
+             (1.0 - lam) * dxy + lam * dzw, SLACK, lam=lam)
     return report
 
 
@@ -141,41 +174,45 @@ def check_uc_implication(space: SpaceModel, samples: int = 10_000, seed: int = 0
     """From d(x, a) <= r, d(y, a) <= r, d(x, y) >= eps r the modulus must
     push the midpoint inward, d(mid, a) <= (1 - eta(r, eps)) r, and for any
     lam and any s >= r the combination obeys
-    d((1-lam) x (+) lam y, a) <= (1 - 2 lam (1 - lam) eta(s, eps)) r."""
+    d((1-lam) x (+) lam y, a) <= (1 - 2 lam (1 - lam) eta(s, eps)) r.
+
+    At the even indices x and y lie on one sphere about a, of radius r, and
+    eps is d(x, y) / r: the extremal case, where an overclaimed eta shows.
+    At the odd indices r is the larger distance grown by up to 2x,
+    and eps shrunk below d(x, y) / r."""
     desc = eta or space.modulus
     report = CheckReport("uc-implication")
-    d, comb, _ = raw_ops(space)
+    d, comb = array_ops(space)
     radius = _SAMPLE_RADIUS[space.kind]
     rng = _rng(seed, f"uc-implication:{space.kind}")
     effective = 0
-    for i in range(samples):
-        a, x, y = (_draw(space, rng, radius) for _ in range(3))
-        rmax = max(d(x, a), d(y, a))
-        if rmax == 0.0:
-            continue
-        r = rmax * (1.0 + rng.random())
-        dxy = d(x, y)
-        eps = min(2.0, dxy / r)
-        if i % 2 == 1:
-            eps *= rng.random()
-        if eps <= 0.0:
-            continue
-        effective += 1
+    for start, n in _blocks(samples):
+        a, x, y = _draw_block(space, rng, (3, n), radius)
+        grow, shrink, lam, stretch = _uniform(rng, (4, n))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the even x and y move along their geodesics from a to the
+            # sphere of the nearer one
+            ends = np.array((x[::2], y[::2]))
+            to_a = d(ends, a[::2])
+            x[::2], y[::2] = comb(a[::2], ends, np.min(to_a, axis=0) / to_a)
+            dxa, dya, dxy = d(np.array((x, y, x)), np.array((a, a, y)))
+            r = np.maximum(dxa, dya)
+            r[1::2] *= 1.0 + grow[1::2]
+            eps = np.minimum(2.0, dxy / r)
+        eps[1::2] *= shrink[1::2]
+        s = r * (1.0 + 2.0 * stretch)
+        # a sample with eps <= 0, or NaN from r == 0, is skipped: its NaN
+        # lhs fails no comparison
+        kept = eps > 0.0
+        effective += int(np.count_nonzero(kept))
 
-        mid = comb(x, y, 0.5)
-        bound = (1.0 - eval_eta(desc, r, eps)) * r
-        lhs = d(mid, a)
-        if lhs > bound + SLACK:
-            report.fail({"form": "midpoint", "i": i, "r": r, "eps": eps},
-                        lhs, bound, SLACK)
-
-        lam = rng.random()
-        s = r * (1.0 + 2.0 * rng.random())
-        bound = (1.0 - 2.0 * lam * (1.0 - lam) * eval_eta(desc, s, eps)) * r
-        lhs = d(comb(x, y, lam), a)
-        if lhs > bound + SLACK:
-            report.fail({"form": "general-lambda", "i": i, "r": r, "s": s,
-                         "eps": eps, "lam": lam}, lhs, bound, SLACK)
+        lhs = np.where(kept, d(comb(x, y, np.array((np.full(n, 0.5), lam))), a), np.nan)
+        bound = (1.0 - eval_eta_array(desc, r, eps)) * r
+        _bulk_fail(report, {"form": "midpoint"}, lhs[0], bound, SLACK, "i", start,
+                   r=r, eps=eps)
+        bound = (1.0 - 2.0 * lam * (1.0 - lam) * eval_eta_array(desc, s, eps)) * r
+        _bulk_fail(report, {"form": "general-lambda"}, lhs[1], bound, SLACK, "i", start,
+                   r=r, s=s, eps=eps, lam=lam)
     report.samples = effective
     report.note(f"effective samples: {effective} of {samples}")
     return report
@@ -189,63 +226,55 @@ def check_dyadic_uc_implication(space: SpaceModel, desc: ModulusDescriptor,
     (1 - 2^-eta1(r, k)) r, the endpoints must be 2^-k r close
     (strictly for the eta1 form, weakly for the eta2 form).
 
-    Half the samples are random triples, half are constructed near-threshold
-    configurations so the premise actually activates."""
+    The samples at even indices are random triples, those at odd indices
+    constructed near-threshold configurations, so the premise actually
+    activates."""
     if space.kind != EUCLIDEAN:
         raise ValueError("dyadic implication check runs on a Euclidean model")
     name = "uc-implication-dyadic-" + ("strict" if conclusion_strict else "weak")
     report = CheckReport(name, samples=samples)
-    d, comb, _ = raw_ops(space)
+    d, comb = array_ops(space)
     rng = _rng(seed, f"{name}:{space.dim}")
     activations = 0
-    for i in range(samples):
-        k = rng.randrange(0, 4)
-        if i % 2 == 0:
-            a, x, y = (_draw(space, rng, EUCLID_SAMPLE_RADIUS) for _ in range(3))
-            rmax = max(d(x, a), d(y, a))
-            if rmax == 0.0:
-                continue
-            r = rmax * (1.0 + 0.001 + rng.random())
-        else:
-            a, x, y, r = _near_threshold_triple(space, rng, k)
-        m = eval_eta1(desc, r, k)
-        threshold = (1.0 - 2.0 ** (-m)) * r
-        if d(comb(x, y, 0.5), a) <= threshold:
-            continue
-        activations += 1
-        dxy = d(x, y)
-        bound = 2.0 ** (-k) * r
-        tol = SLACK * (1.0 + r)
-        ok = dxy < bound + tol if conclusion_strict else dxy <= bound + tol
-        if not ok:
-            report.fail({"i": i, "k": k, "r": r}, dxy, bound, tol)
+    for start, n in _blocks(samples):
+        k = (4.0 * _uniform(rng, (n,))).astype(int)
+        a, x, y = (np.empty((n, space.dim)) for _ in range(3))
+        r = np.empty(n)
+        even = (n + 1) // 2
+        a[::2], x[::2], y[::2] = _draw_block(space, rng, (3, even), EUCLID_SAMPLE_RADIUS)
+        r[::2] = (np.max(d(np.array((x[::2], y[::2])), a[::2]), axis=0)
+                  * (1.0 + 0.001 + _uniform(rng, (even,))))
+        a[1::2], x[1::2], y[1::2], r[1::2] = _near_threshold_block(space, rng, k[1::2])
+
+        # r == 0 (x == y == a) leaves the premise inactive: 0 > 0 is false
+        threshold = (1.0 - 2.0 ** -eval_eta1_array(desc, r, k)) * r
+        d_mid, dxy = d(np.array((comb(x, y, 0.5), x)), np.array((a, y)))
+        active = d_mid > threshold
+        activations += int(np.count_nonzero(active))
+        _bulk_fail(report, {}, np.where(active, dxy, np.nan), 2.0 ** -k * r,
+                   SLACK * (1.0 + r), "i", start, strict=conclusion_strict, k=k, r=r)
     report.note(f"premise activations: {activations} of {samples}")
     if activations == 0:
         report.fail({"error": "premise never activated"}, 0.0, 1.0, 0.0)
     return report
 
 
-def _near_threshold_triple(space: SpaceModel, rng: random.Random, k: int):
-    """Raw x, y near the sphere of radius r about a raw a, separated by
-    2^-(k+2) r, so the midpoint premise of the dyadic implication activates."""
-    a = _draw(space, rng, EUCLID_SAMPLE_RADIUS)
-    e1 = [rng.gauss(0.0, 1.0) for _ in range(space.dim)]
-    n1 = math.sqrt(sum(v * v for v in e1)) or 1.0
-    e1 = [v / n1 for v in e1]
-    e2 = [rng.gauss(0.0, 1.0) for _ in range(space.dim)]
-    proj = sum(u * v for u, v in zip(e1, e2))
-    e2 = [v - proj * u for u, v in zip(e1, e2)]
-    n2 = math.sqrt(sum(v * v for v in e2)) or 1.0
-    e2 = [v / n2 for v in e2]
-    r = 0.5 + 9.5 * rng.random()
-    w = 2.0 ** (-2 * k - 9)
-    d_ax = r * (1.0 - w)
+def _near_threshold_block(space: SpaceModel, rng: random.Random, k: np.ndarray):
+    """Points a, x, y and radii r, one per entry of k: x and y near the
+    sphere of radius r about a, separated by 2^-(k+2) r, so the midpoint
+    premise of the dyadic implication activates."""
+    n = len(k)
+    a = _draw_block(space, rng, (n,), EUCLID_SAMPLE_RADIUS)
+    e1, e2 = _normal(rng, (2, n, space.dim))
+    e1 = _unit(e1)
+    e2 = _unit(e2 - (e1 * e2).sum(axis=1, keepdims=True) * e1)
+    r = 0.5 + 9.5 * _uniform(rng, (n,))
+    d_ax = r * (1.0 - 2.0 ** (-2 * k - 9))
     sep = 2.0 ** (-k - 2) * r
-    h = math.sqrt(d_ax * d_ax - sep * sep / 4.0)
-    ac = Point(space.kind, a).coords
-    x = raw_point(space, [c + h * u + 0.5 * sep * v for c, u, v in zip(ac, e1, e2)])
-    y = raw_point(space, [c + h * u - 0.5 * sep * v for c, u, v in zip(ac, e1, e2)])
-    return a, x, y, r
+    h = np.sqrt(d_ax * d_ax - sep * sep / 4.0)
+    mid = a + h[:, None] * e1
+    half = (0.5 * sep)[:, None] * e2
+    return a, mid + half, mid - half, r
 
 
 # ---------------------------------------------------------------------------
@@ -254,20 +283,30 @@ def _near_threshold_triple(space: SpaceModel, rng: random.Random, k: int):
 def check_nonexpansive(space: SpaceModel, m: MappingSpec,
                        samples: int = 1_000, seed: int = 0) -> CheckReport:
     """d(Tx, Ty) <= d(x, y) on pairs drawn from the mapping's domain ball,
-    or from the sampling ball about the origin on the whole space."""
+    or from the sampling ball about the origin on the whole space.  On a
+    ball C, also the self-map check: T x and T y lie in C, within the
+    tolerance of mappings.in_domain.  Mappings have no array form, so T and
+    the distances are evaluated point by point."""
     report = CheckReport(f"nonexpansive:{m.kind}", samples=samples)
     d, t = raw_ops(space)[0], raw_apply_fn(space, m)
     if m.domain.kind == WHOLE_SPACE:
         radius, center = _SAMPLE_RADIUS[space.kind], None
     else:
-        radius, center = m.domain.radius, make_point(space, m.domain.center).raw
+        radius, center = m.domain.radius, make_point(space, m.domain.center)
     rng = _rng(seed, f"nonexpansive:{m.kind}")
-    for i in range(samples):
-        x, y = _draw(space, rng, radius, center), _draw(space, rng, radius, center)
-        lhs = d(t(x), t(y))
-        rhs = d(x, y)
-        if lhs > rhs + SLACK * (1.0 + rhs):
-            report.fail({"i": i}, lhs, rhs, SLACK * (1.0 + rhs))
+    for start, n in _blocks(samples):
+        x, y = (raw_points(space, block)
+                for block in _draw_block(space, rng, (2, n), radius, center))
+        tx, ty = [t(p) for p in x], [t(q) for q in y]
+        lhs, rhs = np.array([(d(tp, tq), d(p, q))
+                             for p, q, tp, tq in zip(x, y, tx, ty)]).T
+        _bulk_fail(report, {"inequality": "nonexpansive"}, lhs, rhs, SLACK * (1.0 + rhs),
+                   "i", start)
+        if center is not None:
+            escape = np.array([max(d(p, center.raw), d(q, center.raw))
+                               for p, q in zip(tx, ty)])
+            _bulk_fail(report, {"inequality": "self-map"}, escape, radius,
+                       radius * SLACK + SLACK, "i", start)
     return report
 
 
@@ -299,35 +338,53 @@ def check_lemma_inequalities(traj: Trajectory) -> CheckReport:
     last = len(traj.inner_residuals)        # the steps n < last are recorded
     after = traj.fold(np.arange(1, last + 1))
     lam, s = traj.schedule_floats(last)
-    _bulk_fail(report, "a", (1.0 - s) * res[:last], traj.inner_residuals, SLACK)
-    _bulk_fail(report, "b", res[after], (1.0 + 2.0 * s * (1.0 - lam)) * res[:last], SLACK)
+    _bulk_fail(report, {"inequality": "a"}, (1.0 - s) * res[:last], traj.inner_residuals,
+               SLACK)
+    _bulk_fail(report, {"inequality": "b"}, res[after],
+               (1.0 + 2.0 * s * (1.0 - lam)) * res[:last], SLACK)
 
     if traj.afp is not None:
         cap = 2.0 * traj.afp.b
-        _bulk_fail(report, "residual-cap", res, np.full(len(res), cap), SLACK)
+        _bulk_fail(report, {"inequality": "residual-cap"}, res, np.full(len(res), cap), SLACK)
 
     rd, z = traj.ref_distances, traj.ref_point
     if rd is None:
         return report
     d_z_tz = dist(space, z, apply_map(space, m, z))
-    _bulk_fail(report, "c-inner", traj.inner_ref_distances, rd[:last] + d_z_tz, SLACK)
-    _bulk_fail(report, "c-image", traj.t_inner_ref_distances,
+    _bulk_fail(report, {"inequality": "c-inner"}, traj.inner_ref_distances,
+               rd[:last] + d_z_tz, SLACK)
+    _bulk_fail(report, {"inequality": "c-image"}, traj.t_inner_ref_distances,
                rd[:last] + 2.0 * d_z_tz, SLACK)
-    _bulk_fail(report, "c-step", rd[after], rd[:last] + 2.0 * lam * d_z_tz, SLACK)
-    _bulk_fail(report, "c-drift", rd, rd[0] + 2.0 * np.arange(len(rd)) * d_z_tz, SLACK)
+    _bulk_fail(report, {"inequality": "c-step"}, rd[after], rd[:last] + 2.0 * lam * d_z_tz,
+               SLACK)
+    _bulk_fail(report, {"inequality": "c-drift"}, rd,
+               rd[0] + 2.0 * np.arange(len(rd)) * d_z_tz, SLACK)
     return report
 
 
-def _bulk_fail(report: CheckReport, name: str, lhs: np.ndarray,
-               rhs: np.ndarray, slack: float, offset: int = 0) -> None:
-    """Fail the first ten n with lhs[n] > rhs[n] + slack, reported at index
-    offset + n, and count the rest as suppressed."""
-    bad = np.nonzero(lhs > rhs + slack)[0]
-    for n in bad[:10]:
-        report.fail({"inequality": name, "n": offset + int(n)},
-                    float(lhs[n]), float(rhs[n]), slack)
-    if len(bad) > 10:
-        report.suppressed_failures += len(bad) - 10
+def _bulk_fail(report: CheckReport, label: dict, lhs, rhs, slack, index: str = "n",
+               offset: int = 0, strict: bool = False, two_sided: bool = False,
+               **drawn) -> None:
+    """Fail the first ten j with lhs[j] > rhs[j] + slack[j] (>= when
+    strict, |lhs[j] - rhs[j]| > slack[j] when two_sided), each with the
+    inputs label, index = offset + j and the drawn value at j of each array
+    in drawn, and count the rest as suppressed.  lhs, rhs and slack
+    broadcast together to one axis; a NaN in lhs fails nothing."""
+    if two_sided:
+        over = np.abs(lhs - rhs) > slack
+    else:
+        bound = rhs + slack
+        over = lhs >= bound if strict else lhs > bound
+    bad = np.nonzero(over)[0]
+    if len(bad) == 0:
+        return
+    first = bad[:10]
+    sides = [np.broadcast_to(v, over.shape)[first].tolist() for v in (lhs, rhs, slack)]
+    values = {key: value[first].tolist() for key, value in drawn.items()}
+    for i, j in enumerate(first.tolist()):
+        inputs = {**label, index: offset + j, **{key: v[i] for key, v in values.items()}}
+        report.fail(inputs, *(side[i] for side in sides))
+    report.suppressed_failures += len(bad) - len(first)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +473,7 @@ def check_phi_soundness(config: ExperimentConfig, eps: float,
 
     window = res[traj.fold(np.arange(rr.phi, end + 1))]
     report.samples += len(window)
-    _bulk_fail(report, "residual", window, np.full(len(window), eps), SLACK * eps,
+    _bulk_fail(report, {"inequality": "residual"}, window, np.full(len(window), eps), SLACK * eps,
                offset=rr.phi)
     boundary = int(np.count_nonzero(np.abs(window - eps) <= SLACK * eps))
     if boundary:

@@ -9,6 +9,7 @@ import time
 import pytest
 
 import asymreg as ar
+from asymreg import cli
 from asymreg.cli import main
 
 from conftest import CONFIG_DIR
@@ -275,14 +276,18 @@ def test_a_nonpositive_eps_is_a_rate_error(tmp_path, capsys, eps, steps):
     assert not (tmp_path / "report.json").exists()
 
 
-def test_seed_override_changes_sampling(capsys):
-    main(["verify-space", "--config", KM, "--samples", "200", "--json"])
-    a = capsys.readouterr().out
-    main(["verify-space", "--config", KM, "--samples", "200", "--seed", "9",
-          "--json"])
-    b = capsys.readouterr().out
-    assert json.loads(a)["verdict"] == json.loads(b)["verdict"] == "pass"
-    assert a != b
+def test_seed_override_reaches_every_sampler(monkeypatch, capsys):
+    seeds = []
+    for name in ("check_space_axioms", "check_uc_implication", "check_dyadic_uc_implication"):
+        check = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, _check=check, **kwargs:
+                            seeds.append(kwargs["seed"]) or _check(*args, **kwargs))
+    assert main(["verify-space", "--config", KM, "--samples", "200", "--json"]) == 0
+    assert main(["verify-space", "--config", KM, "--samples", "200", "--seed", "9",
+                 "--json"]) == 0
+    assert seeds == [ar.load_config(KM).seed] * 3 + [9] * 3
+    a, b = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert a["verdict"] == b["verdict"] == "pass"
 
 
 def test_max_steps_override_caps_run(tmp_path, capsys):

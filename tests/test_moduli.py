@@ -809,6 +809,46 @@ def test_validate_schedule_reads_the_roles_of_theta_and_gamma():
         ar.validate_schedule(dataclasses.replace(sched, gamma=ar.theta_linear(4)))
 
 
+def _playing(role):
+    return [d for d in ALL_DESCRIPTORS if role in moduli._DESCRIPTOR_BUILDERS[d.kind][2]]
+
+
+RADII = st.floats(1e-3, 100.0)
+EPS = st.one_of(st.floats(2.0 ** -60, 2.0),
+                st.sampled_from([2.0, math.nextafter(2.0, 0.0), 1.0, 0.5, 2.0 ** -30]))
+
+
+# a denominator of 3 rounds eps^2 / 3 twice in floats, a power of 2 once
+@pytest.mark.parametrize("desc", _playing(moduli.ROLE_ETA) + [ar.eta_quadratic(3)],
+                         ids=lambda d: d.kind)
+@settings(max_examples=50)
+@given(args=st.lists(st.tuples(RADII, EPS), min_size=1, max_size=40))
+def test_the_array_eta_is_eval_eta_rounded_up(desc, args):
+    r, eps = (np.array(column) for column in zip(*args))
+    try:
+        want = np.array([ar.eval_eta(desc, a, e) for a, e in args])
+    except ar.DescriptorDomainError:        # a table past its arguments
+        with pytest.raises(ar.DescriptorDomainError):
+            moduli.eval_eta_array(desc, r, eps)
+        return
+    got = moduli.eval_eta_array(desc, r, eps)
+    assert np.all(want <= got) and np.all(got <= want + 16 * np.spacing(want))
+
+
+@pytest.mark.parametrize("desc", _playing(moduli.ROLE_ETA1), ids=lambda d: d.kind)
+@settings(max_examples=50)
+@given(args=st.lists(st.tuples(RADII, st.integers(0, 6)), min_size=1, max_size=40))
+def test_the_array_eta1_is_eval_eta1(desc, args):
+    r, k = (np.array(column) for column in zip(*args))
+    try:
+        want = [ar.eval_eta1(desc, a, j) for a, j in args]
+    except ar.DescriptorDomainError:
+        with pytest.raises(ar.DescriptorDomainError):
+            moduli.eval_eta1_array(desc, r, k)
+        return
+    assert moduli.eval_eta1_array(desc, r, k).tolist() == want
+
+
 @settings(max_examples=25)
 @given(st.integers(1, 100), st.integers(0, 100))
 def test_round_trip_preserves_evaluation(a, b):

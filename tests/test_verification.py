@@ -1,13 +1,14 @@
 import dataclasses
-import random
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import asymreg as ar
-from asymreg import verification
-from asymreg.geometry import raw_ops
-from asymreg.verification import _draw
+from asymreg import cli, verification
+from asymreg.geometry import array_ops, raw_ops, raw_points
+from asymreg.verification import _draw_block
 
 E2 = ar.euclidean(2)
 E5 = ar.euclidean(5)
@@ -24,7 +25,7 @@ def test_space_axioms_pass_all_models():
 
 
 def test_space_axioms_catch_broken_combine():
-    combine_fn = raw_ops(E2)[1]
+    combine_fn = array_ops(E2)[1]
 
     def bad(x, y, lam):
         return combine_fn(x, y, lam * lam)
@@ -38,6 +39,9 @@ def test_space_axioms_deterministic():
     a = ar.check_space_axioms(D, samples=200, seed=42)
     b = ar.check_space_axioms(D, samples=200, seed=42)
     assert a.to_json() == b.to_json()
+    draws = [_draw_block(D, verification._rng(seed, "space-axioms"), (5,), 1.0)
+             for seed in (42, 43)]
+    assert not np.array_equal(*draws)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +122,15 @@ def test_nonexpansive_draws_its_pairs_inside_the_domain_ball(monkeypatch, space,
     assert ar.check_nonexpansive(space, m, samples=100, seed=0).passed
     assert len(seen) == 200
     assert all(ar.in_domain(space, m, ar.Point(space.kind, z)) for z in seen)
+
+
+def test_nonexpansive_fails_a_map_that_leaves_its_domain_ball():
+    # the rotation about the origin moves the ball about (3, -1) off itself
+    m = ar.euclidean_rotation((0.0, 0.0), 1.0, ar.closed_ball((3.0, -1.0), 0.5))
+    rep = ar.check_nonexpansive(E2, m, samples=1000, seed=0)
+    assert rep.verdict == ar.FAIL
+    assert {dict(f.inputs)["inequality"] for f in rep.failures} == {"self-map"}
+    assert len(rep.failures) + rep.suppressed_failures == 1000
 
 
 def test_nonexpansive_fails_an_expanding_map(monkeypatch):
@@ -294,11 +307,178 @@ def test_reports_are_deterministic_json(km_config):
 @pytest.mark.parametrize("space", [E5, D], ids=["E5", "disk"])
 def test_draw_targets_regions(space):
     d = raw_ops(space)[0]
-    origin = ar.make_point(space, (0.0,) * space.dim).raw
-    center = ar.make_point(space, (0.3, 0.2) + (0.0,) * (space.dim - 2)).raw
+    origin = ar.make_point(space, (0.0,) * space.dim)
+    center = ar.make_point(space, (0.3, 0.2) + (0.0,) * (space.dim - 2))
     for c, radius in ((None, verification._SAMPLE_RADIUS[space.kind]), (center, 2.0)):
-        rng = random.Random(f"{space.kind}:{radius}")
-        dists = [d(origin if c is None else c, _draw(space, rng, radius, c))
-                 for _ in range(50)]
+        block = _draw_block(space, verification._rng(7, "draw"), (50,), radius, c)
+        dists = [d((origin if c is None else c).raw, z) for z in raw_points(space, block)]
         assert max(dists) <= radius + 1e-9
         assert max(dists) > radius / 2
+
+
+# ---------------------------------------------------------------------------
+# the batched engine against the scalar kernels
+
+U = 2.0 ** -53
+# Two sampled points lie at most 2 R apart, R the sampling radius.  On the
+# disk d = 2 artanh |w| for the Mobius translate w, and an ulp of |w| moves d
+# by up to 2u cosh^2(d/2): the batch and the scalar kernels round |w|
+# differently, so they agree to that, not to a few ulp of d.
+SCALE = {ar.EUCLIDEAN: 2 * verification.EUCLID_SAMPLE_RADIUS,
+         ar.POINCARE_DISK: 2 * math.cosh(verification.DISK_SAMPLE_RADIUS) ** 2}
+
+
+def assert_close(space, batch, scalar):
+    """batch within 8 ulp of scalar, or within 8u SCALE; NaN where scalar is."""
+    batch, scalar = np.broadcast_arrays(batch, np.asarray(scalar, dtype=float))
+    assert np.array_equal(np.isnan(batch), np.isnan(scalar))
+    batch, scalar = batch[~np.isnan(scalar)], scalar[~np.isnan(scalar)]
+    tol = 8 * np.spacing(np.abs(scalar)) + 8 * U * SCALE[space.kind]
+    worst = np.max(np.abs(batch - scalar) - tol)
+    assert worst <= 0.0, worst
+
+
+def _capture(monkeypatch):
+    """Record every block the checks draw and every comparison they make."""
+    draws, terms = [], {}
+    for name in ("_draw_block", "_near_threshold_block"):
+        fn = getattr(verification, name)
+        monkeypatch.setattr(verification, name, lambda *args, _fn=fn:
+                            draws.append(_fn(*args)) or draws[-1])
+    bulk_fail = verification._bulk_fail
+
+    def capture(report, label, lhs, rhs, slack, *args, **drawn):
+        terms[tuple(label.values())] = lhs, rhs, drawn
+        bulk_fail(report, label, lhs, rhs, slack, *args, **drawn)
+    monkeypatch.setattr(verification, "_bulk_fail", capture)
+    return draws, terms
+
+
+@pytest.mark.parametrize("space", [E2, E5, D], ids=["E2", "E5", "disk"])
+def test_batch_terms_match_the_scalar_kernels(monkeypatch, space):
+    n = 2000
+    d, comb, _ = raw_ops(space)
+    draws, terms = _capture(monkeypatch)
+
+    assert ar.check_space_axioms(space, samples=n, seed=11).passed
+    x, y, z, w = (raw_points(space, block) for block in draws[0])
+    lam, lam2 = terms[("W2",)][2]["lam"], terms[("W2",)][2]["lam2"]
+    scalar = {key: [] for key in terms}
+    for i in range(n):
+        dxy, dxz, dyz = d(x[i], y[i]), d(x[i], z[i]), d(y[i], z[i])
+        l, l2 = lam[i], lam2[i]
+        w_l, w_l2 = comb(x[i], y[i], l), comb(x[i], y[i], l2)
+        for key, pair in (
+                ("nonnegative", (0.0, dxy)),
+                ("identity", (d(x[i], x[i]), 0.0)),
+                ("symmetry", (d(y[i], x[i]), dxy)),
+                ("triangle", (dxz, dxy + dyz)),
+                ("W1", (d(z[i], w_l), (1 - l) * dxz + l * dyz)),
+                ("W2", (d(w_l, w_l2), abs(l - l2) * dxy)),
+                ("W3", (d(w_l, comb(y[i], x[i], 1 - l)), 0.0)),
+                ("W4", (d(comb(x[i], z[i], l), comb(y[i], w[i], l)),
+                        (1 - l) * dxy + l * d(z[i], w[i])))):
+            scalar[(key,)].append(pair)
+    for key, (lhs, rhs, _) in terms.items():
+        assert_close(space, lhs, [p[0] for p in scalar[key]])
+        assert_close(space, rhs, [p[1] for p in scalar[key]])
+
+    draws.clear()
+    terms.clear()
+    assert ar.check_uc_implication(space, samples=n, seed=11).passed
+    # the check moved the even x and y onto the sphere of radius r about a
+    # in the drawn block itself
+    a, x, y = (raw_points(space, block) for block in draws[0])
+    lhs, bound, drawn = terms[("midpoint",)]
+    r, eps = drawn["r"], drawn["eps"]
+    even = range(0, n, 2)
+    assert_close(space, r[::2], [d(x[i], a[i]) for i in even])
+    assert_close(space, r[::2], [d(y[i], a[i]) for i in even])
+    assert_close(space, eps[::2], [d(x[i], y[i]) / r[i] for i in even])
+    assert all(r[i] >= max(d(x[i], a[i]), d(y[i], a[i])) and eps[i] <= d(x[i], y[i]) / r[i]
+               for i in range(1, n, 2))
+    assert_close(space, lhs, [d(comb(x[i], y[i], 0.5), a[i]) for i in range(n)])
+    assert_close(space, bound, [(1 - ar.eval_eta(space.modulus, r, e)) * r
+                                for r, e in zip(drawn["r"], drawn["eps"])])
+    lhs, bound, drawn = terms[("general-lambda",)]
+    assert_close(space, lhs, [d(comb(x[i], y[i], drawn["lam"][i]), a[i]) for i in range(n)])
+    assert_close(space, bound, [(1 - 2 * l * (1 - l) * ar.eval_eta(space.modulus, s, e)) * r
+                                for r, s, e, l in zip(drawn["r"], drawn["s"], drawn["eps"],
+                                                      drawn["lam"])])
+
+    if space.kind != ar.EUCLIDEAN:
+        return
+    draws.clear()
+    terms.clear()
+    eta1 = ar.eta_to_eta1(space.modulus)
+    assert ar.check_dyadic_uc_implication(space, eta1, True, samples=n, seed=11).passed
+    random_triples = [raw_points(space, block) for block in draws[0]]
+    near_triples = [raw_points(space, block) for block in draws[2][:3]]
+    # random triples at the even indices, near-threshold ones at the odd
+    a, x, y = ([p for pair in zip(even, odd) for p in pair]
+               for even, odd in zip(random_triples, near_triples))
+    lhs, rhs, drawn = terms[()]
+    k, r = drawn["k"], drawn["r"]
+    active = [d(comb(x[i], y[i], 0.5), a[i]) > (1 - 2.0 ** -ar.eval_eta1(eta1, r[i], k[i])) * r[i]
+              for i in range(n)]
+    assert sum(active) >= n // 2           # every near-threshold triple
+    assert_close(space, lhs, [d(x[i], y[i]) if active[i] else math.nan for i in range(n)])
+    assert_close(space, rhs, [2.0 ** -int(k[i]) * r[i] for i in range(n)])
+
+
+# perfbench's certify workload: verify-space at 100 samples (20 in its tiny
+# self-test round) on these space/modulus pairs, and its injected fault,
+# eta = eps^2 on the disk.  eps^2/7 overclaims the plane's exact modulus
+# 1 - sqrt(1 - eps^2/4) for eps < 1.51, by less than eps^2/56: of 500
+# seeds at 20 samples, random triples alone miss it at over 450.
+FAULT_SEEDS = range(500)
+VALID_PAIRS = [(ar.euclidean(2), ar.eta_quadratic()), (ar.euclidean(5), ar.eta_hilbert()),
+               (D, ar.eta_quadratic()), (D, ar.eta_hilbert())]
+
+
+@pytest.mark.parametrize("samples", [20, 100])
+@pytest.mark.parametrize("space, eta", [(D, ar.eta_quadratic(1)), (E2, ar.eta_quadratic(7))],
+                         ids=["disk-eps2", "E2-eps2/7"])
+def test_an_overclaimed_eta_fails_at_every_seed(space, eta, samples):
+    missed = [seed for seed in FAULT_SEEDS
+              if ar.check_uc_implication(space, samples=samples, seed=seed, eta=eta).passed]
+    assert missed == []
+
+
+@pytest.mark.parametrize("samples", [20, 100])
+@pytest.mark.parametrize("space, eta", VALID_PAIRS,
+                         ids=["E2-quadratic", "E5-hilbert", "disk-quadratic", "disk-hilbert"])
+def test_the_valid_pairs_pass_at_every_seed(space, eta, samples):
+    space = dataclasses.replace(space, modulus=eta)
+    failed = [seed for seed in FAULT_SEEDS
+              if not all(r.passed for r in cli._space_checks(space, samples, seed))]
+    assert failed == []
+
+
+def test_a_run_of_two_blocks_counts_and_indexes_across_them():
+    n = verification.BLOCK + 1
+    combine_fn = array_ops(E2)[1]
+
+    def broken_in_a_block_of_one(x, y, t):
+        out = combine_fn(x, y, t)           # points of shape (..., n, 2)
+        return out + 100.0 if out.shape[-2] == 1 else out
+    rep = ar.check_space_axioms(E2, samples=n, seed=0, combine_override=broken_in_a_block_of_one)
+    assert rep.samples == n and rep.failures
+    assert {dict(f.inputs)["i"] for f in rep.failures} == {verification.BLOCK}
+    assert ar.check_space_axioms(E2, samples=n, seed=0).passed
+    rep = ar.check_uc_implication(E2, samples=n, seed=0)
+    assert rep.passed and rep.samples == n and rep.notes == [f"effective samples: {n} of {n}"]
+    rep = ar.check_dyadic_uc_implication(E2, ar.eta_to_eta1(E2.modulus), True, samples=n)
+    assert rep.passed and rep.samples == n
+
+
+def test_the_peak_memory_of_a_check_does_not_grow_with_the_sample_count():
+    peaks = []
+    for blocks in (1, 4):
+        tracemalloc.start()
+        try:
+            ar.check_space_axioms(E5, samples=blocks * verification.BLOCK, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.2 * peaks[0], peaks
