@@ -14,8 +14,9 @@ import asymreg as ar
 print("Convexity moduli eta(r, eps)")
 quad = ar.eta_quadratic()          # eps^2 / 8, valid in any CAT(0) model
 hilb = ar.eta_hilbert()            # 1 - sqrt(1 - eps^2/4), the inner-product modulus
-print(f"  quadratic  eta(1, 1/2) = {ar.eval_eta(quad, 1.0, 0.5):.6f}")
-print(f"  hilbert    eta(1, 1/2) = {ar.eval_eta(hilb, 1.0, 0.5):.6f}")
+# eval_eta_lower is exact for the closed forms and never above eta otherwise
+for label, desc in (("quadratic", quad), ("hilbert  ", hilb)):
+    print(f"  {label}  eta(1, 1/2) = {float(ar.eval_eta_lower(desc, 1, Fraction(1, 2))):.6f}")
 print("  (the Hilbert modulus is larger, so it certifies a faster rate)")
 
 # ---------------------------------------------------------------------------
@@ -26,7 +27,7 @@ eta1 = ar.eta_to_eta1(quad)
 print(f"  eta1 from quadratic: m(k) = 2k + 3;  m(0) = {ar.eval_eta1(eta1, 1.0, 0)},"
       f" m(2) = {ar.eval_eta1(eta1, 1.0, 2)}")
 rt = ar.eta1_to_eta(eta1)
-print(f"  back to eta: eta(1, 0.3) = {ar.eval_eta(rt, 1.0, 0.3):.6g}"
+print(f"  back to eta: eta(1, 0.3) = {float(ar.eval_eta_lower(rt, 1, Fraction(3, 10))):.6g}"
       f"  (a step function sitting below eps^2/8 = {0.3**2/8:.6g})")
 
 print("\nWeaker dyadic forms convert upward the same way:")

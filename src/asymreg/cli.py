@@ -8,7 +8,8 @@ Subcommands:
   sweep         certify and verify the whole eps grid off one shared orbit
 
 Exit codes: 0 all checks passed (warnings allowed), 1 at least one check
-failed, 2 usage or config errors.
+failed, a rate could not be computed or an orbit left its mapping's domain,
+2 usage or config errors.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 from .config import ConfigError, ExperimentConfig, load_config
 from .geometry import EUCLIDEAN
 from .iteration import run_trajectory, trajectory_to_csv
+from .mappings import DomainError
 from .moduli import eta_to_eta1
 from .rates import RateError, evaluated
 # Unused here; perfbench/spans._SPANNED still wraps these names in this module.
@@ -52,7 +54,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.handler(config, args)
-    except RateError as exc:
+    except (RateError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -272,7 +272,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                          "eps_grid", "seed", "caps"}, "config")
     space = _section("space", _get(data, "space", "config"), "config.space")
     mapping = _section("mapping", _get(data, "mapping", "config"), "config.mapping")
-    _check_mapping(space, mapping)
+    t = _check_mapping(space, mapping)
     start = _point(space, _as_coords(_get(data, "start", "config"), "config.start"),
                    "config.start")
 
@@ -306,35 +306,33 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
     config = ExperimentConfig(space, mapping, start, schedule, afp,
                               eps_grid, seed, caps)
-    _check_start(config)
+    _check_start(config, t)
     return config
 
 
-def _check_mapping(space: SpaceModel, mapping: MappingSpec) -> None:
-    """Each center of the mapping is a point of space, and raw_apply_fn builds it."""
+def _check_mapping(space: SpaceModel, mapping: MappingSpec):
+    """raw_apply_fn of the mapping, once each of its centers is a point of space."""
     for path, center in (("config.mapping.center", mapping.center),
                          ("config.mapping.domain.center", mapping.domain.center)):
         if center is not None:
             _point(space, center, path)
     try:
-        raw_apply_fn(space, mapping)
+        return raw_apply_fn(space, mapping)
     except MappingError as exc:
         raise _err("config.mapping", str(exc)) from exc
 
 
-def validate_config(config: ExperimentConfig) -> None:
-    """Cross-component coherence beyond field-level parsing."""
-    _check_mapping(config.space, config.mapping)
-    _check_start(config)
-
-
-def _check_start(config: ExperimentConfig) -> None:
-    """The start point lies in the mapping's domain, and the afp holds."""
+def _check_start(config: ExperimentConfig, t) -> None:
+    """The start point and the fixed point lie in the mapping's domain, and
+    the afp holds for t, the mapping's raw_apply_fn."""
+    space, mapping, afp = config.space, config.mapping, config.afp
+    if not in_domain(space, mapping, config.start):
+        raise _err("config.start", "start point lies outside the mapping domain")
+    if not in_domain(space, mapping, afp.fixed_point):
+        raise _err("config.afp", "point outside the mapping's domain")
     try:
-        if not in_domain(config.space, config.mapping, config.start):
-            raise _err("config.start", "start point lies outside the mapping domain")
-        validate_afp(config.space, config.mapping, config.afp)
-    except (WitnessError, MappingError, GeometryError) as exc:
+        validate_afp(space, t, afp)
+    except WitnessError as exc:
         raise _err("config.afp", str(exc)) from exc
 
 
@@ -355,14 +353,12 @@ def config_to_dict(config: ExperimentConfig) -> dict:
             "N0": sched.N0,
             "gamma": descriptor_to_dict(sched.gamma),
         },
-        "afp": {"b": config.afp.b},
+        "afp": {"b": config.afp.b, "fixed_point": list(config.afp.fixed_point.coords)},
         "eps_grid": list(config.eps_grid),
         "seed": config.seed,
         "caps": {"max_steps": config.caps.max_steps,
                  "report_every": config.caps.report_every},
     }
-    if config.afp.fixed_point is not None:
-        out["afp"]["fixed_point"] = list(config.afp.fixed_point.coords)
     return out
 
 
@@ -384,9 +380,3 @@ def load_config(path) -> ExperimentConfig:
         return loads_config(text)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Point, SpaceModel, check_point, raw_ops
-from .mappings import ApproxFixedPointSpec, MappingSpec, raw_apply_fn
+from .mappings import ApproxFixedPointSpec, DomainError, MappingSpec, ball_member, raw_apply_fn
 from .moduli import Schedule, seq_float_plan
 
 # trajectory_to_csv builds and writes this many rows at a time, which keeps
@@ -142,6 +142,15 @@ def _same_bits(a, b) -> bool:
     return repr(a) == repr(b)
 
 
+def _confined(f, inside):
+    """f, raising DomainError at a point that inside rejects."""
+    def g(z):
+        if not inside(z):
+            raise DomainError
+        return f(z)
+    return g
+
+
 def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
                    schedule: Schedule, steps: int, *,
                    afp: ApproxFixedPointSpec | None = None,
@@ -154,6 +163,10 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
     repeat x_{c+p} == x_c (recorded as `period_from` and `period`) and
     keeps the indices [0, c+p), which hold every value of the orbit, and
     the p states of its cycle.
+
+    On a ClosedBall domain, each x_n and y_n that T is applied to must pass
+    mappings.ball_member; else DomainError names the step n.  A whole-space
+    map runs the loop unguarded.
     """
     x = check_point(space, x0)
     if steps < 0:
@@ -161,6 +174,8 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
 
     dist_fn, combine_fn, dist_combine = raw_ops(space)
     f = raw_apply_fn(space, m)
+    if (inside := ball_member(space, m.domain)) is not None:
+        f = _confined(f, inside)
 
     lam_head, lam_tail, lam_k = lam_plan = seq_float_plan(schedule.lambda_seq, steps)
     s_head, s_tail, s_k = s_plan = seq_float_plan(schedule.s_seq, steps)
@@ -179,57 +194,61 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
     # x_n whenever n reaches move_at, after windows of 2, 4, 8, ... steps.
     mark = mark_at = None
     window, move_at = 1, const_from
-    for n in range(steps):
-        if n == move_at:
-            mark, mark_at, window = x, n, 2 * window
-            move_at = n + window
-        lam = lam_head[n] if n < lam_k else lam_tail
-        s = s_head[n] if n < s_k else s_tail
+    try:
+        for n in range(steps):
+            if n == move_at:
+                mark, mark_at, window = x, n, 2 * window
+                move_at = n + window
+            lam = lam_head[n] if n < lam_k else lam_tail
+            s = s_head[n] if n < s_k else s_tail
 
-        tx = f(x)
-        if s == 0.0:
-            r, x_next = dist_combine(x, tx, lam)
-            y, ty = x, tx
-            inner[n] = r
+            tx = f(x)
+            if s == 0.0:
+                r, x_next = dist_combine(x, tx, lam)
+                y, ty = x, tx
+                inner[n] = r
+            else:
+                r, y = dist_combine(x, tx, s)
+                ty = f(y)
+                inner[n], x_next = dist_combine(x, ty, lam)
+            residuals[n] = r
+
+            if record:
+                ref_d[n] = dist_fn(x, z)
+                y_ref_d[n] = dist_fn(y, z)
+                ty_ref_d[n] = dist_fn(ty, z)
+
+            # Before const_from only a fixed point, T x_n == x_n, is a repeat
+            # whose block the later steps reproduce.
+            if x_next == x and (n >= const_from or tx == x) and _same_bits(x_next, x):
+                period_from, period, mark = n, 1, x
+                break
+            if x_next == mark and _same_bits(x_next, mark):
+                period_from, period = mark_at, n + 1 - mark_at
+                break
+            x = x_next
+        n = steps       # from here T is applied to x_steps, or to states checked above
+
+        if period is None:
+            # no repeat: only the final index is left, and x_steps is the tail
+            residuals[steps] = dist_fn(x, f(x))
+            if record:
+                ref_d[steps] = dist_fn(x, z)
+            ring, inner_ring = [x], []
         else:
-            r, y = dist_combine(x, tx, s)
-            ty = f(y)
-            inner[n], x_next = dist_combine(x, ty, lam)
-        residuals[n] = r
-
-        if record:
-            ref_d[n] = dist_fn(x, z)
-            y_ref_d[n] = dist_fn(y, z)
-            ty_ref_d[n] = dist_fn(ty, z)
-
-        # Before const_from only a fixed point, T x_n == x_n, is a repeat
-        # whose block the later steps reproduce.
-        if x_next == x and (n >= const_from or tx == x) and _same_bits(x_next, x):
-            period_from, period, mark = n, 1, x
-            break
-        if x_next == mark and _same_bits(x_next, mark):
-            period_from, period = mark_at, n + 1 - mark_at
-            break
-        x = x_next
-
-    if period is None:
-        # no repeat: only the final index is left, and x_steps is the tail
-        residuals[steps] = dist_fn(x, f(x))
-        if record:
-            ref_d[steps] = dist_fn(x, z)
-        ring, inner_ring = [x], []
-    else:
-        # [0, c+p) holds every value; copies let the long buffers go
-        residuals, inner, ref_d, y_ref_d, ty_ref_d = (
-            None if a is None else a[:period_from + period].copy()
-            for a in (residuals, inner, ref_d, y_ref_d, ty_ref_d))
-        # p steps from the checkpoint x_c give the cycle's states
-        ring, inner_ring, x = [], [], mark
-        for _ in range(period):
-            y = combine_fn(x, f(x), s_tail)
-            ring.append(x)
-            inner_ring.append(y)
-            x = combine_fn(x, f(y), lam_tail)
+            # [0, c+p) holds every value; copies let the long buffers go
+            residuals, inner, ref_d, y_ref_d, ty_ref_d = (
+                None if a is None else a[:period_from + period].copy()
+                for a in (residuals, inner, ref_d, y_ref_d, ty_ref_d))
+            # p steps from the checkpoint x_c give the cycle's states
+            ring, inner_ring, x = [], [], mark
+            for _ in range(period):
+                y = combine_fn(x, f(x), s_tail)
+                ring.append(x)
+                inner_ring.append(y)
+                x = combine_fn(x, f(y), lam_tail)
+    except DomainError:
+        raise DomainError(f"the orbit leaves the mapping's domain at step n = {n}") from None
 
     return Trajectory(
         space=space, mapping=m, schedule=schedule, start=x0, steps=steps,

@@ -8,13 +8,12 @@ the Poincare disk about an interior center (a Mobius conjugate of a Euclidean
 rotation, hence an isometry), and the metric projection onto a closed ball.
 Each mapping and domain (whole space or closed ball) kind is built by its one
 constructor, from Python and from a config alike; it checks that an angle is
-finite and a radius positive and finite.
+finite and a radius positive and finite.  `ball_member` is the one test of
+membership in a ClosedBall domain, within r (1 + SLACK) + SLACK.
 
-An ApproxFixedPointSpec records a start point x, a bound b, and a witness:
-either an exact fixed point z with d(x, z) <= b or a map delta -> y_delta
-producing delta-approximate fixed points within b of x.  Either way the
-residual at the start obeys d(x, Tx) <= 2b, the derived bound used by the
-rate machinery.
+An ApproxFixedPointSpec records a start point x, a bound b, and an exact
+fixed point z with d(x, z) <= b.  Then the residual at the start obeys
+d(x, Tx) <= 2b, the cap the rate machinery and the lemma audit use.
 """
 
 from __future__ import annotations
@@ -183,12 +182,20 @@ def raw_apply_fn(space: SpaceModel, m: MappingSpec) -> Callable:
     raise MappingError(f"unknown mapping kind {kind!r}")
 
 
+def ball_member(space: SpaceModel, domain: DomainSpec) -> Callable | None:
+    """On a ClosedBall domain, the test whether a raw point z lies in it,
+    d(z, center) <= r (1 + SLACK) + SLACK; None on the whole space."""
+    if domain.kind == WHOLE_SPACE:
+        return None
+    d = raw_ops(space)[0]
+    center = make_point(space, domain.center).raw
+    bound = domain.radius * (1.0 + SLACK) + SLACK
+    return lambda z: d(z, center) <= bound
+
+
 def in_domain(space: SpaceModel, m: MappingSpec, x: Point) -> bool:
-    if m.domain.kind == WHOLE_SPACE:
-        return True
-    center = make_point(space, m.domain.center)
-    r = m.domain.radius
-    return dist(space, x, center) <= r * (1.0 + SLACK) + SLACK
+    inside = ball_member(space, m.domain)
+    return inside is None or inside(check_point(space, x))
 
 
 def apply_map(space: SpaceModel, m: MappingSpec, x: Point) -> Point:
@@ -208,54 +215,29 @@ def declared_fixed_point(space: SpaceModel, m: MappingSpec) -> Point | None:
 
 @dataclass(frozen=True)
 class ApproxFixedPointSpec:
-    """Start point, bound b, and a fixed-point witness.
-
-    Exactly one of `fixed_point` (an exact fixed point z with d(x, z) <= b)
-    and `witness` (delta -> y_delta with d(x, y_delta) <= b and
-    d(y_delta, T y_delta) < delta) should be supplied."""
+    """Start point x, bound b, and an exact fixed point z with d(x, z) <= b."""
 
     x: Point
     b: float
-    fixed_point: Point | None = None
-    witness: Callable[[float], Point] | None = None
+    fixed_point: Point
 
 
-def witness_point(afp: ApproxFixedPointSpec, delta: float) -> Point:
-    if afp.fixed_point is not None:
-        return afp.fixed_point
-    if afp.witness is not None:
-        return afp.witness(delta)
-    raise WitnessError("no fixed-point witness supplied")
-
-
-def validate_afp(space: SpaceModel, m: MappingSpec, afp: ApproxFixedPointSpec) -> None:
-    """Sample the witness at delta = 1, 1e-1, ..., 1e-9.  An exact fixed
-    point is the witness at every delta, so it is measured once."""
+def validate_afp(space: SpaceModel, t: Callable, afp: ApproxFixedPointSpec) -> None:
+    """Check that the fixed point z lies within b of the start and is a
+    delta-fixed point of T for delta = 1, 1e-1, ..., 1e-9: that d(z, Tz),
+    measured once with t = raw_apply_fn of the mapping, falls below 1e-9.
+    That z lies in the mapping's domain is the caller's to check."""
     check_point(space, afp.x)
     if not afp.b > 0:
         raise WitnessError("the bound b must be positive")
-    y = None
+    z = afp.fixed_point
+    d_xz = dist(space, afp.x, z)
+    if d_xz > afp.b * (1.0 + SLACK) + 1e-12:
+        raise WitnessError(
+            f"witness at delta=1 lies {d_xz!r} from the start, beyond b={afp.b!r}")
+    res = raw_ops(space)[0](z.raw, t(z.raw))
     for k in range(10):
         delta = 10.0 ** (-k)
-        if y is None or afp.fixed_point is None:
-            y = witness_point(afp, delta)
-            d_xy, res = dist(space, afp.x, y), dist(space, y, apply_map(space, m, y))
-        if d_xy > afp.b * (1.0 + SLACK) + 1e-12:
-            raise WitnessError(
-                f"witness at delta={delta:g} lies {d_xy!r} from the start, beyond b={afp.b!r}")
         if not res < delta:
             raise WitnessError(
                 f"witness at delta={delta:g} has residual {res!r}, not below delta")
-
-
-def derived_bound(space: SpaceModel, m: MappingSpec, afp: ApproxFixedPointSpec) -> float:
-    """The residual cap 2b: from d(x, y_delta) <= b and d(y_delta, T y_delta) < delta,
-    nonexpansiveness gives d(x, Tx) <= 2b.  Validates the witness and checks
-    the cap at the start point."""
-    validate_afp(space, m, afp)
-    cap = 2.0 * afp.b
-    res = dist(space, afp.x, apply_map(space, m, afp.x))
-    if res > cap + SLACK:
-        raise WitnessError(
-            f"start residual {res!r} exceeds the derived bound 2b = {cap!r}")
-    return cap

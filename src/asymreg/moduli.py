@@ -318,45 +318,7 @@ def eta3_to_eta2(eta3: ModulusDescriptor) -> ModulusDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# theta / gamma constructors
-
-def theta_for_constant_lambda(lam) -> ModulusDescriptor:
-    """Divergence witness for lambda_n = lam constant: theta(n) =
-    ceil(n / (lam (1 - lam))).  Then (theta(n) + 1) lam (1 - lam) >= n
-    holds exactly in rational arithmetic."""
-    lam = as_fraction(lam)
-    if not 0 < lam < 1:
-        raise DescriptorError("constant lambda must lie strictly in (0, 1)")
-    return theta_linear(1 / (lam * (1 - lam)), 0)
-
-
-def gamma_for_geometric_s(c, q, lambda_seq: ModulusDescriptor) -> ModulusDescriptor:
-    """Cauchy modulus for s_n = c q^n: the tail past index N of
-    sum s_n (1 - lambda_n) is at most c (1 - lambda_min) q^(N+1) / (1 - q),
-    so gamma(delta) is the least N making that bound <= delta."""
-    c, q = as_fraction(c), as_fraction(q)
-    if c == 0:
-        return gamma_zero()
-    if c < 0 or c > 1:
-        raise DescriptorError("need s_0 = c in [0, 1]")
-    return gamma_geometric_tail(c, q, sequence_lower_bound(lambda_seq))
-
-
-# ---------------------------------------------------------------------------
 # evaluation
-
-def eval_eta(desc: ModulusDescriptor, r: float, eps: float) -> float:
-    """Evaluate an eta-family descriptor at radius r > 0 and eps in (0, 2]:
-    eval_eta_lower rounded to the nearest float.
-
-    Returns the raw closed-form value; codomain validity is the harness's
-    concern (deliberately broken moduli are used for fault injection)."""
-    if not r > 0:
-        raise DescriptorDomainError("radius r must be positive")
-    if not 0 < eps <= 2:
-        raise DescriptorDomainError("eps must lie in (0, 2]")
-    return float(eval_eta_lower(desc, r, as_fraction(eps)))
-
 
 def eval_eta_lower(desc: ModulusDescriptor, r, eps: Fraction) -> Fraction:
     """A rational never above eta(r, eps), for a radius r (a float or a
@@ -407,10 +369,11 @@ _ROUND_UP = 1.0 + 2.0 ** -50
 
 
 def eval_eta_array(desc: ModulusDescriptor, r: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """eval_eta at each (r[i], eps[i]), for r > 0 and eps in (0, 2] with
-    eps^2 in the normal float range: never below it, and at most a few ulp
-    above.  The closed forms are evaluated in floats and rounded up; the
-    forms built on eta1 take eval_eta1_array."""
+    """eta at each (r[i], eps[i]) as floats, for r > 0 and eps in (0, 2]
+    with eps^2 in the normal float range: never below eval_eta_lower
+    rounded to the nearest float, and at most a few ulp above.  The closed
+    forms are evaluated in floats and rounded up; the forms built on eta1
+    take eval_eta1_array."""
     if desc.kind == ETA_QUADRATIC:
         return eps * eps / desc.param("denominator") * _ROUND_UP
     if desc.kind == ETA_HILBERT:
@@ -564,19 +527,6 @@ def seq_parts(seq: ModulusDescriptor) -> tuple[tuple[Fraction, ...], Fraction, F
     if seq.kind == SEQ_TABULATED:
         return seq.param("values"), seq.param("tail"), Fraction(1)
     raise DescriptorError(f"unknown sequence kind {seq.kind!r}")
-
-
-def seq_value(seq: ModulusDescriptor, n: int) -> Fraction:
-    if n < 0:
-        raise DescriptorDomainError("sequence index must be a natural")
-    head, a, r = seq_parts(seq)
-    return head[n] if n < len(head) else a * r ** (n - len(head))
-
-
-def sequence_lower_bound(seq: ModulusDescriptor) -> Fraction:
-    """The infimum of the sequence: a tail a r^j with r < 1 tends to 0."""
-    head, a, r = seq_parts(seq)
-    return min((*head, a if r == 1 else Fraction(0)))
 
 
 def seq_values_float(seq: ModulusDescriptor, count: int, start: int = 0) -> np.ndarray:

@@ -25,7 +25,6 @@ these formulas to a config, with the shortcut eps > 2b and the step cap.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -105,9 +104,6 @@ class RateReport:
             "empirical_first_hit": self.empirical_first_hit,
             "tightness_ratio": self.tightness_ratio,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def evaluated(field_name: str, fn, *args):

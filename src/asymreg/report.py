@@ -1,13 +1,12 @@
 """Check reports shared by the witness validators and the verification harness.
 
 A report records what was checked, how many samples or indices were examined,
-and every inequality violation found.  Serialization is deterministic (sorted
-keys, repr floats) so identical runs produce identical bytes.
+and every inequality violation found.  `to_json_dict` is deterministic, so
+identical runs serialize (with sorted keys) to identical bytes.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -94,9 +93,6 @@ class CheckReport:
             "suppressed_failures": self.suppressed_failures,
             "notes": list(self.notes),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def summary_line(self) -> str:
         tag = {PASS: "PASS", FAIL: "FAIL", UNVERIFIED_AT_SCALE: "WARN"}[self.verdict]

@@ -42,7 +42,7 @@ from .geometry import (
 # Unused here; perfbench/spans._COUNTED still wraps this name in this module.
 from .geometry import combine  # noqa: F401
 from .iteration import Trajectory, run_trajectory
-from .mappings import WHOLE_SPACE, MappingSpec, apply_map, declared_fixed_point, raw_apply_fn
+from .mappings import WHOLE_SPACE, MappingSpec, apply_map, ball_member, raw_apply_fn
 from .moduli import (
     SLACK,
     ModulusDescriptor,
@@ -284,11 +284,11 @@ def check_nonexpansive(space: SpaceModel, m: MappingSpec,
                        samples: int = 1_000, seed: int = 0) -> CheckReport:
     """d(Tx, Ty) <= d(x, y) on pairs drawn from the mapping's domain ball,
     or from the sampling ball about the origin on the whole space.  On a
-    ball C, also the self-map check: T x and T y lie in C, within the
-    tolerance of mappings.in_domain.  Mappings have no array form, so T and
-    the distances are evaluated point by point."""
+    ball C, also the self-map check: T x and T y pass mappings.ball_member.
+    Mappings have no array form, so T and the distances are evaluated point
+    by point."""
     report = CheckReport(f"nonexpansive:{m.kind}", samples=samples)
-    d, t = raw_ops(space)[0], raw_apply_fn(space, m)
+    d, t, inside = raw_ops(space)[0], raw_apply_fn(space, m), ball_member(space, m.domain)
     if m.domain.kind == WHOLE_SPACE:
         radius, center = _SAMPLE_RADIUS[space.kind], None
     else:
@@ -302,11 +302,9 @@ def check_nonexpansive(space: SpaceModel, m: MappingSpec,
                              for p, q, tp, tq in zip(x, y, tx, ty)]).T
         _bulk_fail(report, {"inequality": "nonexpansive"}, lhs, rhs, SLACK * (1.0 + rhs),
                    "i", start)
-        if center is not None:
-            escape = np.array([max(d(p, center.raw), d(q, center.raw))
-                               for p, q in zip(tx, ty)])
-            _bulk_fail(report, {"inequality": "self-map"}, escape, radius,
-                       radius * SLACK + SLACK, "i", start)
+        if inside is not None:
+            escaped = np.array([not (inside(p) and inside(q)) for p, q in zip(tx, ty)])
+            _bulk_fail(report, {"inequality": "self-map"}, escaped, 0.0, 0.0, "i", start)
     return report
 
 
@@ -390,10 +388,8 @@ def _bulk_fail(report: CheckReport, label: dict, lhs, rhs, slack, index: str = "
 # ---------------------------------------------------------------------------
 # rate soundness
 
-def reference_point(config: ExperimentConfig) -> Point | None:
-    if config.afp.fixed_point is not None:
-        return config.afp.fixed_point
-    return declared_fixed_point(config.space, config.mapping)
+def reference_point(config: ExperimentConfig) -> Point:
+    return config.afp.fixed_point
 
 
 def trajectory_for(config: ExperimentConfig, steps: int, *,

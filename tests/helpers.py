@@ -1,0 +1,35 @@
+"""Oracles and fixture builders that only the tests use."""
+
+from fractions import Fraction
+
+import asymreg as ar
+from asymreg.moduli import as_fraction, seq_parts
+
+
+def eval_eta(desc, r: float, eps: float) -> float:
+    """eta(r, eps) of an eta-family descriptor, as the float nearest
+    eval_eta_lower."""
+    return float(ar.eval_eta_lower(desc, r, as_fraction(eps)))
+
+
+def seq_value(seq, n: int) -> Fraction:
+    """Term n of an averaging sequence, exactly."""
+    head, a, r = seq_parts(seq)
+    return head[n] if n < len(head) else a * r ** (n - len(head))
+
+
+def theta_for_constant_lambda(lam):
+    """Divergence witness for lambda_n = lam constant: theta(n) =
+    ceil(n / (lam (1 - lam))).  Then (theta(n) + 1) lam (1 - lam) >= n
+    holds exactly in rational arithmetic."""
+    lam = as_fraction(lam)
+    return ar.theta_linear(1 / (lam * (1 - lam)), 0)
+
+
+def gamma_for_geometric_s(c, q, lambda_seq):
+    """Cauchy modulus for s_n = c q^n: the tail past index N of
+    sum s_n (1 - lambda_n) is at most c (1 - lambda_min) q^(N+1) / (1 - q),
+    so gamma(delta) is the least N making that bound <= delta."""
+    head, a, r = seq_parts(lambda_seq)
+    lambda_min = min((*head, a if r == 1 else Fraction(0)))
+    return ar.gamma_geometric_tail(as_fraction(c), as_fraction(q), lambda_min)

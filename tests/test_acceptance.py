@@ -17,6 +17,8 @@ import pytest
 
 import asymreg as ar
 
+from helpers import gamma_for_geometric_s, theta_for_constant_lambda
+
 SLACK = 1e-9
 EPS_GRID = (0.5, 0.25, 0.125, 0.0625)
 KM_NAMES = ("rotation_pi_euclidean", "rotation_half_pi_euclidean",
@@ -57,7 +59,7 @@ def test_criterion_1_space_axioms():
     start = time.perf_counter()
     for space in (ar.euclidean(2), ar.euclidean(5), ar.poincare_disk()):
         rep = ar.check_space_axioms(space, samples=10_000, seed=0)
-        assert rep.passed and rep.verdict == ar.PASS, rep.to_json()
+        assert rep.passed and rep.verdict == ar.PASS, rep.to_json_dict()
         assert rep.samples == 10_000
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"axiom checks took {elapsed:.2f}s"
@@ -71,7 +73,7 @@ def test_criterion_2_uc_implication():
     start = time.perf_counter()
     for space in (ar.euclidean(2), ar.poincare_disk()):
         rep = ar.check_uc_implication(space, samples=10_000, seed=0)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_json_dict()
     bad = ar.check_uc_implication(ar.euclidean(2), samples=10_000, seed=0,
                                   eta=ar.eta_quadratic(2))
     assert not bad.passed
@@ -90,7 +92,7 @@ def test_criterion_3_lemma_audit(audit_trajectories):
     for name, traj in trajs.items():
         assert traj.steps == 10_000
         rep = ar.check_lemma_inequalities(traj)
-        assert rep.passed, f"{name}: {rep.to_json()}"
+        assert rep.passed, f"{name}: {rep.to_json_dict()}"
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +105,7 @@ def test_criterion_4_phi_soundness(golden_configs, soundness_trajectories):
     for name, cfg in golden_configs.items():
         for eps in EPS_GRID:
             rr, rep = ar.check_phi_soundness(cfg, eps, trajectory=trajs[name])
-            assert rep.verdict == ar.PASS, f"{name} eps={eps}: {rep.to_json()}"
+            assert rep.verdict == ar.PASS, f"{name} eps={eps}: {rep.to_json_dict()}"
     ref = golden_configs["rotation_pi_euclidean"]
     ri = ar.inputs_for(0.5, ref.space.modulus, ref.afp.b, ref.schedule)
     assert (ri.b, ri.L, ri.N0) == (1.0, 1, 0)
@@ -126,7 +128,7 @@ def test_criterion_5_delta_witness(golden_configs, soundness_trajectories):
         for eps in EPS_GRID:
             deltas, rep = ar.check_delta_witness(cfg, eps, [0, 10, 100],
                                                  trajectory=trajs[name])
-            assert rep.verdict == ar.PASS, f"{name} eps={eps}: {rep.to_json()}"
+            assert rep.verdict == ar.PASS, f"{name} eps={eps}: {rep.to_json_dict()}"
             ri = ar.inputs_for(eps, cfg.space.modulus, cfg.afp.b, cfg.schedule)
             for k in (0, 10, 100):
                 assert deltas[k] == ar.compute_delta(ri, k)
@@ -155,17 +157,18 @@ def test_criterion_6_witness_validators():
 
     geo_gamma = ar.gamma_geometric_tail(half, half, half)
     good = [
-        # every shipped theta constructor, on a matching lambda sequence
+        # the shipped theta constructor, also as the helper builds it for a
+        # constant lambda, on a matching lambda sequence
         sched(lam_half, s_zero, ar.theta_linear(4), 1, ar.gamma_zero()),
         sched(lam_half, s_zero, ar.theta_linear(4, 8), 1, ar.gamma_zero()),
-        sched(lam_half, s_zero, ar.theta_for_constant_lambda(half), 1,
+        sched(lam_half, s_zero, theta_for_constant_lambda(half), 1,
               ar.gamma_zero()),
-        sched(lam_quarter, s_zero, ar.theta_for_constant_lambda(Fraction(1, 4)),
+        sched(lam_quarter, s_zero, theta_for_constant_lambda(Fraction(1, 4)),
               1, ar.gamma_zero()),
         # every shipped gamma constructor, on a matching s sequence
         sched(lam_half, s_geo, ar.theta_linear(4), 2, geo_gamma),
         sched(lam_half, s_geo, ar.theta_linear(4), 2,
-              ar.gamma_for_geometric_s(half, half, lam_half)),
+              gamma_for_geometric_s(half, half, lam_half)),
         sched(lam_half, s_geo, ar.theta_linear(4), 2, ar.gamma_dyadic_shift(0)),
         sched(lam_half, s_geo, ar.theta_linear(4), 2,
               ar.gamma_from_dyadic(ar.omega_affine(1, 0))),
@@ -174,9 +177,9 @@ def test_criterion_6_witness_validators():
     ]
     for schedule in good:
         rep = ar.verify_theta(schedule, n_max=10_000)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_json_dict()
         rep = ar.verify_gamma(schedule, deltas, n_max=10_000)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_json_dict()
 
     # fault injection: theta divided by 8 no longer witnesses divergence
     slow = ar.Schedule(lam_half, s_zero, ar.theta_linear(half), 1, 0,
@@ -198,19 +201,19 @@ def test_criterion_7_modulus_conversions():
     for space in (ar.euclidean(2), ar.poincare_disk()):
         rep = ar.check_uc_implication(space, samples=10_000, seed=0,
                                       eta=round_trip)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_json_dict()
 
     eta2 = ar.eta3_to_eta2(ar.eta3_affine(2, 3))
     rep = ar.check_dyadic_uc_implication(ar.euclidean(2), eta2,
                                          conclusion_strict=False,
                                          samples=10_000, seed=0)
-    assert rep.passed, rep.to_json()
+    assert rep.passed, rep.to_json_dict()
 
     eta1 = ar.eta2_to_eta1(eta2)
     rep = ar.check_dyadic_uc_implication(ar.euclidean(2), eta1,
                                          conclusion_strict=True,
                                          samples=10_000, seed=1)
-    assert rep.passed, rep.to_json()
+    assert rep.passed, rep.to_json_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,22 @@ def test_a_nonpositive_eps_is_a_rate_error(tmp_path, capsys, eps, steps):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv", [["run", "--steps", "50"], ["sweep"]], ids=["run", "sweep"])
+def test_an_orbit_that_leaves_its_domain_ball_fails(tmp_path, capsys, argv):
+    # the rotation by pi/2 about (0, 0) maps the unit ball into itself, but
+    # not the ball about (0.4, 0): x_2 = (0, 0.45) lies 0.60 from its center
+    doc = json.loads((CONFIG_DIR / "rotation_half_pi_euclidean.json").read_text())
+    doc["start"] = [0.9, 0.0]
+    for center, radius, code in (([0.0, 0.0], 1.0, 0), ([0.4, 0.0], 0.5, 1)):
+        doc["mapping"]["domain"] = {"kind": "ClosedBall", "center": center, "radius": radius}
+        config, out = tmp_path / f"ball{code}.json", tmp_path / f"out{code}"
+        config.write_text(json.dumps(doc))
+        assert main(argv + ["--config", str(config), "--out", str(out)]) == code
+    assert capsys.readouterr().err == \
+        "error: the orbit leaves the mapping's domain at step n = 2\n"
+    assert not out.exists()
+
+
 def test_seed_override_reaches_every_sampler(monkeypatch, capsys):
     seeds = []
     for name in ("check_space_axioms", "check_uc_implication", "check_dyadic_uc_implication"):

@@ -18,6 +18,8 @@ from asymreg.geometry import (
     raw_ops,
 )
 
+from helpers import eval_eta, theta_for_constant_lambda
+
 E2 = ar.euclidean(2)
 E3 = ar.euclidean(3)
 E1 = ar.euclidean(1)
@@ -191,7 +193,7 @@ def test_space_constructors():
     assert ar.poincare_disk().dim == 2
     with pytest.raises(ar.DimensionMismatchError):
         ar.euclidean(0)
-    assert ar.eval_eta(E2.modulus, 2.0, 0.25) == pytest.approx(1 / 128, abs=0)
+    assert eval_eta(E2.modulus, 2.0, 0.25) == pytest.approx(1 / 128, abs=0)
 
 
 # What a config may not name, the constructors do not build either.
@@ -361,7 +363,7 @@ def test_public_dist_matches_the_orbit_residuals_bitwise():
     # the same float, which math.dist does not always do.
     m = ar.euclidean_rotation((0.3, -0.2), 1.0)
     sched = ar.Schedule(ar.seq_constant("1/100"), ar.seq_constant(0),
-                        ar.theta_for_constant_lambda("1/100"), 1, 0, ar.gamma_zero())
+                        theta_for_constant_lambda("1/100"), 1, 0, ar.gamma_zero())
     x = ar.make_point(E2, (4.1, 2.7))
     traj = ar.run_trajectory(E2, m, x, sched, 5000)
     res = traj.residuals[traj.fold(range(5001))]

@@ -18,20 +18,22 @@ from asymreg.geometry import raw_ops
 from asymreg.mappings import raw_apply_fn
 from asymreg.moduli import seq_float_plan
 
+from helpers import gamma_for_geometric_s, seq_value, theta_for_constant_lambda
+
 E2 = ar.euclidean(2)
 D = ar.poincare_disk()
 
 
 def km_schedule(lam=Fraction(1, 2)):
     return ar.Schedule(ar.seq_constant(lam), ar.seq_constant(0),
-                       ar.theta_for_constant_lambda(lam), 1, 0, ar.gamma_zero())
+                       theta_for_constant_lambda(lam), 1, 0, ar.gamma_zero())
 
 
 def ishikawa_schedule():
     lam = ar.seq_constant(Fraction(1, 2))
     return ar.Schedule(lam, ar.seq_geometric(Fraction(1, 2), Fraction(1, 2)),
                        ar.theta_linear(4), 2, 0,
-                       ar.gamma_for_geometric_s(Fraction(1, 2), Fraction(1, 2), lam))
+                       gamma_for_geometric_s(Fraction(1, 2), Fraction(1, 2), lam))
 
 
 def oracle_orbit(z0, rot, lam_fn, s_fn, steps):
@@ -151,7 +153,7 @@ def test_a_long_unrepeating_orbit_keeps_no_iterates():
     lam = ar.seq_constant(Fraction(1, 2))
     c, q = Fraction(1, 2), Fraction(9999, 10000)
     sched = ar.Schedule(lam, ar.seq_geometric(c, q), ar.theta_linear(4), 2, 0,
-                        ar.gamma_for_geometric_s(c, q, lam))
+                        gamma_for_geometric_s(c, q, lam))
     m = ar.poincare_rotation((0.0, 0.0), 1.2)
     x0 = ar.make_point(D, (0.46211715726000974, 0.0))
     tracemalloc.start()
@@ -170,6 +172,18 @@ def test_run_trajectory_validation():
     x0 = ar.make_point(E2, (1.0, 0.0))
     with pytest.raises(ar.IterationError):
         ar.run_trajectory(E2, m, x0, km_schedule(), -1)
+
+
+def test_an_orbit_that_leaves_its_domain_ball_names_the_step():
+    # the rotation about the origin moves the ball about (3, -1) off itself
+    m = ar.euclidean_rotation((0.0, 0.0), 1.0, ar.closed_ball((3.0, -1.0), 0.5))
+    x0 = ar.make_point(E2, (3.0, -1.0))
+    # x_1 leaves the ball: in the loop, and at the final residual
+    for steps in (50, 1):
+        with pytest.raises(ar.DomainError, match=r"domain at step n = 1$"):
+            ar.run_trajectory(E2, m, x0, km_schedule(), steps)
+    with pytest.raises(ar.DomainError, match=r"domain at step n = 0$"):
+        ar.run_trajectory(E2, m, ar.make_point(E2, (0.0, 0.0)), km_schedule(), 0)
 
 
 def test_ishikawa_step_matches_manual_composition():
@@ -388,8 +402,8 @@ def float_terms(seq):
             v *= q
     # constant from the end of the table on, one float() for the whole tail
     k = len(seq.param("values")) if seq.kind == "Tabulated" else 0
-    yield from (float(ar.seq_value(seq, n)) for n in range(k))
-    yield from repeat(float(ar.seq_value(seq, k)))
+    yield from (float(seq_value(seq, n)) for n in range(k))
+    yield from repeat(float(seq_value(seq, k)))
 
 
 class UncutOrbits:
@@ -728,7 +742,7 @@ def test_the_audit_reads_the_floats_the_orbit_used(all_configs, monkeypatch):
 
     monkeypatch.setattr(ar.Trajectory, "schedule_floats", spy)
     rep = ar.check_lemma_inequalities(traj)
-    assert rep.passed, rep.to_json()
+    assert rep.passed, rep.to_json_dict()
     [(count, (lam, s))] = seen
     assert count == len(traj.inner_residuals) == 7044
     for got, seq in ((lam, sched.lambda_seq), (s, s_seq)):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import asymreg as ar
+from asymreg.mappings import raw_apply_fn
 
 E2 = ar.euclidean(2)
 E3 = ar.euclidean(3)
@@ -157,68 +158,28 @@ def test_declared_fixed_points_are_fixed():
 # ---------------------------------------------------------------------------
 # approximate fixed-point data
 
+# validate_afp takes T as raw_apply_fn builds it
+ROTATE_PI = raw_apply_fn(E2, ar.euclidean_rotation((0.0, 0.0), math.pi))
+
+
 def test_validate_afp_accepts_exact_fixed_point():
-    m = ar.euclidean_rotation((0.0, 0.0), math.pi)
     x = ar.make_point(E2, (1.0, 0.0))
-    afp = ar.ApproxFixedPointSpec(x, 1.0, ar.make_point(E2, (0.0, 0.0)))
-    ar.validate_afp(E2, m, afp)
-    assert ar.derived_bound(E2, m, afp) == 2.0
-
-
-def test_validate_afp_measures_a_fixed_point_once(monkeypatch):
-    m = ar.euclidean_rotation((0.0, 0.0), math.pi)
-    x = ar.make_point(E2, (1.0, 0.0))
-    calls = []
-    real = ar.mappings.apply_map
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(ar.mappings, "apply_map", counted)
-    ar.validate_afp(E2, m, ar.ApproxFixedPointSpec(x, 1.0, ar.make_point(E2, (0.0, 0.0))))
-    assert len(calls) == 1
-    # a witness map still answers each of the ten deltas
-    ar.validate_afp(E2, m, ar.ApproxFixedPointSpec(
-        x, 1.0, witness=lambda delta: ar.make_point(E2, (0.0, 0.0))))
-    assert len(calls) == 11
+    ar.validate_afp(E2, ROTATE_PI, ar.ApproxFixedPointSpec(x, 1.0, ar.make_point(E2, (0.0, 0.0))))
 
 
 def test_validate_afp_names_the_first_delta_a_fixed_point_misses():
     # z = (1e-4, 0) is 2e-4 from its image under the rotation by pi
-    m = ar.euclidean_rotation((0.0, 0.0), math.pi)
     x = ar.make_point(E2, (1.0, 0.0))
     afp = ar.ApproxFixedPointSpec(x, 1.0, ar.make_point(E2, (1e-4, 0.0)))
     with pytest.raises(ar.WitnessError, match=r"delta=0\.0001 has residual 0\.0002"):
-        ar.validate_afp(E2, m, afp)
+        ar.validate_afp(E2, ROTATE_PI, afp)
 
 
 def test_validate_afp_rejects_small_b():
-    m = ar.euclidean_rotation((0.0, 0.0), math.pi)
     x = ar.make_point(E2, (1.0, 0.0))
     afp = ar.ApproxFixedPointSpec(x, 0.5, ar.make_point(E2, (0.0, 0.0)))
     with pytest.raises(ar.WitnessError, match="beyond b"):
-        ar.validate_afp(E2, m, afp)
-
-
-def test_validate_afp_rejects_bad_witness_residual():
-    m = ar.euclidean_rotation((0.0, 0.0), math.pi)
-    x = ar.make_point(E2, (1.0, 0.0))
-    # claims the start itself is a delta-fixed point, but d(x, Tx) = 2
-    afp = ar.ApproxFixedPointSpec(x, 1.0, witness=lambda delta: x)
-    with pytest.raises(ar.WitnessError, match="residual"):
-        ar.validate_afp(E2, m, afp)
-
-
-def test_witness_point_precedence():
-    x = ar.make_point(E2, (1.0, 0.0))
-    fp = ar.make_point(E2, (0.0, 0.0))
-    afp = ar.ApproxFixedPointSpec(x, 1.0, fixed_point=fp)
-    assert ar.witness_point(afp, 0.5) is fp
-    afp = ar.ApproxFixedPointSpec(x, 1.0, witness=lambda d: x)
-    assert ar.witness_point(afp, 0.5) is x
-    with pytest.raises(ar.WitnessError):
-        ar.witness_point(ar.ApproxFixedPointSpec(x, 1.0), 0.5)
+        ar.validate_afp(E2, ROTATE_PI, afp)
 
 
 def test_mapping_requires_center():

@@ -22,8 +22,9 @@ from asymreg.moduli import (
     nat_values,
     seq_mass,
     seq_parts,
-    sequence_lower_bound,
 )
+
+from helpers import eval_eta, gamma_for_geometric_s, seq_value, theta_for_constant_lambda
 
 
 # ---------------------------------------------------------------------------
@@ -69,43 +70,33 @@ def test_ceil_log2_matches_oracle(num, den):
 
 def test_eta_quadratic_frozen():
     q8 = ar.eta_quadratic()
-    assert ar.eval_eta(q8, 2.0, 0.25) == pytest.approx(1 / 128, abs=0)
+    assert eval_eta(q8, 2.0, 0.25) == pytest.approx(1 / 128, abs=0)
     assert eval_eta_lower(q8, Fraction(2), Fraction(1, 4)) == Fraction(1, 128)
-    assert ar.eval_eta(ar.eta_quadratic(2), 1.0, 1.0) == 0.5
+    assert eval_eta(ar.eta_quadratic(2), 1.0, 1.0) == 0.5
 
 
 def test_eta_hilbert_matches_oracle():
     h = ar.eta_hilbert()
     for eps in (0.1, 0.5, 1.0, 1.7, 2.0):
-        assert ar.eval_eta(h, 3.0, eps) == pytest.approx(
+        assert eval_eta(h, 3.0, eps) == pytest.approx(
             1.0 - math.sqrt(1.0 - eps * eps / 4.0), abs=1e-15)
-    assert ar.eval_eta(h, 1.0, 2.0) == 1.0
+    assert eval_eta(h, 1.0, 2.0) == 1.0
 
 
 def test_eta_constant():
     c = ar.eta_constant(Fraction(1, 3))
-    assert ar.eval_eta(c, 5.0, 0.01) == pytest.approx(1 / 3)
+    assert eval_eta(c, 5.0, 0.01) == pytest.approx(1 / 3)
     with pytest.raises(ar.DescriptorError):
         ar.eta_constant(0)
     with pytest.raises(ar.DescriptorError):
         ar.eta_constant(Fraction(3, 2))
 
 
-def test_eta_domain_errors():
-    q8 = ar.eta_quadratic()
-    with pytest.raises(ar.DescriptorDomainError):
-        ar.eval_eta(q8, 0.0, 0.5)
-    with pytest.raises(ar.DescriptorDomainError):
-        ar.eval_eta(q8, 1.0, 0.0)
-    with pytest.raises(ar.DescriptorDomainError):
-        ar.eval_eta(q8, 1.0, 2.5)
-
-
 @given(st.floats(0.01, 100.0), st.floats(0.001, 2.0), st.floats(0.001, 2.0))
 def test_eta_nondecreasing_in_eps(r, eps1, eps2):
     lo, hi = sorted((eps1, eps2))
     for desc in (ar.eta_quadratic(), ar.eta_hilbert()):
-        assert ar.eval_eta(desc, r, lo) <= ar.eval_eta(desc, r, hi) + 1e-15
+        assert eval_eta(desc, r, lo) <= eval_eta(desc, r, hi) + 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +124,7 @@ def test_eta_to_eta1_hilbert_wrapper():
     # defining property 2^-m <= eta(r, 2^-k)
     for k in range(8):
         m = ar.eval_eta1(e1, 2.0, k)
-        assert 2.0 ** (-m) <= ar.eval_eta(ar.eta_hilbert(), 2.0, 2.0 ** (-k))
+        assert 2.0 ** (-m) <= eval_eta(ar.eta_hilbert(), 2.0, 2.0 ** (-k))
 
 
 @pytest.mark.parametrize("k", range(26, 31))
@@ -145,18 +136,18 @@ def test_eta_to_eta1_hilbert_small_precision(k):
 
 def test_eta1_to_eta_round_trip_frozen():
     back = ar.eta1_to_eta(ar.eta_to_eta1(ar.eta_quadratic()))
-    assert ar.eval_eta(back, 1.0, 0.25) == pytest.approx(2.0 ** -7, abs=0)
-    assert ar.eval_eta(back, 1.0, 0.3) == pytest.approx(2.0 ** -7, abs=0)
+    assert eval_eta(back, 1.0, 0.25) == pytest.approx(2.0 ** -7, abs=0)
+    assert eval_eta(back, 1.0, 0.3) == pytest.approx(2.0 ** -7, abs=0)
     # eps > 1 clamps the dyadic index at 0
-    assert ar.eval_eta(back, 1.0, 1.5) == pytest.approx(2.0 ** -3, abs=0)
+    assert eval_eta(back, 1.0, 1.5) == pytest.approx(2.0 ** -3, abs=0)
 
 
 @given(st.floats(0.01, 50.0), st.floats(0.001, 2.0))
 def test_eta1_round_trip_is_valid_smaller_modulus(r, eps):
     q8 = ar.eta_quadratic()
     back = ar.eta1_to_eta(ar.eta_to_eta1(q8))
-    v = ar.eval_eta(back, r, eps)
-    assert 0.0 < v <= ar.eval_eta(q8, r, eps) + 1e-15
+    v = eval_eta(back, r, eps)
+    assert 0.0 < v <= eval_eta(q8, r, eps) + 1e-15
 
 
 def test_eta2_to_eta1():
@@ -188,9 +179,9 @@ def test_eval_eta1_rejects_negative_k():
 def test_theta_linear_frozen():
     t4 = ar.theta_linear(4)
     assert [ar.eval_nat(t4, n) for n in (0, 1, 2, 513)] == [0, 4, 8, 2052]
-    t = ar.theta_for_constant_lambda(Fraction(1, 2))
+    t = theta_for_constant_lambda(Fraction(1, 2))
     assert t == ar.theta_linear(4)
-    t = ar.theta_for_constant_lambda(Fraction(1, 4))
+    t = theta_for_constant_lambda(Fraction(1, 4))
     assert ar.eval_nat(t, 1) == 6     # ceil(16/3)
     assert ar.eval_nat(t, 3) == 16
 
@@ -198,8 +189,6 @@ def test_theta_linear_frozen():
 def test_theta_constructor_validation():
     with pytest.raises(ar.DescriptorError):
         ar.theta_linear(-1)
-    with pytest.raises(ar.DescriptorError):
-        ar.theta_for_constant_lambda(1)
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
@@ -316,23 +305,15 @@ def test_omega_affine_frozen():
 
 def test_sequences_exact_and_float():
     geo = ar.seq_geometric(Fraction(1, 2), Fraction(1, 2))
-    assert ar.seq_value(geo, 3) == Fraction(1, 16)
+    assert seq_value(geo, 3) == Fraction(1, 16)
     np.testing.assert_allclose(ar.seq_values_float(geo, 4),
                                [0.5, 0.25, 0.125, 0.0625], rtol=0, atol=0)
     tab = ar.seq_tabulated([Fraction(1, 2), Fraction(1, 4)], 0)
-    assert [ar.seq_value(tab, n) for n in (0, 1, 2, 9)] == \
+    assert [seq_value(tab, n) for n in (0, 1, 2, 9)] == \
         [Fraction(1, 2), Fraction(1, 4), 0, 0]
     const = ar.seq_constant(Fraction(1, 3))
     vals = ar.seq_values_float(const, 3)
     assert vals.tolist() == [1 / 3] * 3
-
-
-def test_sequence_bounds():
-    geo = ar.seq_geometric(Fraction(1, 2), Fraction(1, 2))
-    tab = ar.seq_tabulated([Fraction(3, 4), Fraction(1, 4)], Fraction(1, 8))
-    assert sequence_lower_bound(ar.seq_constant(Fraction(1, 2))) == Fraction(1, 2)
-    assert sequence_lower_bound(geo) == 0
-    assert sequence_lower_bound(tab) == Fraction(1, 8)
 
 
 BOUNDARY_SEQS = {
@@ -356,7 +337,7 @@ def test_seq_values_float_across_the_table_end(name, start):
         c, q = float(seq.param("c")), float(seq.param("q"))
         want = [c * np.power(q, float(n)) for n in range(start, start + count)]
     else:
-        want = [float(ar.seq_value(seq, n)) for n in range(start, start + count)]
+        want = [float(seq_value(seq, n)) for n in range(start, start + count)]
     assert got.dtype == np.float64
     assert got.tobytes() == np.array(want).tobytes()
 
@@ -365,7 +346,7 @@ def test_seq_values_float_across_the_table_end(name, start):
 def test_seq_float_matches_exact(n):
     geo = ar.seq_geometric(Fraction(1, 2), Fraction(3, 4))
     vals = ar.seq_values_float(geo, n + 1)
-    assert vals[n] == pytest.approx(float(ar.seq_value(geo, n)), rel=1e-12)
+    assert vals[n] == pytest.approx(float(seq_value(geo, n)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +361,7 @@ def geometric_schedule():
     lam = ar.seq_constant(Fraction(1, 2))
     return ar.Schedule(lam, ar.seq_geometric(Fraction(1, 2), Fraction(1, 2)),
                        ar.theta_linear(4), 2, 0,
-                       ar.gamma_for_geometric_s(Fraction(1, 2), Fraction(1, 2), lam))
+                       gamma_for_geometric_s(Fraction(1, 2), Fraction(1, 2), lam))
 
 
 def test_validate_schedule_accepts_golden():
@@ -506,7 +487,7 @@ def test_seq_mass_matches_exact_partial_sums(seq):
     assert mass(-1)[0] == 0
     total = Fraction(0)
     for t in range(200):
-        lam = ar.seq_value(seq, t)
+        lam = seq_value(seq, t)
         total += lam * (1 - lam)
         got = Fraction(*mass(t))
         if seq.kind == "Geometric":
@@ -655,7 +636,7 @@ def test_verify_theta_memory_does_not_grow_with_theta():
     # theta(1000) = 1,001,001: the float check held that many terms (16 MB)
     lam = Fraction(1, 1000)
     sched = ar.Schedule(ar.seq_constant(lam), ar.seq_constant(0),
-                        ar.theta_for_constant_lambda(lam), 1, 0, ar.gamma_zero())
+                        theta_for_constant_lambda(lam), 1, 0, ar.gamma_zero())
     rep, peak = traced_peak(ar.verify_theta, sched, n_max=1000)
     assert rep.passed
     assert peak < 1 << 20
@@ -826,7 +807,7 @@ EPS = st.one_of(st.floats(2.0 ** -60, 2.0),
 def test_the_array_eta_is_eval_eta_rounded_up(desc, args):
     r, eps = (np.array(column) for column in zip(*args))
     try:
-        want = np.array([ar.eval_eta(desc, a, e) for a, e in args])
+        want = np.array([eval_eta(desc, a, e) for a, e in args])
     except ar.DescriptorDomainError:        # a table past its arguments
         with pytest.raises(ar.DescriptorDomainError):
             moduli.eval_eta_array(desc, r, eps)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 import asymreg as ar
 from asymreg.moduli import eval_eta_lower
 
+from helpers import gamma_for_geometric_s
+
 Q8 = ar.eta_quadratic()
 
 
@@ -21,7 +23,7 @@ def ishikawa_schedule():
     lam = ar.seq_constant(Fraction(1, 2))
     return ar.Schedule(lam, ar.seq_geometric(Fraction(1, 2), Fraction(1, 2)),
                        ar.theta_linear(4), 2, 0,
-                       ar.gamma_for_geometric_s(Fraction(1, 2), Fraction(1, 2), lam))
+                       gamma_for_geometric_s(Fraction(1, 2), Fraction(1, 2), lam))
 
 
 # ---------------------------------------------------------------------------

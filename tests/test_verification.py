@@ -10,6 +10,8 @@ from asymreg import cli, verification
 from asymreg.geometry import array_ops, raw_ops, raw_points
 from asymreg.verification import _draw_block
 
+from helpers import eval_eta
+
 E2 = ar.euclidean(2)
 E5 = ar.euclidean(5)
 D = ar.poincare_disk()
@@ -21,7 +23,7 @@ D = ar.poincare_disk()
 def test_space_axioms_pass_all_models():
     for space in (E2, E5, D):
         rep = ar.check_space_axioms(space, samples=600, seed=1)
-        assert rep.passed and rep.verdict == ar.PASS, rep.to_json()
+        assert rep.passed and rep.verdict == ar.PASS, rep.to_json_dict()
 
 
 def test_space_axioms_catch_broken_combine():
@@ -38,7 +40,7 @@ def test_space_axioms_catch_broken_combine():
 def test_space_axioms_deterministic():
     a = ar.check_space_axioms(D, samples=200, seed=42)
     b = ar.check_space_axioms(D, samples=200, seed=42)
-    assert a.to_json() == b.to_json()
+    assert a.to_json_dict() == b.to_json_dict()
     draws = [_draw_block(D, verification._rng(seed, "space-axioms"), (5,), 1.0)
              for seed in (42, 43)]
     assert not np.array_equal(*draws)
@@ -50,7 +52,7 @@ def test_space_axioms_deterministic():
 def test_uc_implication_passes_both_models():
     for space in (E2, D):
         rep = ar.check_uc_implication(space, samples=800, seed=2)
-        assert rep.passed, rep.to_json()
+        assert rep.passed, rep.to_json_dict()
         assert rep.samples > 700
 
 
@@ -64,18 +66,18 @@ def test_uc_implication_rejects_optimistic_modulus():
 def test_uc_implication_hilbert_modulus_on_disk():
     # the inner-product modulus is valid on the disk as well
     rep = ar.check_uc_implication(D, samples=800, seed=5, eta=ar.eta_hilbert())
-    assert rep.passed, rep.to_json()
+    assert rep.passed, rep.to_json_dict()
 
 
 def test_dyadic_implication_strict_and_weak():
     strict = ar.check_dyadic_uc_implication(
         E2, ar.eta_to_eta1(ar.eta_quadratic()), conclusion_strict=True,
         samples=1000, seed=0)
-    assert strict.passed, strict.to_json()
+    assert strict.passed, strict.to_json_dict()
     weak = ar.check_dyadic_uc_implication(
         E2, ar.eta3_to_eta2(ar.eta3_affine(2, 3)), conclusion_strict=False,
         samples=1000, seed=1)
-    assert weak.passed, weak.to_json()
+    assert weak.passed, weak.to_json_dict()
     # constructed half of the samples must activate the premise
     assert any("activations" in n for n in strict.notes)
     acts = int(strict.notes[0].split()[2])
@@ -109,7 +111,7 @@ def test_nonexpansive_catalog():
              (D, ar.metric_projection((0.0, 0.0), 0.5, ar.closed_ball((0.0, 0.0), 2.0)))]
     for space, m in cases:
         rep = ar.check_nonexpansive(space, m, samples=300, seed=0)
-        assert rep.passed, (m.kind, rep.to_json())
+        assert rep.passed, (m.kind, rep.to_json_dict())
 
 
 @pytest.mark.parametrize("space, center", [(E2, (3.0, -1.0)), (D, (0.4, -0.3))],
@@ -145,12 +147,12 @@ def test_nonexpansive_fails_an_expanding_map(monkeypatch):
 def test_lemma_inequalities_dense_and_fallback(disk_config):
     dense = ar.trajectory_for(disk_config, 1500, record_ref=True)
     rep = ar.check_lemma_inequalities(dense)
-    assert rep.passed, rep.to_json()
+    assert rep.passed, rep.to_json_dict()
     # without reference distances the audit checks (a), (b) and the cap only
     bare = ar.trajectory_for(disk_config, 1500)
     assert bare.ref_point is None and bare.ref_distances is None
     rep = ar.check_lemma_inequalities(bare)
-    assert rep.passed, rep.to_json()
+    assert rep.passed, rep.to_json_dict()
 
 
 def test_lemma_inequalities_catch_doctored_orbit(km_config):
@@ -301,7 +303,7 @@ def test_certify_reads_no_orbit(golden_configs):
 def test_reports_are_deterministic_json(km_config):
     _, a = ar.check_phi_soundness(km_config, 0.5)
     _, b = ar.check_phi_soundness(km_config, 0.5)
-    assert a.to_json() == b.to_json()
+    assert a.to_json_dict() == b.to_json_dict()
 
 
 @pytest.mark.parametrize("space", [E5, D], ids=["E5", "disk"])
@@ -398,11 +400,11 @@ def test_batch_terms_match_the_scalar_kernels(monkeypatch, space):
     assert all(r[i] >= max(d(x[i], a[i]), d(y[i], a[i])) and eps[i] <= d(x[i], y[i]) / r[i]
                for i in range(1, n, 2))
     assert_close(space, lhs, [d(comb(x[i], y[i], 0.5), a[i]) for i in range(n)])
-    assert_close(space, bound, [(1 - ar.eval_eta(space.modulus, r, e)) * r
+    assert_close(space, bound, [(1 - eval_eta(space.modulus, r, e)) * r
                                 for r, e in zip(drawn["r"], drawn["eps"])])
     lhs, bound, drawn = terms[("general-lambda",)]
     assert_close(space, lhs, [d(comb(x[i], y[i], drawn["lam"][i]), a[i]) for i in range(n)])
-    assert_close(space, bound, [(1 - 2 * l * (1 - l) * ar.eval_eta(space.modulus, s, e)) * r
+    assert_close(space, bound, [(1 - 2 * l * (1 - l) * eval_eta(space.modulus, s, e)) * r
                                 for r, s, e, l in zip(drawn["r"], drawn["s"], drawn["eps"],
                                                       drawn["lam"])])
 
