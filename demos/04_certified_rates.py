@@ -31,7 +31,7 @@ print(f"  P      = {rr.P}     (ceil of L(b+1) / (eps eta(b+1, eps/L(b+1))))")
 print(f"  gamma0 = {rr.gamma0}")
 print(f"  phi    = {rr.phi}   = theta(P + gamma0 + 1 + N0) = 4 * 513")
 for k in (0, 10, 100):
-    print(f"  delta({k:3d}) = {ar.compute_delta(ri, k)}")
+    print(f"  delta({k:3d}) = {ar.compute_delta(ri, k, rr.P)}")
 
 # ---------------------------------------------------------------------------
 print("\nThe same computation runs over exact rationals when eps is rational:")
@@ -66,7 +66,7 @@ for eps in (3.0, 0.5):
 print("\nSoundness at desk scale: simulate an orbit matching the inputs and")
 print("verify the residual really is below eps on the window [phi, phi+1000].")
 for eps in (0.5, 0.25, 0.125):
-    rrate, rep = ar.check_phi_soundness(cfg, eps)
+    rrate, rep = ar.check_phi_soundness(cfg, ar.certify(cfg, eps))
     hit = rrate.empirical_first_hit
     print(f"  eps = {eps:<6}  phi = {rrate.phi:>7}  first residual < eps at"
           f" n = {hit}  [{rep.verdict.upper()}]")
@@ -75,5 +75,5 @@ print("  inputs, so it can sit far above the first hit of one easy orbit.")
 
 # ---------------------------------------------------------------------------
 print("\nThe full rate report serializes to JSON:")
-rrate, _ = ar.check_phi_soundness(cfg, 0.5)
+rrate, _ = ar.check_phi_soundness(cfg, ar.certify(cfg, 0.5))
 print("  " + json.dumps(rrate.to_json_dict(), sort_keys=True))

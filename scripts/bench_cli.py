@@ -17,6 +17,10 @@ this checkout), calls main once with --json (and --out into a temporary
 directory for run and sweep; see cli_digest.digest_main), and reports:
 
 - cpu_s: the CPU seconds of that main call (time.process_time);
+- process_cpu_s: the CPU seconds of the whole child process, user plus
+  system from getrusage(RUSAGE_SELF) at its exit, so every thread and the
+  imports count; process_wall_s: its wall time, from start to exit, as the
+  parent sees it;
 - peak_rss_mb: the peak resident set size of the whole child process
   (ru_maxrss), imports included;
 - from the JSON that main prints: steps, period_from, period, the verdict
@@ -27,7 +31,7 @@ directory for run and sweep; see cli_digest.digest_main), and reports:
   write the same bytes get the same hashes; output_stable says whether
   every repeat got the same hashes.
 
-The output file holds these per case, with the median CPU time and the
+The output file holds these per case, with the median of each time and the
 largest peak RSS over the repeats, next to the Python and numpy versions and
 the machine.  --src points the same cases at another checkout, such as the
 parent commit unpacked with `git archive`.
@@ -43,6 +47,7 @@ import shlex
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy
@@ -55,7 +60,9 @@ sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from asymreg.cli import main
 from cli_digest import digest_main
 result = digest_main(main, json.loads(sys.argv[3]))
-result["rss_kb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+usage = resource.getrusage(resource.RUSAGE_SELF)
+result["rss_kb"] = usage.ru_maxrss
+result["process_cpu_s"] = usage.ru_utime + usage.ru_stime
 print(json.dumps(result))
 """
 
@@ -75,10 +82,12 @@ def golden_cases() -> dict[str, str]:
 
 
 def run_case(src: Path, argv: list[str]) -> dict:
+    start = time.perf_counter()
     done = subprocess.run([sys.executable, "-c", CHILD, str(src), str(ROOT / "scripts"),
                            json.dumps(argv)],
                           cwd=ROOT, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+    wall = time.perf_counter() - start
+    return {**json.loads(done.stdout.splitlines()[-1]), "process_wall_s": wall}
 
 
 def outcome(printed: str) -> dict:
@@ -96,14 +105,13 @@ def outcome(printed: str) -> dict:
 
 
 def summarize(name: str, argv: list[str], runs: list[dict]) -> dict:
-    cpu = [r["cpu_s"] for r in runs]
+    summary = {"name": name, "argv": argv, "exit_codes": [r["code"] for r in runs]}
+    for key in ("cpu_s", "process_cpu_s", "process_wall_s"):
+        summary[key] = [r[key] for r in runs]
+        summary[f"{key}_median"] = statistics.median(summary[key])
     rss = [r["rss_kb"] / 1024 for r in runs]
     return {
-        "name": name,
-        "argv": argv,
-        "exit_codes": [r["code"] for r in runs],
-        "cpu_s": cpu,
-        "cpu_s_median": statistics.median(cpu),
+        **summary,
         "peak_rss_mb": rss,
         "peak_rss_mb_max": max(rss),
         **outcome(runs[-1]["printed"]),
@@ -133,7 +141,8 @@ def main() -> int:
         runs = [run_case(src, argv) for _ in range(args.repeat)]
         results.append(summarize(name, argv, runs))
         r = results[-1]
-        print(f"{name}: cpu {r['cpu_s_median']:.3f} s (median of {args.repeat}), "
+        print(f"{name}: cpu {r['cpu_s_median']:.3f} s, process cpu "
+              f"{r['process_cpu_s_median']:.3f} s (medians of {args.repeat}), "
               f"peak RSS {r['peak_rss_mb_max']:.1f} MB, verdict {r['verdict']}",
               file=sys.stderr)
     doc = {

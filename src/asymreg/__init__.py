@@ -2,6 +2,14 @@
 iterations in uniformly convex geodesic spaces, with numerical verification
 of every bound at desk scale."""
 
+import os
+
+# The package calls no BLAS routine (no dot, matmul, einsum or linalg), so
+# OpenBLAS needs no thread pool: started by numpy's import, its idle threads
+# cost CPU at import and after it.  This must run before numpy is imported;
+# a value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .config import (
     HARD_STEP_CAP,
     Caps,

@@ -211,12 +211,12 @@ def _cmd_run(config: ExperimentConfig, args) -> int:
     reports: list[CheckReport] = []
     extra: dict = {}
 
-    steps = args.steps
+    steps, rr = args.steps, None
     if args.eps is not None:
         # a bad eps or a descriptor outside its domain ends the run here,
         # before anything is simulated or written
-        window_end = certify(config, args.eps).window_end
-        steps = window_end if steps is None else steps
+        rr = certify(config, args.eps)
+        steps = rr.window_end if steps is None else steps
     steps = min(10_000 if steps is None else steps, step_cap(config))
 
     traj = run_trajectory(
@@ -232,8 +232,8 @@ def _cmd_run(config: ExperimentConfig, args) -> int:
     extra.update(_cut_off(traj))
 
     reports.append(check_lemma_inequalities(traj))
-    if args.eps is not None:
-        rr, rep = check_phi_soundness(config, args.eps, trajectory=traj)
+    if rr is not None:
+        rr, rep = check_phi_soundness(config, rr, trajectory=traj)
         reports.append(rep)
         extra["rate"] = rr.to_json_dict()
     (out / "report.json").write_text(json.dumps(
@@ -252,8 +252,8 @@ def _cmd_sweep(config: ExperimentConfig, args) -> int:
 
     reports = []
     rows = []
-    for eps in grid:
-        rr, rep = check_phi_soundness(config, eps, trajectory=traj)
+    for eps, certified in zip(grid, rates):
+        rr, rep = check_phi_soundness(config, certified, trajectory=traj)
         reports.append(rep)
         rows.append({
             "eps": eps, "P": rr.P, "gamma0": rr.gamma0, "phi": rr.phi,

@@ -123,13 +123,16 @@ class Trajectory:
 
 def ishikawa_step(space: SpaceModel, m: MappingSpec, x: Point,
                   lam: float, s: float) -> tuple[Point, Point]:
-    """One update: returns (x_next, y)."""
+    """One update: returns (x_next, y).  On a ClosedBall domain, x and y
+    must pass mappings.ball_member, as in run_trajectory; else DomainError."""
     xr = check_point(space, x)
     if not 0.0 <= lam <= 1.0:
         raise IterationError(f"lambda = {lam!r} outside [0, 1]")
     if not 0.0 <= s <= 1.0:
         raise IterationError(f"s = {s!r} outside [0, 1]")
     f = raw_apply_fn(space, m)
+    if (inside := ball_member(space, m.domain)) is not None:
+        f = _confined(f, inside)
     combine_fn = raw_ops(space)[1]
     y = combine_fn(xr, f(xr), s)
     x_next = combine_fn(xr, f(y), lam)
@@ -146,7 +149,7 @@ def _confined(f, inside):
     """f, raising DomainError at a point that inside rejects."""
     def g(z):
         if not inside(z):
-            raise DomainError
+            raise DomainError("point outside the mapping's domain")
         return f(z)
     return g
 

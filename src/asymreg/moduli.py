@@ -32,8 +32,11 @@ eta (eval_eta_lower): exactly for the rational closed forms, and for
 EtaHilbert through an integer square root rounded up, so a bound built on
 it never rounds down.  verify_theta checks its defining inequality in
 integer arithmetic, exactly or (for geometric lambda) through a lower bound
-that is never too high; floats only enter in verify_gamma, which samples
-its windows with a 1e-9 slack.
+that is never too high.  For an affine theta over a Constant or Tabulated
+lambda it needs no loop up to n_max: past lambda's table both sides are
+affine in n up to theta's ceiling, which one integer inequality settles, or
+else a scan of one period of that ceiling.  Floats only enter in
+verify_gamma, which samples its windows with a 1e-9 slack.
 """
 
 from __future__ import annotations
@@ -433,16 +436,23 @@ def nat_values(desc: ModulusDescriptor, n_max: int) -> list[int]:
     return list(map(_nat_fn(desc), range(n_max + 1)))
 
 
-def _nat_fn(desc: ModulusDescriptor) -> Callable[[int], int]:
+def _affine_parts(desc: ModulusDescriptor) -> tuple[int, int, int] | None:
+    """(step, base, d) with desc(n) = max(0, ceil((step n + base) / d)) for
+    ThetaLinear and OmegaAffine; None for any other kind."""
     if desc.kind == THETA_LINEAR:
         # ceil((p/q) n + r/s) = ceil((p s n + r q) / (q s))
         a, b = desc.param("a"), desc.param("b")
-        step, base = a.numerator * b.denominator, b.numerator * a.denominator
-        den = a.denominator * b.denominator
-        return lambda n: max(0, -(-(step * n + base) // den))
+        return (a.numerator * b.denominator, b.numerator * a.denominator,
+                a.denominator * b.denominator)
     if desc.kind == OMEGA_AFFINE:
-        slope, shift = desc.param("slope"), desc.param("shift")
-        return lambda n: max(0, slope * n + shift)
+        return desc.param("slope"), desc.param("shift"), 1
+    return None
+
+
+def _nat_fn(desc: ModulusDescriptor) -> Callable[[int], int]:
+    if (affine := _affine_parts(desc)) is not None:
+        step, base, den = affine
+        return lambda n: max(0, -(-(step * n + base) // den))
     if desc.kind == TABULATED:
         return _table_fn(desc)
     raise DescriptorError(f"{desc.kind!r} is not a natural-valued descriptor")
@@ -688,27 +698,74 @@ def alpha_terms_float(schedule: Schedule, count: int, start: int = 0) -> np.ndar
 # witness verification: theta in integers, gamma in floats with a 1e-9 slack
 
 def verify_theta(schedule: Schedule, n_max: int = 10_000) -> CheckReport:
-    """Check sum_{k=0..theta(n)} lambda_k (1 - lambda_k) >= n for n <= n_max
-    with seq_mass, in memory O(n_max) whatever theta(n_max) is.  The check is
-    exact for Constant and Tabulated lambda; for Geometric lambda it never
-    passes a witness that misses, and fails one that clears n by less than
-    about 2^-100."""
+    """Check S(theta(n)) >= n for n <= n_max, S(t) = sum_{k=0..t}
+    lambda_k (1 - lambda_k), and report the least n that fails.  It checks
+    n = 0, 1, ... with seq_mass, up to that n or to _theta_scan_end, past
+    which no n <= n_max can be the least to fail: for an affine theta over a
+    Constant or Tabulated lambda, that bound is closed-form and takes no loop
+    up to n_max.  The check is exact for Constant and Tabulated lambda; for
+    Geometric lambda it never passes a witness that misses, and fails one
+    that clears n by less than about 2^-100.  Only a Tabulated theta is
+    listed in full, which takes memory O(n_max)."""
     report = CheckReport("theta-witness")
     if n_max < 1:
         raise DescriptorDomainError("n_max must be >= 1")
+    theta = schedule.theta
     try:
-        thetas = nat_values(schedule.theta, n_max)
+        # a table may miss an argument, which fails the check as a whole
+        theta_at = (nat_values(theta, n_max).__getitem__ if theta.kind == TABULATED
+                    else _nat_fn(theta))
     except (DescriptorError, DescriptorDomainError) as exc:
         report.fail({"error": str(exc)}, 0.0, 0.0, 0.0)
         return report
     mass = seq_mass(schedule.lambda_seq)
     report.samples = n_max + 1
-    for n, t in enumerate(thetas):
+    for n in range(_theta_scan_end(theta, schedule.lambda_seq, mass, n_max) + 1):
+        t = theta_at(n)
         num, den = mass(t)
         if num < n * den:
             report.fail({"n": n, "theta_n": t}, num / den, float(n), 0.0)
             break
     return report
+
+
+def _theta_scan_end(theta: ModulusDescriptor, lambda_seq: ModulusDescriptor,
+                    mass: Callable[[int], tuple[int, int]], n_max: int) -> int:
+    """The last n that verify_theta checks term by term: the least n <= n_max
+    with S(theta(n)) < n, if there is one, lies at or below it.
+
+    n_max unless theta(n) = max(0, ceil((step n + base) / d)) (_affine_parts)
+    and lambda has r = 1 in seq_parts, so that den S(t) = P_L + (t + 1 - h) T
+    for t >= h - 1, with h = len(head), P_L = den S(h - 1) and
+    T = den a (1 - a).  From n_h, the least n with theta(n) >= max(0, h - 1),
+        d (den S(theta(n)) - n den) = A n + C + T r_n,
+    A = step T - d den,  C = d P_L + base T + (1 - h) T d,
+    r_n = -(step n + base) mod d, which repeats with period d / g,
+    g = gcd(step, d), and reaches its least value rho = -base mod g in every
+    period.  For A < 0 this settles nothing.  For A >= 0 each class of n
+    modulo d / g is nondecreasing: if A n_h + C + T rho >= 0 no n >= n_h
+    fails, else the least n >= n_h that fails lies in n_h .. n_h + d/g - 1.
+    Below n_h, S(theta(n)) <= max(1, h - 1) / 4, so the term-by-term check
+    fails there within about h / 4 steps."""
+    head, _, r = seq_parts(lambda_seq)
+    affine = _affine_parts(theta)
+    if affine is None or r != 1:
+        return n_max
+    step, base, d = affine
+    h = len(head)
+    p_l, den = mass(h - 1)
+    t_mass = mass(h)[0] - p_l
+    slope = step * t_mass - d * den
+    if slope < 0:
+        return n_max
+    # slope >= 0 puts step > 0: theta(n) >= m from
+    # n = ceil(((m - 1) d + 1 - base) / step) on
+    n_h = max(0, -((base - 1 - (max(0, h - 1) - 1) * d) // step))
+    c = d * p_l + base * t_mass + (1 - h) * t_mass * d
+    g = math.gcd(step, d)
+    if slope * n_h + c + t_mass * (-base % g) >= 0:
+        return min(n_h, n_max + 1) - 1
+    return min(n_max, n_h + d // g - 1)
 
 
 def verify_gamma(schedule: Schedule, deltas: Sequence, n_max: int = 10_000) -> CheckReport:

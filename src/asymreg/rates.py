@@ -80,9 +80,9 @@ def inputs_for(eps: float, eta: ModulusDescriptor, b: float,
 @dataclass
 class RateReport:
     """The certified rates for one eps.  verification.certify also fills in
-    the step cap, the end of the soundness window [phi, window_end], the
-    shortcut note, and the k whose delta(k) raised; those stay out of the
-    JSON."""
+    that eps, the step cap, the end of the soundness window
+    [phi, window_end], the shortcut note, and the k whose delta(k) raised;
+    those stay out of the JSON."""
 
     P: int
     gamma0: int
@@ -90,6 +90,7 @@ class RateReport:
     deltas: dict[int, int] = field(default_factory=dict)
     empirical_first_hit: int | None = None
     tightness_ratio: float | None = None
+    eps: float | None = None
     step_cap: int | None = None
     window_end: int | None = None
     note: str | None = None
@@ -159,12 +160,11 @@ def compute_phi(inputs: RateInputs) -> RateReport:
     return RateReport(P=p, gamma0=gamma0, phi=phi)
 
 
-def compute_delta(inputs: RateInputs, k: int) -> int:
-    """delta = theta(P + k + N0): some index in [k, delta] has residual
-    below eps."""
+def compute_delta(inputs: RateInputs, k: int, p: int) -> int:
+    """delta = theta(P + k + N0), for p = compute_p(inputs): some index in
+    [k, delta] has residual below eps."""
     if k < 0:
         raise RateError("k must be a natural")
-    p = compute_p(inputs)
     delta = evaluated("schedule.theta", eval_nat, inputs.theta, p + k + inputs.N0)
     if delta < k:
         raise RateError(f"theta({p + k + inputs.N0}) = {delta} < k = {k}; "

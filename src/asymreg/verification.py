@@ -409,11 +409,11 @@ def step_cap(config: ExperimentConfig) -> int:
 
 def certify(config: ExperimentConfig, eps: float, ks=()) -> RateReport:
     """The certified rates of config at eps: P, gamma0, phi and delta(k) for
-    each k in ks, the step cap and the end of the soundness window
-    [phi, phi + SOUNDNESS_WINDOW] within it.  Residuals never exceed 2b, so
-    eps > 2b is certified at once, with phi = 0 and delta(k) = k.  A k whose
-    delta(k) raises RateError lands in delta_errors, not in deltas, and so
-    does a negative k on either branch."""
+    each k in ks (all from one P), the step cap and the end of the soundness
+    window [phi, phi + SOUNDNESS_WINDOW] within it.  Residuals never exceed
+    2b, so eps > 2b is certified at once, with phi = 0 and delta(k) = k.  A
+    k whose delta(k) raises RateError lands in delta_errors, not in deltas,
+    and so does a negative k on either branch."""
     ri = inputs_for(eps, config.space.modulus, config.afp.b, config.schedule)
     ks = sorted(set(int(k) for k in ks))
     errors = {k: RateError("k must be a natural") for k in ks if k < 0}
@@ -425,10 +425,11 @@ def certify(config: ExperimentConfig, eps: float, ks=()) -> RateReport:
         rr = compute_phi(ri)
         for k in ks:
             try:
-                rr.deltas[k] = compute_delta(ri, k)
+                rr.deltas[k] = compute_delta(ri, k, rr.P)
             except RateError as exc:
                 errors[k] = exc
     rr.delta_errors = errors
+    rr.eps = eps
     rr.step_cap = step_cap(config)
     rr.window_end = min(rr.phi + SOUNDNESS_WINDOW, rr.step_cap)
     return rr
@@ -441,13 +442,15 @@ def _covering_trajectory(config: ExperimentConfig, steps: int,
     return trajectory_for(config, steps)
 
 
-def check_phi_soundness(config: ExperimentConfig, eps: float,
+def check_phi_soundness(config: ExperimentConfig, rr: RateReport,
                         trajectory: Trajectory | None = None
                         ) -> tuple[RateReport, CheckReport]:
-    """Verify the schedule witnesses, certify phi, then confirm on a simulated
-    orbit that every residual on [phi, window_end] falls below
-    eps (1 + 1e-9).  Also records the first index whose residual drops below
-    eps and the ratio phi / first_hit."""
+    """For rr = certify(config, eps): verify the schedule witnesses, then
+    confirm on a simulated orbit that every residual on [phi, window_end]
+    falls below eps (1 + 1e-9).  Also records in rr the first index whose
+    residual drops below eps and the ratio phi / first_hit.  When a witness
+    fails, the rates it returns are all 0."""
+    eps = rr.eps
     report = CheckReport(f"phi-soundness(eps={eps:g})")
     schedule, b = config.schedule, config.afp.b
     report.merge(verify_theta(schedule, n_max=1_000))
@@ -456,7 +459,6 @@ def check_phi_soundness(config: ExperimentConfig, eps: float,
     if not report.passed:
         return RateReport(P=0, gamma0=0, phi=0), report
 
-    rr = certify(config, eps)
     if rr.note:
         report.note(f"{rr.note}; phi = 0")
     if rr.phi > rr.step_cap:

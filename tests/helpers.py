@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import asymreg as ar
+from asymreg import moduli
 from asymreg.moduli import as_fraction, seq_parts
 
 
@@ -33,3 +34,22 @@ def gamma_for_geometric_s(c, q, lambda_seq):
     head, a, r = seq_parts(lambda_seq)
     lambda_min = min((*head, a if r == 1 else Fraction(0)))
     return ar.gamma_geometric_tail(as_fraction(c), as_fraction(q), lambda_min)
+
+
+def verify_theta_loop(schedule, n_max: int) -> ar.CheckReport:
+    """moduli.verify_theta as a plain loop over every n <= n_max: the check
+    its closed-form scan bound must agree with."""
+    report = ar.CheckReport("theta-witness")
+    try:
+        thetas = moduli.nat_values(schedule.theta, n_max)
+    except (ar.DescriptorError, ar.DescriptorDomainError) as exc:
+        report.fail({"error": str(exc)}, 0.0, 0.0, 0.0)
+        return report
+    mass = moduli.seq_mass(schedule.lambda_seq)
+    report.samples = n_max + 1
+    for n, t in enumerate(thetas):
+        num, den = mass(t)
+        if num < n * den:
+            report.fail({"n": n, "theta_n": t}, num / den, float(n), 0.0)
+            break
+    return report

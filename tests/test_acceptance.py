@@ -104,7 +104,8 @@ def test_criterion_4_phi_soundness(golden_configs, soundness_trajectories):
     start = time.perf_counter()
     for name, cfg in golden_configs.items():
         for eps in EPS_GRID:
-            rr, rep = ar.check_phi_soundness(cfg, eps, trajectory=trajs[name])
+            rr, rep = ar.check_phi_soundness(cfg, ar.certify(cfg, eps),
+                                             trajectory=trajs[name])
             assert rep.verdict == ar.PASS, f"{name} eps={eps}: {rep.to_json_dict()}"
     ref = golden_configs["rotation_pi_euclidean"]
     ri = ar.inputs_for(0.5, ref.space.modulus, ref.afp.b, ref.schedule)
@@ -131,11 +132,11 @@ def test_criterion_5_delta_witness(golden_configs, soundness_trajectories):
             assert rep.verdict == ar.PASS, f"{name} eps={eps}: {rep.to_json_dict()}"
             ri = ar.inputs_for(eps, cfg.space.modulus, cfg.afp.b, cfg.schedule)
             for k in (0, 10, 100):
-                assert deltas[k] == ar.compute_delta(ri, k)
+                assert deltas[k] == ar.compute_delta(ri, k, ar.compute_p(ri))
                 assert deltas[k] >= k
     ref = golden_configs["rotation_pi_euclidean"]
     ri = ar.inputs_for(0.5, ref.space.modulus, ref.afp.b, ref.schedule)
-    assert ar.compute_delta(ri, 0) == 2048
+    assert ar.compute_delta(ri, 0, ar.compute_p(ri)) == 2048
 
 
 # ---------------------------------------------------------------------------

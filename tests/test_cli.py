@@ -232,6 +232,35 @@ def test_run_and_sweep_report_where_the_orbit_repeats(tmp_path, capsys):
     assert doc == json.loads(capsys.readouterr().out)
 
 
+def _record_calls(monkeypatch, calls: list, module, name) -> None:
+    """Append the arguments of every later call of module.name to calls."""
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs:
+                        calls.append(args) or fn(*args, **kwargs))
+
+
+def test_sweep_and_run_certify_each_eps_once(tmp_path, monkeypatch, capsys):
+    data = ar.config_to_dict(ar.load_config(KM))
+    data["eps_grid"] = [0.5, 0.25, 0.125]
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(data))
+    calls = []
+    _record_calls(monkeypatch, calls, cli, "certify")
+    _record_calls(monkeypatch, calls, ar.verification, "certify")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 0
+    assert len(calls) == 3
+    assert main(["run", "--config", KM, "--eps", "0.5", "--out", str(tmp_path / "run")]) == 0
+    assert len(calls) == 4
+
+
+def test_rate_computes_p_once(monkeypatch, capsys):
+    calls = []
+    _record_calls(monkeypatch, calls, ar.rates, "compute_p")
+    assert main(["rate", "--config", KM, "--eps", "0.5", "--k", "0", "--k", "100"]) == 0
+    assert len(calls) == 1
+    assert "delta(100) = 2448" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # error handling and overrides
 
@@ -337,6 +366,28 @@ def test_a_large_N0_loads_at_once(tmp_path):
     data["schedule"]["L"] = 1
     with pytest.raises(ar.ConfigError, match="config.schedule"):
         ar.config_from_dict(data)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+@pytest.mark.parametrize("preset, want", [(None, "1"), ("2", "2")])
+def test_import_starts_no_blas_thread_pool(preset, want):
+    # the package needs no BLAS threads, and a value the user set is kept
+    env = {key: v for key, v in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(CONFIG_DIR.parent / "src"), env.get("PYTHONPATH")) if p)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = ("import os, asymreg\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+            "print(next(line.split()[1] for line in open('/proc/self/status')\n"
+            "           if line.startswith('Threads:')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert done.returncode == 0, done.stderr[-2000:]
+    value, threads = done.stdout.split()
+    assert value == want
+    if preset is None:
+        assert threads == "1"
 
 
 @pytest.mark.parametrize("n0, loads", [(10**9, True), (693_147, True), (693_146, False)])

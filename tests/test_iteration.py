@@ -184,6 +184,11 @@ def test_an_orbit_that_leaves_its_domain_ball_names_the_step():
             ar.run_trajectory(E2, m, x0, km_schedule(), steps)
     with pytest.raises(ar.DomainError, match=r"domain at step n = 0$"):
         ar.run_trajectory(E2, m, ar.make_point(E2, (0.0, 0.0)), km_schedule(), 0)
+    # one step applies T to x and, for s > 0, to y = (1 - s) x + s T x
+    ar.ishikawa_step(E2, m, x0, 0.5, 0.0)
+    for x, s in ((ar.make_point(E2, (0.0, 0.0)), 0.0), (x0, 1.0)):
+        with pytest.raises(ar.DomainError, match="outside the mapping's domain"):
+            ar.ishikawa_step(E2, m, x, 0.5, s)
 
 
 def test_ishikawa_step_matches_manual_composition():

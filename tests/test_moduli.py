@@ -24,7 +24,13 @@ from asymreg.moduli import (
     seq_parts,
 )
 
-from helpers import eval_eta, gamma_for_geometric_s, seq_value, theta_for_constant_lambda
+from helpers import (
+    eval_eta,
+    gamma_for_geometric_s,
+    seq_value,
+    theta_for_constant_lambda,
+    verify_theta_loop,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +646,83 @@ def test_verify_theta_memory_does_not_grow_with_theta():
     rep, peak = traced_peak(ar.verify_theta, sched, n_max=1000)
     assert rep.passed
     assert peak < 1 << 20
+
+
+small_fractions = st.builds(lambda d, k: Fraction(k % (d + 1), d),
+                            st.integers(1, 12), st.integers(0, 12))
+
+
+@st.composite
+def affine_theta_schedules(draw):
+    """An affine theta over a Constant or Tabulated lambda: ThetaLinear with
+    b > 0, OmegaAffine with a shift, and theta near the exact witness
+    n / (a (1 - a)) of lambda's tail, scaled below it (A < 0), to it (A = 0)
+    or past it by 1/M (A > 0).  A zero head and b just under its length
+    give A > 0 with a lower bound that fails, where the residue scan of
+    d / g = M terms decides."""
+    tail = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 7),
+                                 Fraction(3, 10)]) | small_fractions)
+    head = draw(st.lists(small_fractions, max_size=8))
+    shape = draw(st.sampled_from(["linear", "omega", "near", "scan"]))
+    exact = 1 / (tail * (1 - tail)) if 0 < tail < 1 else Fraction(4)
+    if shape == "linear":
+        theta = ar.theta_linear(draw(small_fractions) * draw(st.integers(0, 60)),
+                                draw(small_fractions) * draw(st.integers(1, 30)) or 1)
+    elif shape == "omega":
+        theta = ar.omega_affine(draw(st.integers(-3, 40)), draw(st.integers(-40, 40)))
+    elif shape == "near":
+        scale = draw(st.sampled_from([Fraction(9, 10), Fraction(99, 100), 1,
+                                      Fraction(101, 100), Fraction(3, 2)]))
+        theta = ar.theta_linear(exact * scale, draw(small_fractions))
+    else:
+        head = [0] * draw(st.integers(1, 6))
+        theta = ar.theta_linear(exact + Fraction(1, draw(st.integers(1, 400))),
+                                max(0, len(head) - 2) + Fraction(draw(st.integers(1, 19)), 20))
+    lam = ar.seq_tabulated(head, tail) if head or draw(st.booleans()) else ar.seq_constant(tail)
+    return ar.Schedule(lam, ar.seq_constant(0), theta, 1, 0, ar.gamma_zero())
+
+
+@settings(max_examples=400, deadline=None)
+@given(affine_theta_schedules(), st.integers(1, 2000))
+def test_verify_theta_matches_the_loop(sched, n_max):
+    assert (ar.verify_theta(sched, n_max).to_json_dict()
+            == verify_theta_loop(sched, n_max).to_json_dict())
+
+
+def test_verify_theta_scan_decides_past_the_lower_bound():
+    # A > 0 but A n_h + C + T rho < 0: the scan of one period d / g of
+    # theta's ceiling from n_h (75 terms from 1, 50 from 0) finds the least
+    # failing n, or that none fails
+    def schedule(head, tail, a, b):
+        return ar.Schedule(ar.seq_tabulated(head, tail), ar.seq_constant(0),
+                           ar.theta_linear(a, b), 1, 0, ar.gamma_zero())
+    fails = schedule([1, 1, Fraction(1, 4)], Fraction(5, 8), Fraction(323, 75), Fraction(17, 20))
+    passes = schedule([0, 0, 0], Fraction(1, 2), Fraction(201, 50), Fraction(3, 2))
+    for sched, end, first in ((fails, 75, 7), (passes, 49, None)):
+        assert moduli._theta_scan_end(sched.theta, sched.lambda_seq,
+                                      seq_mass(sched.lambda_seq), 2000) == end
+        rep = ar.verify_theta(sched, 2000)
+        assert rep.to_json_dict() == verify_theta_loop(sched, 2000).to_json_dict()
+        assert (dict(rep.failures[0].inputs)["n"] if rep.failures else None) == first
+
+
+def test_verify_theta_decides_an_exact_witness_without_a_loop():
+    # theta(n) = ceil(n / (lambda (1 - lambda)) + b) has A = 0: one inequality
+    # settles every n <= 10^9, where the loop would take about 20 minutes.
+    # Over lambda = 0, 0, then 1/2, S(4n + 1) = n: theta(n) = ceil(4n + 1/6)
+    # meets it only through the ceiling, r_n = rho = 5 for every n.  Only
+    # n = 0 < n_h = 1 is checked term by term, over the table of four 1/2.
+    for lam, a, b, end in (
+            (ar.seq_constant(Fraction(1, 3)), Fraction(9, 2), 0, -1),
+            (ar.seq_tabulated([Fraction(1, 2)] * 4, Fraction(1, 2)), 4, 0, 0),
+            (ar.seq_tabulated([0, 0], Fraction(1, 2)), 4, Fraction(1, 6), -1)):
+        sched = ar.Schedule(lam, ar.seq_constant(0), ar.theta_linear(a, b), 1, 0,
+                            ar.gamma_zero())
+        assert moduli._theta_scan_end(sched.theta, lam, seq_mass(lam), 10**9) == end
+        start = time.perf_counter()
+        rep = ar.verify_theta(sched, n_max=10**9)
+        assert time.perf_counter() - start < 0.05
+        assert rep.passed and rep.samples == 10**9 + 1
 
 
 def test_verify_gamma_memory_does_not_grow_with_gamma():

@@ -35,8 +35,8 @@ def test_km_reference_case_exact():
     ri = ar.inputs_for(0.5, Q8, 1, km_schedule())
     rr = ar.compute_phi(ri)
     assert (rr.P, rr.gamma0, rr.phi) == (512, 0, 2052)
-    assert ar.compute_delta(ri, 0) == 2048
-    assert ar.compute_delta(ri, 100) == 2448
+    assert ar.compute_delta(ri, 0, rr.P) == 2048
+    assert ar.compute_delta(ri, 100, rr.P) == 2448
 
 
 def test_km_grid_frozen():
@@ -153,14 +153,14 @@ def test_delta_definition_and_failure():
     ri = ar.inputs_for(0.5, Q8, 1, km_schedule())
     # delta(k) = theta(P + k + N0)
     for k in (0, 10, 100):
-        assert ar.compute_delta(ri, k) == 4 * (512 + k)
+        assert ar.compute_delta(ri, k, 512) == 4 * (512 + k)
     # a theta too flat to dominate k raises rather than certifying nonsense
     flat = ar.Schedule(ar.seq_constant(Fraction(1, 2)), ar.seq_constant(0),
                        ar.theta_linear(Fraction(1, 100)), 1, 0, ar.gamma_zero())
     ri = ar.RateInputs(eps=0.5, eta=Q8, b=1.0, N0=0, L=1,
                        theta=flat.theta, gamma=flat.gamma)
     with pytest.raises(ar.RateError):
-        ar.compute_delta(ri, 1000)
+        ar.compute_delta(ri, 1000, ar.compute_p(ri))
 
 
 def test_rate_inputs_validation():
@@ -197,7 +197,7 @@ def test_p_antitone_in_eps(e1, e2):
 @given(st.integers(0, 2000))
 def test_delta_dominates_k(k):
     ri = ar.inputs_for(0.5, Q8, 1, km_schedule())
-    assert ar.compute_delta(ri, k) >= k
+    assert ar.compute_delta(ri, k, ar.compute_p(ri)) >= k
 
 
 def test_phi_uses_only_the_inputs_tuple():

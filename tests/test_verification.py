@@ -178,7 +178,7 @@ def test_lemma_inequalities_catch_bad_reference_distances(km_config):
 # rate soundness
 
 def test_phi_soundness_small_case(km_config):
-    rr, rep = ar.check_phi_soundness(km_config, 0.5)
+    rr, rep = ar.check_phi_soundness(km_config, ar.certify(km_config, 0.5))
     assert rep.passed and rep.verdict == ar.PASS
     assert (rr.P, rr.phi) == (512, 2052)
     assert rr.empirical_first_hit is not None
@@ -186,14 +186,14 @@ def test_phi_soundness_small_case(km_config):
 
 
 def test_phi_soundness_shortcut(km_config):
-    rr, rep = ar.check_phi_soundness(km_config, 3.0)
+    rr, rep = ar.check_phi_soundness(km_config, ar.certify(km_config, 3.0))
     assert rep.passed
     assert rr.phi == 0
 
 
 def test_phi_soundness_unverified_at_scale(km_config):
     small = dataclasses.replace(km_config, caps=ar.Caps(max_steps=1000))
-    rr, rep = ar.check_phi_soundness(small, 0.5)
+    rr, rep = ar.check_phi_soundness(small, ar.certify(small, 0.5))
     assert rep.verdict == ar.UNVERIFIED_AT_SCALE
     assert rep.passed                      # warn, not fail
     assert rr.phi == 2052
@@ -204,7 +204,8 @@ def test_phi_soundness_rejects_doctored_orbit(km_config):
     # x_n is fixed from 20 on, so index 20 holds every index of the window
     # [phi, phi + 1000] = [2052, 3052]
     traj.residuals[traj.fold(2500)] = 1.0
-    rr, rep = ar.check_phi_soundness(km_config, 0.5, trajectory=traj)
+    rr, rep = ar.check_phi_soundness(km_config, ar.certify(km_config, 0.5),
+                                     trajectory=traj)
     assert not rep.passed
     assert dict(rep.failures[0].inputs)["n"] == 2052
     assert len(rep.failures) + rep.suppressed_failures == 1001
@@ -217,7 +218,7 @@ def test_phi_soundness_fails_on_broken_theta(km_config):
         schedule=ar.Schedule(sched.lambda_seq, sched.s_seq,
                              ar.theta_linear("1/2"),
                              sched.L, sched.N0, sched.gamma))
-    rr, rep = ar.check_phi_soundness(bad, 0.5)
+    rr, rep = ar.check_phi_soundness(bad, ar.certify(bad, 0.5))
     assert not rep.passed
 
 
@@ -301,8 +302,8 @@ def test_certify_reads_no_orbit(golden_configs):
 
 
 def test_reports_are_deterministic_json(km_config):
-    _, a = ar.check_phi_soundness(km_config, 0.5)
-    _, b = ar.check_phi_soundness(km_config, 0.5)
+    _, a = ar.check_phi_soundness(km_config, ar.certify(km_config, 0.5))
+    _, b = ar.check_phi_soundness(km_config, ar.certify(km_config, 0.5))
     assert a.to_json_dict() == b.to_json_dict()
 
 
