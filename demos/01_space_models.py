@@ -52,8 +52,7 @@ for name, space in (("Euclidean(2)", E2), ("PoincareDisk", D)):
     print(f"  {rep.summary_line()}   [{name}, eta = eps^2/8]")
 
 print("\nThe same checker rejects a modulus that claims too much:")
-rep = ar.check_uc_implication(E2, samples=2_000, seed=0,
-                              eta=ar.eta_quadratic(2))
+rep = ar.check_uc_implication(ar.euclidean(2, ar.eta_quadratic(2)), samples=2_000, seed=0)
 print(f"  {rep.summary_line()}   [eta = eps^2/2 is not a valid modulus]")
 if rep.failures:
     f = rep.failures[0]

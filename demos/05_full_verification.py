@@ -39,13 +39,13 @@ print(f"   {ar.check_lemma_inequalities(traj).summary_line()}")
 
 # ---------------------------------------------------------------------------
 print("\n5. The certified rates are sound on the eps grid:")
-# one orbit long enough for every soundness window and delta(100)
-horizon = max(max(c.window_end, c.deltas[100])
-              for c in (ar.certify(cfg, eps, ks=[100]) for eps in cfg.eps_grid))
-shared = ar.trajectory_for(cfg, horizon)
-for eps in cfg.eps_grid:
-    rr, rep = ar.check_phi_soundness(cfg, ar.certify(cfg, eps), trajectory=shared)
-    dd, drep = ar.check_delta_witness(cfg, eps, [0, 100], trajectory=shared)
+# certify each eps once, then check one orbit long enough for every
+# soundness window and delta(100)
+rates = [ar.certify(cfg, eps, ks=[0, 100]) for eps in cfg.eps_grid]
+shared = ar.trajectory_for(cfg, max(max(c.window_end, c.deltas[100]) for c in rates))
+for eps, c in zip(cfg.eps_grid, rates):
+    rr, rep = ar.check_phi_soundness(cfg, c, trajectory=shared)
+    dd, drep = ar.check_delta_witness(c, trajectory=shared)
     print(f"   eps = {eps:<7} phi = {rr.phi:>8}  {rep.verdict:<6}"
           f"  delta(0) = {dd[0]:>8}  {drep.verdict}")
 
@@ -62,6 +62,6 @@ for f in rep.failures[:2]:
 
 print("\n7. And a config claiming a too-small step cap downgrades honestly:")
 capped = dataclasses.replace(cfg, caps=ar.Caps(max_steps=10_000))
-rr, rep = ar.check_phi_soundness(capped, ar.certify(capped, cfg.eps_grid[-1]))
+rr, rep = ar.check_phi_soundness(capped, ar.certify(capped, cfg.eps_grid[-1]), None)
 print(f"   {rep.summary_line()}")
 print("   (exit code 0 with a warning, never a silent pass)")

@@ -96,7 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None,
                    help="also verify phi soundness at this eps")
     p.add_argument("--steps", type=int, default=None,
-                   help="simulation length (default: derived from --eps, else 10000)")
+                   help="simulation length (default: derived from --eps, else 10000); "
+                        "with --eps it caps the soundness window, as --max-steps does")
     p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(handler=_cmd_run)
 
@@ -120,10 +121,12 @@ def _load(args) -> ExperimentConfig:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
+    caps = config.caps
     if args.max_steps is not None:   # verification.step_cap applies HARD_STEP_CAP
-        config = dataclasses.replace(
-            config, caps=dataclasses.replace(config.caps, max_steps=args.max_steps))
-    return config
+        caps = dataclasses.replace(caps, max_steps=args.max_steps)
+    if steps is not None and eps is not None:   # the run's length caps its window
+        caps = dataclasses.replace(caps, max_steps=min(caps.max_steps, steps))
+    return config if caps is config.caps else dataclasses.replace(config, caps=caps)
 
 
 def _exit_code(reports) -> int:

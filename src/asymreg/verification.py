@@ -6,10 +6,10 @@ convexity implication in both its real-valued and dyadic forms, the step
 inequalities of the averaged iteration, the residual cap 2b, and finally the
 soundness of the certified rates phi and delta against simulated orbits.
 
-Orbit checks read a trajectory as its runner recorded it, a prefix plus a
-cycle: the audit checks the recorded indices [0, c+p), which cover every
-step (c = tail_from, p = len(cycle)), and the soundness windows read each
-index n at `Trajectory.fold(n)`.
+Orbit checks read the trajectory they are given and never simulate: the
+audit checks the recorded prefix-plus-cycle indices [0, c+p), which cover
+every step (c = tail_from, p = len(cycle)), and the rate checks read index
+n at `Trajectory.fold(n)`, against the rates that certify gave them.
 
 The sampled checks are batched.  Each owns one random stream seeded from
 (seed, check name), draws its samples as arrays, at most BLOCK at a time,
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import numpy as np
 
@@ -169,8 +170,7 @@ def check_space_axioms(space: SpaceModel, samples: int = 10_000, seed: int = 0,
 # ---------------------------------------------------------------------------
 # uniform convexity
 
-def check_uc_implication(space: SpaceModel, samples: int = 10_000, seed: int = 0,
-                         eta: ModulusDescriptor | None = None) -> CheckReport:
+def check_uc_implication(space: SpaceModel, samples: int = 10_000, seed: int = 0) -> CheckReport:
     """From d(x, a) <= r, d(y, a) <= r, d(x, y) >= eps r the modulus must
     push the midpoint inward, d(mid, a) <= (1 - eta(r, eps)) r, and for any
     lam and any s >= r the combination obeys
@@ -180,7 +180,6 @@ def check_uc_implication(space: SpaceModel, samples: int = 10_000, seed: int = 0
     eps is d(x, y) / r: the extremal case, where an overclaimed eta shows.
     At the odd indices r is the larger distance grown by up to 2x,
     and eps shrunk below d(x, y) / r."""
-    desc = eta or space.modulus
     report = CheckReport("uc-implication")
     d, comb = array_ops(space)
     radius = _SAMPLE_RADIUS[space.kind]
@@ -207,10 +206,10 @@ def check_uc_implication(space: SpaceModel, samples: int = 10_000, seed: int = 0
         effective += int(np.count_nonzero(kept))
 
         lhs = np.where(kept, d(comb(x, y, np.array((np.full(n, 0.5), lam))), a), np.nan)
-        bound = (1.0 - eval_eta_array(desc, r, eps)) * r
+        bound = (1.0 - eval_eta_array(space.modulus, r, eps)) * r
         _bulk_fail(report, {"form": "midpoint"}, lhs[0], bound, SLACK, "i", start,
                    r=r, eps=eps)
-        bound = (1.0 - 2.0 * lam * (1.0 - lam) * eval_eta_array(desc, s, eps)) * r
+        bound = (1.0 - 2.0 * lam * (1.0 - lam) * eval_eta_array(space.modulus, s, eps)) * r
         _bulk_fail(report, {"form": "general-lambda"}, lhs[1], bound, SLACK, "i", start,
                    r=r, s=s, eps=eps, lam=lam)
     report.samples = effective
@@ -412,8 +411,8 @@ def certify(config: ExperimentConfig, eps: float, ks=()) -> RateReport:
     each k in ks (all from one P), the step cap and the end of the soundness
     window [phi, phi + SOUNDNESS_WINDOW] within it.  Residuals never exceed
     2b, so eps > 2b is certified at once, with phi = 0 and delta(k) = k.  A
-    k whose delta(k) raises RateError lands in delta_errors, not in deltas,
-    and so does a negative k on either branch."""
+    negative k, or one whose delta(k) raises, lands in delta_errors; a rate
+    with more digits than str() converts raises RateError."""
     ri = inputs_for(eps, config.space.modulus, config.afp.b, config.schedule)
     ks = sorted(set(int(k) for k in ks))
     errors = {k: RateError("k must be a natural") for k in ks if k < 0}
@@ -428,6 +427,11 @@ def certify(config: ExperimentConfig, eps: float, ks=()) -> RateReport:
                 rr.deltas[k] = compute_delta(ri, k, rr.P)
             except RateError as exc:
                 errors[k] = exc
+    top = max(rr.P, rr.phi, *rr.deltas.values())
+    limit = sys.get_int_max_str_digits()   # 0: no limit; 10^limit has over 3 limit bits
+    if limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
+        raise RateError(f"eps = {eps:g}: a rate of {top.bit_length()} bits has more "
+                        f"than {limit} decimal digits")
     rr.delta_errors = errors
     rr.eps = eps
     rr.step_cap = step_cap(config)
@@ -435,21 +439,15 @@ def certify(config: ExperimentConfig, eps: float, ks=()) -> RateReport:
     return rr
 
 
-def _covering_trajectory(config: ExperimentConfig, steps: int,
-                         trajectory: Trajectory | None) -> Trajectory:
-    if trajectory is not None and trajectory.steps >= steps:
-        return trajectory
-    return trajectory_for(config, steps)
-
-
 def check_phi_soundness(config: ExperimentConfig, rr: RateReport,
-                        trajectory: Trajectory | None = None
+                        trajectory: Trajectory | None
                         ) -> tuple[RateReport, CheckReport]:
     """For rr = certify(config, eps): verify the schedule witnesses, then
-    confirm on a simulated orbit that every residual on [phi, window_end]
-    falls below eps (1 + 1e-9).  Also records in rr the first index whose
-    residual drops below eps and the ratio phi / first_hit.  When a witness
-    fails, the rates it returns are all 0."""
+    confirm that every residual of the given orbit on [phi, window_end]
+    falls below eps (1 + 1e-9).  It reads rr and the orbit and simulates
+    nothing: an orbit shorter than window_end raises ValueError.  Also
+    records in rr the first index whose residual drops below eps and the
+    ratio phi / first_hit.  When a witness fails, its rates are all 0."""
     eps = rr.eps
     report = CheckReport(f"phi-soundness(eps={eps:g})")
     schedule, b = config.schedule, config.afp.b
@@ -466,10 +464,11 @@ def check_phi_soundness(config: ExperimentConfig, rr: RateReport,
                                f"{rr.step_cap}; soundness not simulated")
         return rr, report
     end = rr.window_end
-    traj = _covering_trajectory(config, end, trajectory)
-    res = traj.residuals
+    if trajectory is None or trajectory.steps < end:
+        raise ValueError(f"the soundness window reads step {end}, past the given orbit")
+    res = trajectory.residuals
 
-    window = res[traj.fold(np.arange(rr.phi, end + 1))]
+    window = res[trajectory.fold(np.arange(rr.phi, end + 1))]
     report.samples += len(window)
     _bulk_fail(report, {"inequality": "residual"}, window, np.full(len(window), eps), SLACK * eps,
                offset=rr.phi)
@@ -485,32 +484,28 @@ def check_phi_soundness(config: ExperimentConfig, rr: RateReport,
     return rr, report
 
 
-def check_delta_witness(config: ExperimentConfig, eps: float, k_list,
-                        trajectory: Trajectory | None = None
+def check_delta_witness(rr: RateReport, trajectory: Trajectory | None
                         ) -> tuple[dict[int, int], CheckReport]:
-    """For each k, compute delta(k) and confirm some index in [k, delta(k)]
-    has residual below eps (1 + 1e-9)."""
+    """For rr = certify(config, eps, ks): confirm that each [k, delta(k)] of
+    the given orbit holds a residual below eps (1 + 1e-9).  It reads rr and
+    the orbit and simulates nothing, as check_phi_soundness."""
+    eps, deltas = rr.eps, rr.deltas
     report = CheckReport(f"delta-witness(eps={eps:g})")
-    rr = certify(config, eps, k_list)
     for k, exc in rr.delta_errors.items():
         report.fail({"k": k, "error": str(exc)}, 0.0, 0.0, 0.0)
-    deltas = rr.deltas
-    if not deltas:
-        return deltas, report
-
     checkable = {k: d for k, d in deltas.items() if d <= rr.step_cap}
     for k in sorted(set(deltas) - set(checkable)):
-        report.mark_unverified(
-            f"delta({k}) = {deltas[k]} exceeds the step cap {rr.step_cap}")
+        report.mark_unverified(f"delta({k}) = {deltas[k]} exceeds the step cap {rr.step_cap}")
     if not checkable:
         return deltas, report
 
     horizon = max(checkable.values())
-    traj = _covering_trajectory(config, horizon, trajectory)
-    res = traj.residuals
+    if trajectory is None or trajectory.steps < horizon:
+        raise ValueError(f"the delta witness reads step {horizon}, past the given orbit")
+    res = trajectory.residuals
     tol = eps * (1.0 + SLACK)
     for k, d in sorted(checkable.items()):
-        window = res[traj.fold(np.arange(k, d + 1))]
+        window = res[trajectory.fold(np.arange(k, d + 1))]
         report.samples += len(window)
         hits = np.nonzero(window < tol)[0]
         if len(hits) == 0:

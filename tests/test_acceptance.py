@@ -74,8 +74,8 @@ def test_criterion_2_uc_implication():
     for space in (ar.euclidean(2), ar.poincare_disk()):
         rep = ar.check_uc_implication(space, samples=10_000, seed=0)
         assert rep.passed, rep.to_json_dict()
-    bad = ar.check_uc_implication(ar.euclidean(2), samples=10_000, seed=0,
-                                  eta=ar.eta_quadratic(2))
+    bad = ar.check_uc_implication(ar.euclidean(2, ar.eta_quadratic(2)),
+                                  samples=10_000, seed=0)
     assert not bad.passed
     assert len(bad.failures) + bad.suppressed_failures >= 1
     elapsed = time.perf_counter() - start
@@ -127,7 +127,7 @@ def test_criterion_5_delta_witness(golden_configs, soundness_trajectories):
     trajs, _ = soundness_trajectories
     for name, cfg in golden_configs.items():
         for eps in EPS_GRID:
-            deltas, rep = ar.check_delta_witness(cfg, eps, [0, 10, 100],
+            deltas, rep = ar.check_delta_witness(ar.certify(cfg, eps, [0, 10, 100]),
                                                  trajectory=trajs[name])
             assert rep.verdict == ar.PASS, f"{name} eps={eps}: {rep.to_json_dict()}"
             ri = ar.inputs_for(eps, cfg.space.modulus, cfg.afp.b, cfg.schedule)
@@ -199,9 +199,8 @@ def test_criterion_6_witness_validators():
 def test_criterion_7_modulus_conversions():
     # eta -> eta1 -> eta round trip is still a valid convexity modulus
     round_trip = ar.eta1_to_eta(ar.eta_to_eta1(ar.eta_quadratic()))
-    for space in (ar.euclidean(2), ar.poincare_disk()):
-        rep = ar.check_uc_implication(space, samples=10_000, seed=0,
-                                      eta=round_trip)
+    for space in (ar.euclidean(2, round_trip), ar.poincare_disk(round_trip)):
+        rep = ar.check_uc_implication(space, samples=10_000, seed=0)
         assert rep.passed, rep.to_json_dict()
 
     eta2 = ar.eta3_to_eta2(ar.eta3_affine(2, 3))

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -102,6 +103,44 @@ def test_a_descriptor_outside_its_domain_is_a_rate_error(tmp_path, capsys, argv,
     out = ["--out", str(tmp_path / "out")] if argv[0] in ("run", "sweep") else []
     assert main(argv + ["--config", str(path)] + out) == 1
     assert capsys.readouterr().err == f"error: {error} outside the table\n"
+
+
+def _config_with_modulus(tmp_path, modulus) -> str:
+    doc = ar.config_to_dict(ar.load_config(KM))
+    doc["space"]["modulus"] = modulus
+    path = tmp_path / "modulus.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _eta1_affine(a, b) -> dict:
+    return {"kind": "EtaFromEta1", "inner": {"kind": "Eta1Affine", "a": a, "b": b}}
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--eps", "0.25"], ["rate", "--eps", "0.25", "--json"],
+    ["sweep"], ["run", "--eps", "0.25"],
+], ids=["rate", "rate-json", "sweep", "run"])
+def test_a_rate_too_long_to_print_is_a_rate_error(tmp_path, capsys, argv):
+    # a valid modulus, below eps^2/8 on (0, 2]; phi has 60,009 bits at eps 0.25
+    path = _config_with_modulus(tmp_path, _eta1_affine(20000, 3))
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if argv[0] in ("run", "sweep") else []
+    assert main(argv + ["--config", path] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    limit = sys.get_int_max_str_digits()
+    assert re.fullmatch(rf"error: eps = 0\.(25|5): a rate of \d+ bits has more than "
+                        rf"{limit} decimal digits\n", captured.err)
+    assert not out.exists()
+
+
+def test_a_long_rate_that_still_prints(tmp_path, capsys):
+    # phi has about 12,000 bits, below the limit of str()
+    path = _config_with_modulus(tmp_path, _eta1_affine(4000, 0))
+    assert main(["rate", "--config", path, "--eps", "0.25"]) == 0
+    phi = [line for line in capsys.readouterr().out.splitlines() if line.startswith("phi = ")]
+    assert len(phi) == 1 and len(phi[0]) > 3000
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +298,38 @@ def test_rate_computes_p_once(monkeypatch, capsys):
     assert main(["rate", "--config", KM, "--eps", "0.5", "--k", "0", "--k", "100"]) == 0
     assert len(calls) == 1
     assert "delta(100) = 2448" in capsys.readouterr().out
+
+
+def test_run_steps_caps_the_soundness_window_to_its_one_orbit(tmp_path, monkeypatch, capsys):
+    # phi = 2052 at eps 0.5: 100 steps leave the window unread, 2500 cut it
+    # to [2052, 2500]; either way the one orbit is the one written
+    data = ar.config_to_dict(ar.load_config(KM))
+    data["caps"]["report_every"] = 1
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(data))
+    witnesses = None
+    for steps in (100, 2500):
+        calls = []
+        _record_calls(monkeypatch, calls, cli, "run_trajectory")
+        _record_calls(monkeypatch, calls, ar.verification, "run_trajectory")
+        out_dir = tmp_path / str(steps)
+        assert main(["run", "--config", str(path), "--eps", "0.5", "--steps", str(steps),
+                     "--out", str(out_dir)]) == 0
+        assert [args[4] for args in calls] == [steps]
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["steps"] == steps
+        with open(out_dir / "trajectory.csv", newline="") as fh:
+            assert [int(row["n"]) for row in csv.DictReader(fh)] == list(range(steps + 1))
+        soundness = report["checks"][1]
+        if witnesses is None:
+            assert soundness["verdict"] == "unverified-at-scale"
+            assert soundness["notes"] == [
+                "phi = 2052 exceeds the step cap 100; soundness not simulated"]
+            witnesses = soundness["samples"]    # the theta and gamma witness checks
+        else:
+            assert soundness["verdict"] == "pass"
+            assert soundness["samples"] == witnesses + len(range(2052, 2501))
+            assert report["rate"]["empirical_first_hit"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import asymreg as ar
-from asymreg import cli, verification
+from asymreg import cli, iteration, verification
 from asymreg.geometry import array_ops, raw_ops, raw_points
 from asymreg.verification import _draw_block
 
@@ -57,15 +57,14 @@ def test_uc_implication_passes_both_models():
 
 
 def test_uc_implication_rejects_optimistic_modulus():
-    rep = ar.check_uc_implication(E2, samples=2000, seed=7,
-                                  eta=ar.eta_quadratic(2))
+    rep = ar.check_uc_implication(ar.euclidean(2, ar.eta_quadratic(2)), samples=2000, seed=7)
     assert not rep.passed
     assert len(rep.failures) >= 1
 
 
 def test_uc_implication_hilbert_modulus_on_disk():
     # the inner-product modulus is valid on the disk as well
-    rep = ar.check_uc_implication(D, samples=800, seed=5, eta=ar.eta_hilbert())
+    rep = ar.check_uc_implication(ar.poincare_disk(ar.eta_hilbert()), samples=800, seed=5)
     assert rep.passed, rep.to_json_dict()
 
 
@@ -177,8 +176,21 @@ def test_lemma_inequalities_catch_bad_reference_distances(km_config):
 # ---------------------------------------------------------------------------
 # rate soundness
 
+def _phi_soundness(config, eps):
+    """check_phi_soundness on an orbit that covers the soundness window."""
+    rr = ar.certify(config, eps)
+    return ar.check_phi_soundness(config, rr, ar.trajectory_for(config, rr.window_end))
+
+
+def _delta_witness(config, eps, ks):
+    """certify's deltas and check_delta_witness on an orbit that covers
+    every delta(k)."""
+    rr = ar.certify(config, eps, ks)
+    return ar.check_delta_witness(rr, ar.trajectory_for(config, max(rr.deltas.values())))
+
+
 def test_phi_soundness_small_case(km_config):
-    rr, rep = ar.check_phi_soundness(km_config, ar.certify(km_config, 0.5))
+    rr, rep = _phi_soundness(km_config, 0.5)
     assert rep.passed and rep.verdict == ar.PASS
     assert (rr.P, rr.phi) == (512, 2052)
     assert rr.empirical_first_hit is not None
@@ -186,14 +198,14 @@ def test_phi_soundness_small_case(km_config):
 
 
 def test_phi_soundness_shortcut(km_config):
-    rr, rep = ar.check_phi_soundness(km_config, ar.certify(km_config, 3.0))
+    rr, rep = _phi_soundness(km_config, 3.0)
     assert rep.passed
     assert rr.phi == 0
 
 
 def test_phi_soundness_unverified_at_scale(km_config):
     small = dataclasses.replace(km_config, caps=ar.Caps(max_steps=1000))
-    rr, rep = ar.check_phi_soundness(small, ar.certify(small, 0.5))
+    rr, rep = ar.check_phi_soundness(small, ar.certify(small, 0.5), None)
     assert rep.verdict == ar.UNVERIFIED_AT_SCALE
     assert rep.passed                      # warn, not fail
     assert rr.phi == 2052
@@ -218,12 +230,12 @@ def test_phi_soundness_fails_on_broken_theta(km_config):
         schedule=ar.Schedule(sched.lambda_seq, sched.s_seq,
                              ar.theta_linear("1/2"),
                              sched.L, sched.N0, sched.gamma))
-    rr, rep = ar.check_phi_soundness(bad, ar.certify(bad, 0.5))
+    rr, rep = ar.check_phi_soundness(bad, ar.certify(bad, 0.5), None)
     assert not rep.passed
 
 
 def test_delta_witness_small_case(km_config):
-    deltas, rep = ar.check_delta_witness(km_config, 0.5, [0, 10, 100])
+    deltas, rep = _delta_witness(km_config, 0.5, [0, 10, 100])
     assert rep.passed
     assert deltas == {0: 2048, 10: 2088, 100: 2448}
     assert len(rep.notes) == 3
@@ -231,16 +243,16 @@ def test_delta_witness_small_case(km_config):
 
 def test_delta_witness_unverified_at_scale(km_config):
     small = dataclasses.replace(km_config, caps=ar.Caps(max_steps=1000))
-    deltas, rep = ar.check_delta_witness(small, 0.5, [0])
+    deltas, rep = ar.check_delta_witness(ar.certify(small, 0.5, [0]), None)
     assert rep.verdict == ar.UNVERIFIED_AT_SCALE
     assert deltas == {0: 2048}
 
 
 def test_delta_witness_rejects_flat_orbit(disk_config):
-    deltas, _ = ar.check_delta_witness(disk_config, 0.25, [0])
-    traj = ar.trajectory_for(disk_config, deltas[0])
+    rr = ar.certify(disk_config, 0.25, [0])
+    traj = ar.trajectory_for(disk_config, rr.deltas[0])
     traj.residuals[:] = 1.0
-    _, rep = ar.check_delta_witness(disk_config, 0.25, [0], trajectory=traj)
+    _, rep = ar.check_delta_witness(rr, trajectory=traj)
     assert not rep.passed
 
 
@@ -248,7 +260,7 @@ def test_delta_witness_reports_a_failing_k_and_checks_the_rest(km_config):
     # theta = 0: delta(0) = 0 is a window of one index, delta(10) = 0 < 10
     sched = dataclasses.replace(km_config.schedule, theta=ar.theta_linear(0))
     flat = dataclasses.replace(km_config, schedule=sched)
-    deltas, rep = ar.check_delta_witness(flat, 0.5, [0, 10])
+    deltas, rep = _delta_witness(flat, 0.5, [0, 10])
     assert deltas == {0: 0}
     assert rep.samples == 1
     errors = [dict(f.inputs) for f in rep.failures if "error" in dict(f.inputs)]
@@ -257,6 +269,33 @@ def test_delta_witness_reports_a_failing_k_and_checks_the_rest(km_config):
     # x_0 is far from the centre: the window [0, 0] misses eps
     assert [dict(f.inputs) for f in rep.failures if "error" not in dict(f.inputs)] \
         == [{"k": 0, "delta": 0}]
+
+
+def test_the_rate_checks_only_read_the_orbit_and_rates_they_are_given(km_config, monkeypatch):
+    rr = ar.certify(km_config, 0.5, [0, 10, 100])
+    traj = ar.trajectory_for(km_config, rr.window_end)     # 3052 >= delta(100) = 2448
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a check simulated or certified")
+    for module, name in ((verification, "run_trajectory"), (iteration, "run_trajectory"),
+                         (verification, "trajectory_for"), (verification, "certify"),
+                         (ar, "certify")):
+        monkeypatch.setattr(module, name, forbidden)
+    rr, rep = ar.check_phi_soundness(km_config, rr, traj)
+    assert rep.verdict == ar.PASS and rr.empirical_first_hit is not None
+    deltas, rep = ar.check_delta_witness(rr, traj)
+    assert rep.verdict == ar.PASS and len(rep.notes) == 3
+    assert deltas == {0: 2048, 10: 2088, 100: 2448}
+
+
+def test_the_rate_checks_refuse_an_orbit_that_ends_before_their_window(km_config):
+    rr = ar.certify(km_config, 0.5, [0])
+    for orbit in (ar.trajectory_for(km_config, rr.window_end - 1), None):
+        with pytest.raises(ValueError, match="soundness window reads step 3052"):
+            ar.check_phi_soundness(km_config, rr, orbit)
+    for orbit in (ar.trajectory_for(km_config, rr.deltas[0] - 1), None):
+        with pytest.raises(ValueError, match="delta witness reads step 2048"):
+            ar.check_delta_witness(rr, orbit)
 
 
 def test_certify_main_formula(km_config):
@@ -302,8 +341,8 @@ def test_certify_reads_no_orbit(golden_configs):
 
 
 def test_reports_are_deterministic_json(km_config):
-    _, a = ar.check_phi_soundness(km_config, ar.certify(km_config, 0.5))
-    _, b = ar.check_phi_soundness(km_config, ar.certify(km_config, 0.5))
+    _, a = _phi_soundness(km_config, 0.5)
+    _, b = _phi_soundness(km_config, 0.5)
     assert a.to_json_dict() == b.to_json_dict()
 
 
@@ -440,11 +479,12 @@ VALID_PAIRS = [(ar.euclidean(2), ar.eta_quadratic()), (ar.euclidean(5), ar.eta_h
 
 
 @pytest.mark.parametrize("samples", [20, 100])
-@pytest.mark.parametrize("space, eta", [(D, ar.eta_quadratic(1)), (E2, ar.eta_quadratic(7))],
+@pytest.mark.parametrize("space", [ar.poincare_disk(ar.eta_quadratic(1)),
+                                   ar.euclidean(2, ar.eta_quadratic(7))],
                          ids=["disk-eps2", "E2-eps2/7"])
-def test_an_overclaimed_eta_fails_at_every_seed(space, eta, samples):
+def test_an_overclaimed_eta_fails_at_every_seed(space, samples):
     missed = [seed for seed in FAULT_SEEDS
-              if ar.check_uc_implication(space, samples=samples, seed=seed, eta=eta).passed]
+              if ar.check_uc_implication(space, samples=samples, seed=seed).passed]
     assert missed == []
 
 
