@@ -17,6 +17,9 @@ this checkout), calls main once with --json (and --out into a temporary
 directory for run and sweep; see cli_digest.digest_main), and reports:
 
 - cpu_s: the CPU seconds of that main call (time.process_time);
+- import_s: the CPU seconds of `from asymreg.cli import main` in the child
+  (time.process_time), and numpy_loaded: whether numpy is in sys.modules
+  when the child exits;
 - process_cpu_s: the CPU seconds of the whole child process, user plus
   system from getrusage(RUSAGE_SELF) at its exit, so every thread and the
   imports count; process_wall_s: its wall time, from start to exit, as the
@@ -55,14 +58,18 @@ import numpy
 ROOT = Path(__file__).resolve().parent.parent
 
 CHILD = r"""
-import json, resource, sys
+import json, resource, sys, time
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
+start = time.process_time()
 from asymreg.cli import main
+import_s = time.process_time() - start
 from cli_digest import digest_main
 result = digest_main(main, json.loads(sys.argv[3]))
 usage = resource.getrusage(resource.RUSAGE_SELF)
 result["rss_kb"] = usage.ru_maxrss
 result["process_cpu_s"] = usage.ru_utime + usage.ru_stime
+result["import_s"] = import_s
+result["numpy_loaded"] = "numpy" in sys.modules
 print(json.dumps(result))
 """
 
@@ -106,12 +113,13 @@ def outcome(printed: str) -> dict:
 
 def summarize(name: str, argv: list[str], runs: list[dict]) -> dict:
     summary = {"name": name, "argv": argv, "exit_codes": [r["code"] for r in runs]}
-    for key in ("cpu_s", "process_cpu_s", "process_wall_s"):
+    for key in ("cpu_s", "import_s", "process_cpu_s", "process_wall_s"):
         summary[key] = [r[key] for r in runs]
         summary[f"{key}_median"] = statistics.median(summary[key])
     rss = [r["rss_kb"] / 1024 for r in runs]
     return {
         **summary,
+        "numpy_loaded": [r["numpy_loaded"] for r in runs],
         "peak_rss_mb": rss,
         "peak_rss_mb_max": max(rss),
         **outcome(runs[-1]["printed"]),
@@ -141,8 +149,8 @@ def main() -> int:
         runs = [run_case(src, argv) for _ in range(args.repeat)]
         results.append(summarize(name, argv, runs))
         r = results[-1]
-        print(f"{name}: cpu {r['cpu_s_median']:.3f} s, process cpu "
-              f"{r['process_cpu_s_median']:.3f} s (medians of {args.repeat}), "
+        print(f"{name}: cpu {r['cpu_s_median']:.3f} s, import {r['import_s_median']:.3f} s, "
+              f"process cpu {r['process_cpu_s_median']:.3f} s (medians of {args.repeat}), "
               f"peak RSS {r['peak_rss_mb_max']:.1f} MB, verdict {r['verdict']}",
               file=sys.stderr)
     doc = {

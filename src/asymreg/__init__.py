@@ -6,8 +6,9 @@ import os
 
 # The package calls no BLAS routine (no dot, matmul, einsum or linalg), so
 # OpenBLAS needs no thread pool: started by numpy's import, its idle threads
-# cost CPU at import and after it.  This must run before numpy is imported;
-# a value the user set is kept.
+# cost CPU at import and after it.  numpy is imported at its first array
+# use, inside the functions that make arrays (never by `rate`); this runs at
+# the package's import, before that.  A value the user set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import (

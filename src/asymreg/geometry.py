@@ -21,11 +21,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .moduli import (ROLE_ETA, DescriptorError, ModulusDescriptor, as_int, eta_quadratic,
                      require_role)
+
+# numpy is imported inside the functions that make arrays, so that a process
+# that makes none, such as `rate`, never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 EUCLIDEAN = "Euclidean"
 POINCARE_DISK = "PoincareDisk"
@@ -35,6 +39,9 @@ DISK_MARGIN = 1e-12
 # atanh argument guard; caps representable distances, far beyond sampling range.
 _ATANH_GUARD = 1.0 - 1e-15
 _TINY = sys.float_info.min
+# A combine result with |z|^2 >= _DISK_EDGE is scaled back to |z|^2 = 1 - 2 margin.
+_DISK_EDGE = 1.0 - DISK_MARGIN
+_DISK_INNER = 1.0 - 2.0 * DISK_MARGIN
 
 
 class GeometryError(ValueError):
@@ -135,23 +142,18 @@ def check_point(space: SpaceModel, p: Point):
 # cut-off and its lambda_n = 0 steps rely on.  The fused dist_combine kernels
 # return d(x, y) alongside; on the disk they share one Mobius translation.
 
-def _clamp_disk(z: complex) -> complex:
-    n2 = z.real * z.real + z.imag * z.imag
-    if n2 >= 1.0 - DISK_MARGIN:
-        return z * math.sqrt((1.0 - 2.0 * DISK_MARGIN) / n2)
-    return z
-
-
 def _p_dist(x: complex, y: complex) -> float:
-    w = (y - x) / (1.0 - x.conjugate() * y)
-    return 2.0 * math.atanh(min(abs(w), _ATANH_GUARD))
+    w = abs((y - x) / (1.0 - x.conjugate() * y))
+    # min's own rule, without its call: a NaN passes through
+    return 2.0 * math.atanh(_ATANH_GUARD if _ATANH_GUARD < w else w)
 
 
 def _p_dist_combine(x: complex, y: complex, t: float) -> tuple[float, complex]:
     """(d(x, y), (1 - t) x (+) t y) from one Mobius translation u of y."""
-    u = (y - x) / (1.0 - x.conjugate() * y)
+    xc = x.conjugate()
+    u = (y - x) / (1.0 - xc * y)
     ru = abs(u)
-    a = math.atanh(min(ru, _ATANH_GUARD))
+    a = math.atanh(_ATANH_GUARD if _ATANH_GUARD < ru else ru)
     d = 2.0 * a
     if t == 0.0 or x == y:
         return d, x
@@ -160,7 +162,11 @@ def _p_dist_combine(x: complex, y: complex, t: float) -> tuple[float, complex]:
     if ru == 0.0:
         return d, x
     m = u * (math.tanh(t * a) / ru)
-    return d, _clamp_disk((x + m) / (1.0 + x.conjugate() * m))
+    z = (x + m) / (1.0 + xc * m)
+    n2 = z.real * z.real + z.imag * z.imag
+    if n2 >= _DISK_EDGE:
+        return d, z * math.sqrt(_DISK_INNER / n2)
+    return d, z
 
 
 def _p_combine(x: complex, y: complex, t: float) -> complex:
@@ -180,7 +186,9 @@ def _e_combine_c(x: complex, y: complex, t: float) -> complex:
 
 
 def _e_dist_combine_c(x: complex, y: complex, t: float) -> tuple[float, complex]:
-    return abs(x - y), _e_combine_c(x, y, t)
+    if t == 0.0 or x == y:
+        return abs(x - y), x
+    return abs(x - y), (1.0 - t) * x + t * y
 
 
 def _e_dist_t(x: tuple, y: tuple) -> float:
@@ -191,7 +199,7 @@ def _e_combine_t(x: tuple, y: tuple, t: float) -> tuple:
     if t == 0.0 or x == y:
         return x
     s = 1.0 - t
-    return tuple(s * a + t * b for a, b in zip(x, y))
+    return tuple([s * a + t * b for a, b in zip(x, y)])
 
 
 def _e_dist_combine_t(x: tuple, y: tuple, t: float) -> tuple[float, tuple]:
@@ -219,11 +227,13 @@ def raw_ops(space: SpaceModel):
 # disk, to a few ulp of the translate |w|, see tests/test_verification.py).
 
 def _p_dist_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    import numpy as np
     w = (y - x) / (1.0 - x.conj() * y)
     return 2.0 * np.arctanh(np.minimum(np.abs(w), _ATANH_GUARD))
 
 
 def _p_combine_array(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
+    import numpy as np
     u = (y - x) / (1.0 - x.conj() * y)
     ru = np.abs(u)
     a = np.arctanh(np.minimum(ru, _ATANH_GUARD))
@@ -231,16 +241,18 @@ def _p_combine_array(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
     m = u * (np.tanh(t * a) / np.maximum(ru, _TINY))
     z = (x + m) / (1.0 + x.conj() * m)
     n2 = z.real * z.real + z.imag * z.imag
-    over = n2 >= 1.0 - DISK_MARGIN
-    z[over] *= np.sqrt((1.0 - 2.0 * DISK_MARGIN) / n2[over])
+    over = n2 >= _DISK_EDGE
+    z[over] *= np.sqrt(_DISK_INNER / n2[over])
     return z
 
 
 def _e_dist_array(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    import numpy as np
     return np.sqrt(np.square(x - y).sum(axis=-1))
 
 
 def _e_combine_array(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
+    import numpy as np
     t = np.asarray(t)[..., None]
     return (1.0 - t) * x + t * y
 

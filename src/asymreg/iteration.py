@@ -35,12 +35,16 @@ share their high digits, so no tail row costs a str(n) of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .geometry import Point, SpaceModel, check_point, raw_ops
 from .mappings import ApproxFixedPointSpec, DomainError, MappingSpec, ball_member, raw_apply_fn
 from .moduli import Schedule, seq_float_plan
+
+# numpy is imported inside the functions that make arrays, so that a process
+# that makes none, such as `rate`, never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # trajectory_to_csv builds and writes this many rows at a time, which keeps
 # its memory small next to the orbit arrays.
@@ -100,6 +104,7 @@ class Trajectory:
 
     def fold(self, idx):
         """The recorded index of index idx of the orbit, an int or int array."""
+        import numpy as np
         c, p = self.tail_from, len(self.cycle)
         if np.ndim(idx) == 0:
             return idx if idx < c else c + (idx - c) % p
@@ -108,6 +113,7 @@ class Trajectory:
 
     def schedule_floats(self, count: int) -> list[np.ndarray]:
         """lambda_n and s_n for n < count, as the floats the runner used."""
+        import numpy as np
         return [np.concatenate([head[:count], np.full(max(0, count - const_from), tail)])
                 for head, tail, const_from in (self.lam_plan, self.s_plan)]
 
@@ -115,6 +121,7 @@ class Trajectory:
     # cycle, and they go when it reads the arrays' nbytes instead.
     @property
     def stored_indices(self) -> np.ndarray:
+        import numpy as np
         return np.arange(self.tail_from, self.tail_from + len(self.cycle))
 
     points = property(lambda self: list(self.cycle))
@@ -171,6 +178,7 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
     mappings.ball_member; else DomainError names the step n.  A whole-space
     map runs the loop unguarded.
     """
+    import numpy as np
     x = check_point(space, x0)
     if steps < 0:
         raise IterationError("steps must be a natural")
@@ -317,6 +325,7 @@ def _reprs(columns: list[np.ndarray], idx: range) -> list[list[str]]:
     repr once per distinct bit pattern: repr is slow, slowest on the
     subnormals where a residual stalls, and the columns of an orbit repeat
     values, residual and inner_residual bitwise on every one-stage step."""
+    import numpy as np
     block = np.stack([col[idx.start:idx.stop:idx.step] for col in columns])
     bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
     text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)

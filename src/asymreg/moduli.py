@@ -46,11 +46,14 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .report import CheckReport
+
+# numpy is imported inside the functions that make arrays, so that a process
+# that makes none, such as `rate`, never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # The tolerance of every float check in the library: witness windows here,
 # the mapping domain and witness checks, and the verification samplers.
@@ -377,6 +380,7 @@ def eval_eta_array(desc: ModulusDescriptor, r: np.ndarray, eps: np.ndarray) -> n
     rounded to the nearest float, and at most a few ulp above.  The closed
     forms are evaluated in floats and rounded up; the forms built on eta1
     take eval_eta1_array."""
+    import numpy as np
     if desc.kind == ETA_QUADRATIC:
         return eps * eps / desc.param("denominator") * _ROUND_UP
     if desc.kind == ETA_HILBERT:
@@ -397,6 +401,7 @@ def eval_eta1_array(desc: ModulusDescriptor, r: np.ndarray, k: np.ndarray) -> np
     """eval_eta1 at each (r[i], k[i]), as floats.  Of all kinds only
     Eta3KPlusCeil reads r; a kind with no closed form here ignores r, and
     eval_eta1 is called once per distinct k."""
+    import numpy as np
     if desc.kind == ETA1_SHIFT:
         return eval_eta1_array(desc.param("inner"), r, k + desc.param("shift"))
     if desc.kind == ETA2_FROM_ETA3 and desc.param("inner").kind == ETA3_K_PLUS_CEIL:
@@ -543,6 +548,7 @@ def seq_values_float(seq: ModulusDescriptor, count: int, start: int = 0) -> np.n
     """Terms start .. start+count-1 as float64, without exact big-denominator
     blowup: the table entries as floats, then float(a) * float(r)**j for
     the j-th tail term, which is float(a) itself when r = 1."""
+    import numpy as np
     head, a, r = seq_parts(seq)
     table = [float(v) for v in head[start:start + count]]
     out = np.full(count, float(a))
@@ -772,6 +778,7 @@ def verify_gamma(schedule: Schedule, deltas: Sequence, n_max: int = 10_000) -> C
     """Check alpha_{gamma(delta)+n} - alpha_{gamma(delta)} <= delta for
     n <= n_max over each requested delta (alpha_n = partial sums of
     s_k (1 - lambda_k))."""
+    import numpy as np
     report = CheckReport("gamma-witness")
     if n_max < 1:
         raise DescriptorDomainError("n_max must be >= 1")

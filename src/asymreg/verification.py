@@ -25,8 +25,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import HARD_STEP_CAP, ExperimentConfig
 from .geometry import (
@@ -56,6 +55,11 @@ from .moduli import (
 from .rates import RateError, RateReport, compute_delta, compute_phi, epsilon_shortcut, inputs_for
 from .report import CheckReport
 
+# numpy is imported inside the functions that make arrays, so that a process
+# that makes none, such as `rate`, never loads it.
+if TYPE_CHECKING:
+    import numpy as np
+
 EUCLID_SAMPLE_RADIUS = 10.0
 DISK_SAMPLE_RADIUS = 5.0  # hyperbolic distance to the origin
 _SAMPLE_RADIUS = {EUCLIDEAN: EUCLID_SAMPLE_RADIUS, POINCARE_DISK: DISK_SAMPLE_RADIUS}
@@ -80,6 +84,7 @@ def _rng(seed: int, name: str) -> random.Random:
 def _uniform(rng: random.Random, shape: tuple) -> np.ndarray:
     """Floats uniform in [0, 1) of the given shape, 53 random bits each,
     from one getrandbits."""
+    import numpy as np
     size = math.prod(shape)
     words = np.frombuffer(rng.getrandbits(64 * size).to_bytes(8 * size, "little"), np.uint64)
     return (words >> 11).reshape(shape) * 2.0 ** -53
@@ -88,6 +93,7 @@ def _uniform(rng: random.Random, shape: tuple) -> np.ndarray:
 def _normal(rng: random.Random, shape: tuple) -> np.ndarray:
     """Standard normal floats: the real and imaginary parts of Box-Muller's
     sqrt(-2 log(1 - u)) exp(2 pi i v) are two independent ones."""
+    import numpy as np
     size = math.prod(shape)
     u, v = _uniform(rng, (2, (size + 1) // 2))
     pairs = np.sqrt(-2.0 * np.log1p(-u)) * np.exp(2j * math.pi * v)
@@ -102,6 +108,7 @@ def _blocks(samples: int):
 def _unit(vec: np.ndarray) -> np.ndarray:
     """Each vector of vec (along its last axis) scaled to norm 1; a zero
     vector stays zero."""
+    import numpy as np
     norm = np.sqrt(np.square(vec).sum(axis=-1, keepdims=True))
     return vec / np.where(norm == 0.0, 1.0, norm)
 
@@ -113,6 +120,7 @@ def _draw_block(space: SpaceModel, rng: random.Random, shape: tuple, radius: flo
     (m, n) draws m blocks of n points.  Euclidean: uniform in that ball.
     Disk: uniform direction, with hyperbolic distance to the center uniform
     in [0, radius]."""
+    import numpy as np
     if space.kind == POINCARE_DISK:
         dist_to_center, turn = _uniform(rng, (2, *shape))
         w = np.tanh(dist_to_center * (radius / 2.0)) * np.exp(2j * math.pi * turn)
@@ -135,6 +143,7 @@ def check_space_axioms(space: SpaceModel, samples: int = 10_000, seed: int = 0,
     parameterization, (W3) endpoint symmetry, (W4) joint convexity.
     combine_override, an array (x, y, t) combine as geometry.array_ops
     gives, replaces the model's."""
+    import numpy as np
     report = CheckReport("space-axioms", samples=samples)
     d, comb = array_ops(space)
     comb = combine_override or comb
@@ -180,6 +189,7 @@ def check_uc_implication(space: SpaceModel, samples: int = 10_000, seed: int = 0
     eps is d(x, y) / r: the extremal case, where an overclaimed eta shows.
     At the odd indices r is the larger distance grown by up to 2x,
     and eps shrunk below d(x, y) / r."""
+    import numpy as np
     report = CheckReport("uc-implication")
     d, comb = array_ops(space)
     radius = _SAMPLE_RADIUS[space.kind]
@@ -228,6 +238,7 @@ def check_dyadic_uc_implication(space: SpaceModel, desc: ModulusDescriptor,
     The samples at even indices are random triples, those at odd indices
     constructed near-threshold configurations, so the premise actually
     activates."""
+    import numpy as np
     if space.kind != EUCLIDEAN:
         raise ValueError("dyadic implication check runs on a Euclidean model")
     name = "uc-implication-dyadic-" + ("strict" if conclusion_strict else "weak")
@@ -262,6 +273,7 @@ def _near_threshold_block(space: SpaceModel, rng: random.Random, k: np.ndarray):
     """Points a, x, y and radii r, one per entry of k: x and y near the
     sphere of radius r about a, separated by 2^-(k+2) r, so the midpoint
     premise of the dyadic implication activates."""
+    import numpy as np
     n = len(k)
     a = _draw_block(space, rng, (n,), EUCLID_SAMPLE_RADIUS)
     e1, e2 = _normal(rng, (2, n, space.dim))
@@ -286,6 +298,7 @@ def check_nonexpansive(space: SpaceModel, m: MappingSpec,
     ball C, also the self-map check: T x and T y pass mappings.ball_member.
     Mappings have no array form, so T and the distances are evaluated point
     by point."""
+    import numpy as np
     report = CheckReport(f"nonexpansive:{m.kind}", samples=samples)
     d, t, inside = raw_ops(space)[0], raw_apply_fn(space, m), ball_member(space, m.domain)
     if m.domain.kind == WHOLE_SPACE:
@@ -329,6 +342,7 @@ def check_lemma_inequalities(traj: Trajectory) -> CheckReport:
     constant from c on, or else T x_c == x_c and every term from c on reads
     0 <= rhs or d <= d + 2 lambda_n d(z, Tz); in c-drift with the lhs of
     fold(n) <= n, as rd[0] + 2.0*n*d(z, Tz) does not decrease in n."""
+    import numpy as np
     space, m = traj.space, traj.mapping
     report = CheckReport("lemma-inequalities", samples=traj.steps + 1)
     res = traj.residuals
@@ -367,6 +381,7 @@ def _bulk_fail(report: CheckReport, label: dict, lhs, rhs, slack, index: str = "
     inputs label, index = offset + j and the drawn value at j of each array
     in drawn, and count the rest as suppressed.  lhs, rhs and slack
     broadcast together to one axis; a NaN in lhs fails nothing."""
+    import numpy as np
     if two_sided:
         over = np.abs(lhs - rhs) > slack
     else:
@@ -448,6 +463,7 @@ def check_phi_soundness(config: ExperimentConfig, rr: RateReport,
     nothing: an orbit shorter than window_end raises ValueError.  Also
     records in rr the first index whose residual drops below eps and the
     ratio phi / first_hit.  When a witness fails, its rates are all 0."""
+    import numpy as np
     eps = rr.eps
     report = CheckReport(f"phi-soundness(eps={eps:g})")
     schedule, b = config.schedule, config.afp.b
@@ -489,6 +505,7 @@ def check_delta_witness(rr: RateReport, trajectory: Trajectory | None
     """For rr = certify(config, eps, ks): confirm that each [k, delta(k)] of
     the given orbit holds a residual below eps (1 + 1e-9).  It reads rr and
     the orbit and simulates nothing, as check_phi_soundness."""
+    import numpy as np
     eps, deltas = rr.eps, rr.deltas
     report = CheckReport(f"delta-witness(eps={eps:g})")
     for k, exc in rr.delta_errors.items():

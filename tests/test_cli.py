@@ -461,6 +461,37 @@ def test_import_starts_no_blas_thread_pool(preset, want):
         assert threads == "1"
 
 
+def test_rate_loads_no_numpy(tmp_path):
+    # rate computes in integers and Fractions: numpy loads only where arrays
+    # are made, which verify-space does, so the first check is not vacuous
+    bad_dim = json.loads((CONFIG_DIR / "rotation_pi_euclidean.json").read_text())
+    bad_dim["space"]["dim"] = 0
+    (tmp_path / "bad_dim.json").write_text(json.dumps(bad_dim))
+    (tmp_path / "bad_json.json").write_text("{")
+    code = f"""
+import contextlib, io, sys
+import asymreg
+from asymreg.cli import main
+codes = []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for extra in ([], ["--json"], ["--k", "0", "--k", "100"]):
+        codes.append(main(["rate", "--config", {KM!r}, "--eps", "0.0625", *extra]))
+    for bad in ("bad_dim.json", "bad_json.json"):
+        codes.append(main(["rate", "--config", bad, "--eps", "0.0625"]))
+print(codes, "numpy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["verify-space", "--config", {KM!r}, "--samples", "20"])]
+print(codes, "numpy" in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(CONFIG_DIR.parent / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == ["[0, 0, 0, 2, 2] False", "[0] True"]
+
+
 @pytest.mark.parametrize("n0, loads", [(10**9, True), (693_147, True), (693_146, False)])
 def test_a_ratio_near_one_loads_at_once(n0, loads):
     # s_n = q^n with q = 1 - 10^-6 first drops to 1/2 = 1 - 1/L at

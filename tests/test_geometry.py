@@ -303,7 +303,8 @@ def _disk_pair(rng, near_margin=False):
 
 def _kernel_cases(name, rng):
     """(x, y, t) triples: seeded pairs at the listed and at random t, x == y,
-    and on the disk pairs at the margin and pairs past the atanh guard."""
+    and on the disk pairs at the margin, pairs past the atanh guard and NaN
+    pairs."""
     pairs = []
     for _ in range(150):
         if name == "disk":
@@ -322,6 +323,8 @@ def _kernel_cases(name, rng):
         for a in (0.0, 0.3, 2.0):                           # |u| rounds to 1
             pairs += [(cmath.rect(r, a), cmath.rect(r, a + math.pi)),
                       (cmath.rect(r, a), cmath.rect(r, a + math.pi / 2))]
+        # a NaN translate passes the atanh guard, as min lets it through
+        pairs += [(complex(math.nan, 0.0), 0.5 + 0.0j), (0.5 + 0.0j, complex(0.0, math.nan))]
     for x, y in pairs:
         for t in KERNEL_T + (rng.random(),):
             yield x, y, t

@@ -1,7 +1,9 @@
 """The benchmark's tracer (perfbench/spans.py) wraps functions by name in
-the package's modules; every name it wraps must still resolve there."""
+the package's modules; every name it wraps must still resolve there, and a
+traced round of every workload must still pass its checks."""
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,3 +24,10 @@ def test_every_name_the_tracer_wraps_resolves(monkeypatch):
                if not hasattr(importlib.import_module(module), attr)]
     assert names and not missing
     assert all(hasattr(CheckReport, attr) for attr in spans._REPORT_METHODS)
+
+
+def test_the_benchmark_selftest_passes():
+    # one tiny round of every workload, untraced and traced, with its checks
+    done = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, (done.stdout + done.stderr)[-2000:]
