@@ -58,10 +58,10 @@ geo = ar.Schedule(ar.seq_constant(half), ar.seq_geometric(half, half),
                   ar.gamma_geometric_tail(half, half, half))
 deltas = [Fraction(1, 2 ** j) for j in range(8)]
 print(f"  s_n = 2^-(n+1):  gamma(1/16) = {ar.eval_gamma(geo.gamma, Fraction(1, 16))}")
-print(f"  {ar.verify_gamma(geo, deltas, n_max=1_000).summary_line()}")
+print(f"  {ar.verify_gamma(geo, deltas).summary_line()}")
 eager = ar.Schedule(geo.lambda_seq, geo.s_seq, geo.theta, 2, 0,
                     ar.gamma_shifted(geo.gamma, -1))
-print(f"  gamma - 1 fails: {ar.verify_gamma(eager, deltas, n_max=1_000).summary_line()}")
+print(f"  gamma - 1 fails: {ar.verify_gamma(eager, deltas).summary_line()}")
 
 # ---------------------------------------------------------------------------
 print("\nEvery descriptor serializes to a tagged dict (the config format):")

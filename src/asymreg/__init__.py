@@ -97,7 +97,6 @@ from .moduli import (
     seq_constant,
     seq_geometric,
     seq_tabulated,
-    seq_values_float,
     sequence_from_dict,
     tabulated,
     theta_linear,

@@ -19,12 +19,13 @@ from c+p on.  In floating point the residual of a converging orbit often
 stalls near 1e-323 while x_n runs through a short cycle of subnormal states
 with T x_n != x_n.  Each step compares x_{n+1} with x_n, which finds period
 1 at its exact index, and with one checkpoint state that moves to the
-current index after windows of 2, 4, 8, ... steps, which finds any period p
-once the window reaches p (R. P. Brent, BIT 20, 1980).  Before the schedule
-is constant the runner stops only where T x_n == x_n: every raw combine
-returns x when both endpoints are equal, so that state is fixed whatever
-the schedule does next.  So a trajectory is a prefix plus a cycle: each
-recorded array keeps [0, c+p), and `Trajectory.fold` reads any index.
+current index after windows of a sixteenth of the steps since const_from,
+which finds any period p once a window reaches p (after R. P. Brent, BIT
+20, 1980).  Before the schedule is constant the runner stops only where
+T x_n == x_n: every raw combine returns x when both endpoints are equal,
+so that state is fixed whatever the schedule does next.  So a trajectory
+is a prefix plus a cycle: each recorded array keeps [0, c+p), and
+`Trajectory.fold` reads any index.
 
 `trajectory_to_csv` writes the same split.  Prefix rows go out in chunks,
 with one repr per distinct float64 bit pattern of a chunk.  Tail rows share
@@ -201,15 +202,15 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
         ref_d = y_ref_d = ty_ref_d = None
 
     period_from = period = None
-    # The checkpoint x_{mark_at}: set to x_n at n = const_from, and moved to
-    # x_n whenever n reaches move_at, after windows of 2, 4, 8, ... steps.
-    mark = mark_at = None
-    window, move_at = 1, const_from
+    # The checkpoint x_{mark_at}: x_n at n = const_from, moved to x_n after
+    # max(2, (n - const_from) >> 4) steps, so it catches a cycle of period p
+    # from c within (c - const_from) / 8 of c once that reaches 16 p.
+    mark, mark_at, move_at = None, None, const_from
     try:
         for n in range(steps):
             if n == move_at:
-                mark, mark_at, window = x, n, 2 * window
-                move_at = n + window
+                mark, mark_at = x, n
+                move_at = n + max(2, (n - const_from) >> 4)
             lam = lam_head[n] if n < lam_k else lam_tail
             s = s_head[n] if n < s_k else s_tail
 

@@ -35,8 +35,9 @@ integer arithmetic, exactly or (for geometric lambda) through a lower bound
 that is never too high.  For an affine theta over a Constant or Tabulated
 lambda it needs no loop up to n_max: past lambda's table both sides are
 affine in n up to theta's ceiling, which one integer inequality settles, or
-else a scan of one period of that ceiling.  Floats only enter in
-verify_gamma, which samples its windows with a 1e-9 slack.
+else a scan of one period of that ceiling.  verify_gamma decides its
+tail sum exactly, for every n, from alpha_tail's closed form: no witness
+check touches a float.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from .report import CheckReport
 if TYPE_CHECKING:
     import numpy as np
 
-# The tolerance of every float check in the library: witness windows here,
-# the mapping domain and witness checks, and the verification samplers.
+# The tolerance of every float check in the library: the mapping domain and
+# approximate-fixed-point checks, and the verification samplers.
 SLACK = 1e-9
 
 # Descriptor kinds.  The strings double as the tags used in config files.
@@ -480,11 +481,11 @@ def eval_gamma(desc: ModulusDescriptor, delta) -> int:
         # the least n with tail q^n <= delta, in (lo, hi]: geometric_exceeds
         # is monotone in n, so double hi past it, then bisect
         lo, hi = -1, 1
-        while geometric_exceeds(tail, q, delta, hi):
+        while geometric_exceeds([(tail, q)], delta, hi):
             lo, hi = hi, 2 * hi
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if geometric_exceeds(tail, q, delta, mid) else (lo, mid)
+            lo, hi = (mid, hi) if geometric_exceeds([(tail, q)], delta, mid) else (lo, mid)
         return hi
     if desc.kind == GAMMA_SHIFTED:
         return max(0, eval_gamma(desc.param("inner"), delta) + desc.param("shift"))
@@ -544,23 +545,6 @@ def seq_parts(seq: ModulusDescriptor) -> tuple[tuple[Fraction, ...], Fraction, F
     raise DescriptorError(f"unknown sequence kind {seq.kind!r}")
 
 
-def seq_values_float(seq: ModulusDescriptor, count: int, start: int = 0) -> np.ndarray:
-    """Terms start .. start+count-1 as float64, without exact big-denominator
-    blowup: the table entries as floats, then float(a) * float(r)**j for
-    the j-th tail term, which is float(a) itself when r = 1."""
-    import numpy as np
-    head, a, r = seq_parts(seq)
-    table = [float(v) for v in head[start:start + count]]
-    out = np.full(count, float(a))
-    out[:len(table)] = table
-    if r < 1:                   # for r = 1, np.power(1.0, j) would cost 20 ns a term
-        first = max(start, len(head)) - len(head)
-        j = np.arange(first, first + count - len(table), dtype=np.float64)
-        with np.errstate(under="ignore"):
-            out[len(table):] *= np.power(float(r), j)
-    return out
-
-
 def seq_float_plan(seq: ModulusDescriptor, limit: int) -> tuple[array, float, int]:
     """(head, tail, const_from), the floats an orbit runs on: the value at
     index n is head[n] for n < const_from and tail from there on.  head is
@@ -576,33 +560,39 @@ def seq_float_plan(seq: ModulusDescriptor, limit: int) -> tuple[array, float, in
     return head, v, len(head)
 
 
-def geometric_exceeds(c: Fraction, q: Fraction, bound: Fraction, n: int) -> bool:
-    """Whether c q^n > bound, for 0 < q <= 1.  An outward-rounded enclosure
-    lo <= q^n 2^bits <= hi, from O(log n) products of about bits bits,
-    settles it unless c q^n and bound differ by at most 2^-127 over the
-    product of their denominators, as at an exact tie.  Then it squares q
-    until c q^(2^i) <= bound, which settles it if 2^i <= n, or until
-    2^i > n, which puts n below twice the least m with c q^m <= bound: its
-    numbers grow with that m, never with n alone."""
-    if c <= bound or bound <= 0:
-        return c > bound                    # for bound <= 0: c q^n > 0
-    # c q^m <= bound  <=>  a p^m <= b d^m: integers, no gcd per product
-    a, b = c.numerator * bound.denominator, c.denominator * bound.numerator
-    p, d = q.numerator, q.denominator
-    # every rounded product adds at most one unit 2^-bits, so lo and hi
-    # stay within 2 n units of q^n 2^bits: 2^-127 / a at most for these bits
-    bits = 128 + a.bit_length() + n.bit_length()
-    scaled = b << bits
-    if a * _pow_bound(p, d, n, bits, up=False) > scaled:
+def geometric_exceeds(terms: Sequence[tuple[Fraction, Fraction]], bound: Fraction,
+                      n: int) -> bool:
+    """Whether f(n) > bound, f(n) the sum of c q^n over the (c, q) of terms,
+    c of either sign and 0 < q <= 1, where f is nonincreasing in n and
+    positive wherever f(0) is (as one term with c >= 0, or alpha_tail's).
+    An outward-rounded enclosure of each q^n 2^bits, from O(log n) products
+    of about bits bits, settles it unless f(n) and bound differ by at most
+    2^-127 over their common denominator, as at an exact tie.  Then it
+    evaluates f(2^i) exactly for 2^i <= n: one at or below bound settles it,
+    and if none is, n is below twice the least m with f(m) <= bound, so the
+    exact f(n) costs numbers that grow with that m, never with n alone."""
+    # in integers: f(m) den = the sum of a q^m, with a = c den, against b = bound den
+    den = math.lcm(bound.denominator, *(c.denominator for c, _ in terms))
+    ints = [(c.numerator * (den // c.denominator), q.numerator, q.denominator)
+            for c, q in terms]
+    b = bound.numerator * (den // bound.denominator)
+    top = sum(a for a, _, _ in ints)        # f(0) den, and f(n) <= f(0)
+    if top <= b or b <= 0:
+        return top > b                      # for bound <= 0: f(n) > 0 iff f(0) > 0
+    # every rounded product adds at most one unit 2^-bits, so a power stays
+    # within 2 n units of q^n 2^bits: 2^-127 at most for these bits
+    bits = 128 + sum(abs(a) for a, _, _ in ints).bit_length() + n.bit_length()
+
+    def enclosure(lower: bool) -> int:     # f(n) den 2^bits, rounded down or up
+        return sum(a * _pow_bound(p, d, n, bits, (a > 0) != lower) for a, p, d in ints)
+    if enclosure(True) > b << bits:
         return True
-    if a * _pow_bound(p, d, n, bits, up=True) <= scaled:
+    if enclosure(False) <= b << bits:
         return False
-    k, pk, dk = 1, p, d                     # q^k = pk / dk for k = 2^i
-    while k <= n:
-        if a * pk <= b * dk:
-            return False
-        k, pk, dk = 2 * k, pk * pk, dk * dk
-    return a * p**n > b * d**n
+    k = 1
+    while k <= n and sum(c * q**k for c, q in terms) > bound:
+        k *= 2
+    return k > n and sum(c * q**n for c, q in terms) > bound
 
 
 def seq_mass(seq: ModulusDescriptor) -> Callable[[int], tuple[int, int]]:
@@ -682,7 +672,7 @@ def validate_schedule(schedule: Schedule) -> None:
     # a r^m is too big to build for a large N0
     m = max(0, n0 - len(head))
     sup_s = max((*head[n0:], a)) if r == 1 else f"{a} * ({r})^{m}"
-    if any(v > bound for v in head[n0:]) or geometric_exceeds(a, r, bound, m):
+    if any(v > bound for v in head[n0:]) or geometric_exceeds([(a, r)], bound, m):
         raise ScheduleError(
             f"s_n <= 1 - 1/L fails for n >= N0: sup s_n = {sup_s} > {bound}"
         )
@@ -693,15 +683,28 @@ def validate_schedule(schedule: Schedule) -> None:
         raise ScheduleError(str(exc)) from None
 
 
-def alpha_terms_float(schedule: Schedule, count: int, start: int = 0) -> np.ndarray:
-    """s_k (1 - lambda_k) for k = start .. start+count-1, as float64."""
-    lam = seq_values_float(schedule.lambda_seq, count, start)
-    s = seq_values_float(schedule.s_seq, count, start)
-    return s * (1.0 - lam)
+def alpha_tail(schedule: Schedule
+               ) -> tuple[list[Fraction], list[tuple[Fraction, Fraction]] | None]:
+    """(head, terms): A(m) = sum_{k >= m} s_k (1 - lambda_k) is sum(head[m:])
+    plus the sum of c q^j over the (c, q) of terms, each q < 1, for
+    j = max(0, m - len(head)); terms is None when A diverges.  Past both
+    tables of seq_parts s_k = e r^j and lambda_k = l u^j, so the terms are
+    e r^j - e l (r u)^j, two geometric series, or e (1 - l) r^j if u = 1."""
+    def at(parts, k):
+        head, a, r = parts
+        return head[k] if k < len(head) else a * r ** (k - len(head))
+    s, lam = seq_parts(schedule.s_seq), seq_parts(schedule.lambda_seq)
+    h = max(len(s[0]), len(lam[0]))
+    head = [at(s, k) * (1 - at(lam, k)) for k in range(h)]
+    (e, r), (l, u) = (at(s, h), s[2]), (at(lam, h), lam[2])
+    terms = [(e * (1 - l), r)] if u == 1 else [(e, r), (-e * l, r * u)]
+    if r == 1 and terms[0][0] > 0:          # terms that tend to e (1 - l) or e
+        return head, None
+    return head, [(c / (1 - q), q) for c, q in terms if c]
 
 
 # ---------------------------------------------------------------------------
-# witness verification: theta in integers, gamma in floats with a 1e-9 slack
+# witness verification, in integers and Fractions
 
 def verify_theta(schedule: Schedule, n_max: int = 10_000) -> CheckReport:
     """Check S(theta(n)) >= n for n <= n_max, S(t) = sum_{k=0..t}
@@ -774,29 +777,25 @@ def _theta_scan_end(theta: ModulusDescriptor, lambda_seq: ModulusDescriptor,
     return min(n_max, n_h + d // g - 1)
 
 
-def verify_gamma(schedule: Schedule, deltas: Sequence, n_max: int = 10_000) -> CheckReport:
-    """Check alpha_{gamma(delta)+n} - alpha_{gamma(delta)} <= delta for
-    n <= n_max over each requested delta (alpha_n = partial sums of
-    s_k (1 - lambda_k))."""
-    import numpy as np
+def verify_gamma(schedule: Schedule, deltas: Sequence) -> CheckReport:
+    """Check alpha_{gamma(delta)+n} - alpha_{gamma(delta)} <= delta for every
+    n, one sample per delta (alpha_n = partial sums of s_k (1 - lambda_k)):
+    exactly, as A(gamma(delta) + 1) <= delta for alpha_tail's A."""
     report = CheckReport("gamma-witness")
-    if n_max < 1:
-        raise DescriptorDomainError("n_max must be >= 1")
     try:
+        deltas = [as_fraction(d) for d in deltas]
         gammas = [eval_gamma(schedule.gamma, d) for d in deltas]
     except (DescriptorError, DescriptorDomainError) as exc:
-        report.fail({"error": str(exc)}, 0.0, 0.0, SLACK)
+        report.fail({"error": str(exc)}, 0.0, 0.0, 0.0)
         return report
-    report.samples = len(gammas) * (n_max + 1)
+    head, terms = alpha_tail(schedule)
+    report.samples = len(gammas)
     for delta, g in zip(deltas, gammas):
-        # alpha_{g+n} - alpha_g sums the terms at g+1 .. g+n
-        terms = alpha_terms_float(schedule, n_max + 1, start=g)
-        terms[0] = 0.0
-        window = np.cumsum(terms)
-        worst = int(np.argmax(window))
-        if window[worst] > float(delta) + SLACK:
-            report.fail({"delta": float(delta), "gamma": g, "n": worst},
-                        float(window[worst]), float(delta), SLACK)
+        m = g + 1
+        part, j = sum(head[m:]), max(0, m - len(head))
+        if terms is None or geometric_exceeds(terms, delta - part, j):
+            tail = math.inf if terms is None else part + sum(c * q**j for c, q in terms)
+            report.fail({"delta": float(delta), "gamma": g}, float(tail), float(delta), 0.0)
     return report
 
 

@@ -463,13 +463,12 @@ def check_phi_soundness(config: ExperimentConfig, rr: RateReport,
     nothing: an orbit shorter than window_end raises ValueError.  Also
     records in rr the first index whose residual drops below eps and the
     ratio phi / first_hit.  When a witness fails, its rates are all 0."""
-    import numpy as np
     eps = rr.eps
     report = CheckReport(f"phi-soundness(eps={eps:g})")
     schedule, b = config.schedule, config.afp.b
     report.merge(verify_theta(schedule, n_max=1_000))
     delta0 = as_fraction(eps) / (8 * as_fraction(b))
-    report.merge(verify_gamma(schedule, [delta0], n_max=1_000))
+    report.merge(verify_gamma(schedule, [delta0]))
     if not report.passed:
         return RateReport(P=0, gamma0=0, phi=0), report
 
@@ -482,6 +481,7 @@ def check_phi_soundness(config: ExperimentConfig, rr: RateReport,
     end = rr.window_end
     if trajectory is None or trajectory.steps < end:
         raise ValueError(f"the soundness window reads step {end}, past the given orbit")
+    import numpy as np
     res = trajectory.residuals
 
     window = res[trajectory.fold(np.arange(rr.phi, end + 1))]

@@ -1,5 +1,6 @@
 """Oracles and fixture builders that only the tests use."""
 
+import math
 from fractions import Fraction
 
 import asymreg as ar
@@ -17,6 +18,26 @@ def seq_value(seq, n: int) -> Fraction:
     """Term n of an averaging sequence, exactly."""
     head, a, r = seq_parts(seq)
     return head[n] if n < len(head) else a * r ** (n - len(head))
+
+
+def tail_sum(schedule, m: int):
+    """A(m) = sum_{k >= m} s_k (1 - lambda_k) exactly, or math.inf when it
+    diverges: term by term up to the end of both tables, then a closed form
+    for each pair of tail kinds, s_k = v or c q^k and lambda_k = w or d u^k."""
+    s, lam = schedule.s_seq, schedule.lambda_seq
+    start = max([m, *(len(x.param("values")) for x in (s, lam) if x.kind == "Tabulated")])
+    head = sum(seq_value(s, k) * (1 - seq_value(lam, k)) for k in range(m, start))
+
+    def tail(seq):
+        if seq.kind == "Geometric":
+            return seq.param("c"), seq.param("q")
+        return seq.param("value" if seq.kind == "Constant" else "tail"), None
+    (v, q), (w, u) = tail(s), tail(lam)
+    if q is None:                       # s_k = v: each term is v (1 - lambda_k)
+        return head if v == 0 or (u is None and w == 1) else math.inf
+    if u is None:
+        return head + v * (1 - w) * q**start / (1 - q)
+    return head + v * q**start / (1 - q) - v * w * (q * u)**start / (1 - q * u)
 
 
 def theta_for_constant_lambda(lam):

@@ -179,7 +179,7 @@ def test_criterion_6_witness_validators():
     for schedule in good:
         rep = ar.verify_theta(schedule, n_max=10_000)
         assert rep.passed, rep.to_json_dict()
-        rep = ar.verify_gamma(schedule, deltas, n_max=10_000)
+        rep = ar.verify_gamma(schedule, deltas)
         assert rep.passed, rep.to_json_dict()
 
     # fault injection: theta divided by 8 no longer witnesses divergence
@@ -189,7 +189,7 @@ def test_criterion_6_witness_validators():
     # fault injection: gamma lowered by 1 admits a too-early window
     eager = ar.Schedule(lam_half, s_geo, ar.theta_linear(4), 2, 0,
                         ar.gamma_shifted(geo_gamma, -1))
-    assert not ar.verify_gamma(eager, deltas, n_max=10_000).passed
+    assert not ar.verify_gamma(eager, deltas).passed
 
 
 # ---------------------------------------------------------------------------

@@ -256,7 +256,7 @@ def test_run_and_sweep_report_where_the_orbit_repeats(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert {key: doc[key] for key in cut} == cut
 
-    # a plane rotation by 0.67 pi runs through 4 states from 2,046 on
+    # a plane rotation by 0.67 pi runs through 4 states, caught from 1,091 on
     data = ar.config_to_dict(ar.load_config(CONFIG_DIR / "rotation_half_pi_euclidean.json"))
     data["mapping"]["angle"] = 0.67 * math.pi
     data["start"] = [0.6, -0.2]
@@ -265,7 +265,7 @@ def test_run_and_sweep_report_where_the_orbit_repeats(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["sweep", "--config", str(path), "--json",
                  "--out", str(tmp_path / "sweep")]) == 0
-    cut = {"stationary_from": None, "period_from": 2046, "period": 4}
+    cut = {"stationary_from": None, "period_from": 1091, "period": 4}
     doc = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
     assert {key: doc[key] for key in cut} == cut
     assert doc == json.loads(capsys.readouterr().out)
@@ -490,6 +490,40 @@ print(codes, "numpy" in sys.modules)
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout.splitlines() == ["[0, 0, 0, 2, 2] False", "[0] True"]
+
+
+def test_a_sweep_that_simulates_nothing_loads_no_numpy(tmp_path):
+    # the witness checks are exact, so a sweep whose every phi exceeds the
+    # step cap, or whose theta witness fails, makes no array; a sweep that
+    # simulates loads numpy, so the first check is not vacuous
+    for name in ("rotation_pi_euclidean", "ishikawa_geometric_s_euclidean"):
+        data = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        data["caps"]["max_steps"] = 100
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    data["schedule"]["theta"]["a"] = "1/2"
+    (tmp_path / "slow_theta.json").write_text(json.dumps(data))
+    code = f"""
+import contextlib, io, sys
+from asymreg.cli import main
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for name in ("rotation_pi_euclidean", "ishikawa_geometric_s_euclidean", "slow_theta"):
+        codes.append(main(["sweep", "--config", name + ".json", "--json", "--out", name]))
+print(codes, "numpy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["sweep", "--config", {KM!r}, "--json", "--out", "full"])]
+print(codes, "numpy" in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(CONFIG_DIR.parent / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines() == ["[0, 0, 1] False", "[0] True"]
+    doc = json.loads((tmp_path / "ishikawa_geometric_s_euclidean" / "sweep.json").read_text())
+    assert doc["verdict"] == "unverified-at-scale"
+    assert [check["samples"] for check in doc["checks"]] == [1002] * 4
 
 
 @pytest.mark.parametrize("n0, loads", [(10**9, True), (693_147, True), (693_146, False)])

@@ -1,6 +1,6 @@
 """The golden cases of scripts/bench_cli.py, run in this process: each
 exit code, verdict, sample count and output hash must match
-bench/BENCH_batched_samplers.json.  The hashes hold for the Python and numpy
+bench/BENCH_exact_gamma.json.  The hashes hold for the Python and numpy
 versions that file records; with any other, the cases are skipped."""
 
 import json
@@ -21,7 +21,7 @@ sys.path.insert(0, str(ROOT / "scripts"))
 from bench_cli import golden_cases, outcome  # noqa: E402
 from cli_digest import digest_main  # noqa: E402
 
-GOLDEN = json.loads((ROOT / "bench" / "BENCH_batched_samplers.json")
+GOLDEN = json.loads((ROOT / "bench" / "BENCH_exact_gamma.json")
                     .read_text(encoding="utf-8"))
 CASES = {case["name"]: case for case in GOLDEN["cases"]}
 

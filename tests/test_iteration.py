@@ -285,7 +285,7 @@ def test_trajectory_csv_matches_csv_writer_bytes(tmp_path, monkeypatch,
 
 # Orbits whose cut-off fires at 0, at 20 (inside a block of 7 rows, and
 # not a multiple of report_every 3 or 7), at 1,075, on the last step (20 of
-# 21 steps), at 2,145 with a residual of 1e-323, not 0, and at 4,094 with
+# 21 steps), at 2,145 with a residual of 1e-323, not 0, and at 2,389 with
 # period 10, whose block holds 4 distinct rows.
 CSV_CUTS = [("identity_euclidean", 50), ("rotation_pi_euclidean", 999),
             ("rotation_pi_euclidean", 21), ("reflection_average_euclidean", 3_000),
@@ -387,11 +387,11 @@ STATIONARY_FROM = {
 # Variants of the golden configs whose residual stalls near 1e-323 with
 # T x_n != x_n: the start (period_from, period) of their cut-off.
 PERIODIC = {
-    "disk-rotation-0.257pi": (16382, 12),
-    "plane-rotation-0.67pi": (2046, 4),
-    "plane-ishikawa-0.3pi": (4094, 10),     # y_n != x_n on the cycle
+    "disk-rotation-0.257pi": (9049, 12),
+    "plane-rotation-0.67pi": (1091, 4),
+    "plane-ishikawa-0.3pi": (2389, 10),     # y_n != x_n on the cycle
     "disk-ishikawa-0.3pi": (2261, 1),
-    "r5-rotation-0.3pi": (8190, 12),
+    "r5-rotation-0.3pi": (6685, 12),
 }
 
 CUTS = {**{name: (c, 1) for name, c in STATIONARY_FROM.items()}, **PERIODIC}
@@ -590,9 +590,9 @@ def test_cutoff_edge_cases(all_configs, cut_configs, uncut):
     assert traj.stationary_from == 20
     assert_matches_uncut(traj, rot, uncut)
 
-    # x_2050 == x_2046: the repeat closes on the last step, or past it
+    # x_1095 == x_1091: the repeat closes on the last step, or past it
     plane = cut_configs["plane-rotation-0.67pi"]
-    for steps, cut in ((2050, (2046, 4)), (2049, (None, None))):
+    for steps, cut in ((1095, (1091, 4)), (1094, (None, None))):
         traj = ar.run_trajectory(
             plane.space, plane.mapping, plane.start, plane.schedule, steps,
             ref_point=ar.reference_point(plane))
@@ -753,5 +753,5 @@ def test_the_audit_reads_the_floats_the_orbit_used(all_configs, monkeypatch):
     for got, seq in ((lam, sched.lambda_seq), (s, s_seq)):
         want = np.fromiter(islice(float_terms(seq), count), dtype=np.float64)
         assert got.tobytes() == want.tobytes()
-    closed = ar.seq_values_float(s_seq, 7043)
+    closed = 0.5 * np.power(0.9, np.arange(7043.0))      # c q^n, rounded once
     assert np.count_nonzero(closed != s[:7043]) == 6545

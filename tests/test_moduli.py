@@ -8,6 +8,7 @@ from itertools import accumulate
 import mpmath
 import numpy as np
 import pytest
+from conftest import CONFIG_DIR
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from asymreg.moduli import (
     ceil_neg_log2,
     eval_eta_lower,
     nat_values,
+    seq_float_plan,
     seq_mass,
     seq_parts,
 )
@@ -28,6 +30,7 @@ from helpers import (
     eval_eta,
     gamma_for_geometric_s,
     seq_value,
+    tail_sum,
     theta_for_constant_lambda,
     verify_theta_loop,
 )
@@ -278,8 +281,8 @@ def test_gamma_geometric_is_fast_for_a_ratio_near_one():
     n = ar.eval_gamma(ar.gamma_geometric_tail(c, q, lam), delta)
     assert time.perf_counter() - start < 1.0
     tail = c * (1 - lam) * q / (1 - q)
-    assert geometric_exceeds(tail, q, delta, n - 1)
-    assert not geometric_exceeds(tail, q, delta, n)
+    assert geometric_exceeds([(tail, q)], delta, n - 1)
+    assert not geometric_exceeds([(tail, q)], delta, n)
 
 
 @given(st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(1, 1)),
@@ -309,17 +312,14 @@ def test_omega_affine_frozen():
 # ---------------------------------------------------------------------------
 # sequences
 
-def test_sequences_exact_and_float():
+def test_sequences_exact():
     geo = ar.seq_geometric(Fraction(1, 2), Fraction(1, 2))
-    assert seq_value(geo, 3) == Fraction(1, 16)
-    np.testing.assert_allclose(ar.seq_values_float(geo, 4),
-                               [0.5, 0.25, 0.125, 0.0625], rtol=0, atol=0)
+    assert [seq_value(geo, n) for n in range(4)] == [Fraction(1, 2**k) for k in range(1, 5)]
     tab = ar.seq_tabulated([Fraction(1, 2), Fraction(1, 4)], 0)
     assert [seq_value(tab, n) for n in (0, 1, 2, 9)] == \
         [Fraction(1, 2), Fraction(1, 4), 0, 0]
     const = ar.seq_constant(Fraction(1, 3))
-    vals = ar.seq_values_float(const, 3)
-    assert vals.tolist() == [1 / 3] * 3
+    assert [seq_value(const, n) for n in range(3)] == [Fraction(1, 3)] * 3
 
 
 BOUNDARY_SEQS = {
@@ -332,27 +332,35 @@ BOUNDARY_SEQS = {
 
 @pytest.mark.parametrize("start", [0, 2, 4, 9])
 @pytest.mark.parametrize("name", sorted(BOUNDARY_SEQS))
-def test_seq_values_float_across_the_table_end(name, start):
-    # start before, at and past the end of the table, as verify_gamma reads
-    # it from gamma(delta) on; compared to the bit with a per-kind formula
-    seq, count = BOUNDARY_SEQS[name], 5
+def test_alpha_tail_across_the_table_end(name, start):
+    # A(m) from m before, at and past the end of a table, as verify_gamma
+    # reads it from gamma(delta) + 1 on, against the term-by-term oracle;
+    # under a constant lambda = 1/2, a constant or tabulated s diverges
+    seq = BOUNDARY_SEQS[name]
     head, a, r = seq_parts(seq)
     assert 0 <= a <= 1 and 0 < r <= 1 and (r == 1 or not head)
-    got = ar.seq_values_float(seq, count, start)
-    if name == "geometric":
-        c, q = float(seq.param("c")), float(seq.param("q"))
-        want = [c * np.power(q, float(n)) for n in range(start, start + count)]
-    else:
-        want = [float(seq_value(seq, n)) for n in range(start, start + count)]
-    assert got.dtype == np.float64
-    assert got.tobytes() == np.array(want).tobytes()
+    pairs = [(seq, ar.seq_geometric(Fraction(2, 3), Fraction(9, 10))),
+             (ar.seq_tabulated([Fraction(1, 5)] * 3, 1), seq),
+             (ar.seq_constant(Fraction(1, 2)), seq)]
+    for lam, s in pairs:
+        sched = ar.Schedule(lam, s, ar.theta_linear(4), 1, 0, ar.gamma_zero())
+        table, terms = moduli.alpha_tail(sched)
+        want = tail_sum(sched, start)
+        if terms is None:
+            assert want == math.inf
+        else:
+            j = max(0, start - len(table))
+            assert all(q < 1 for _, q in terms)
+            assert sum(table[start:]) + sum(c * q**j for c, q in terms) == want
+    assert (moduli.alpha_tail(sched)[1] is None) == (name != "geometric")
 
 
 @given(st.integers(0, 50))
-def test_seq_float_matches_exact(n):
+def test_seq_float_plan_matches_exact(n):
     geo = ar.seq_geometric(Fraction(1, 2), Fraction(3, 4))
-    vals = ar.seq_values_float(geo, n + 1)
-    assert vals[n] == pytest.approx(float(seq_value(geo, n)), rel=1e-12)
+    head, tail, const_from = seq_float_plan(geo, n + 1)
+    got = head[n] if n < const_from else tail
+    assert got == pytest.approx(float(seq_value(geo, n)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +395,11 @@ def test_validate_schedule_rejects_large_s():
 @given(st.integers(0, 97), st.integers(1, 97), st.integers(-97, 97), st.integers(0, 200))
 def test_geometric_exceeds_matches_the_exact_power(c, q, bound, n):
     c, q, bound = Fraction(c, 97), Fraction(q, 97), Fraction(bound, 97)
-    assert geometric_exceeds(c, q, bound, n) == (c * q**n > bound)
+    assert geometric_exceeds([(c, q)], bound, n) == (c * q**n > bound)
     # at an exact tie c q^n == bound the enclosure straddles the bound
-    assert not geometric_exceeds(c, q, c * q**n, n)
+    assert not geometric_exceeds([(c, q)], c * q**n, n)
     if n > 0 and c > 0 and q < 1:
-        assert geometric_exceeds(c, q, c * q**n, n - 1)
+        assert geometric_exceeds([(c, q)], c * q**n, n - 1)
 
 
 def test_geometric_exceeds_is_fast_for_a_ratio_near_one():
@@ -400,7 +408,7 @@ def test_geometric_exceeds_is_fast_for_a_ratio_near_one():
     q, half = Fraction(999_999, 1_000_000), Fraction(1, 2)
     ns = (693_146, 693_147, 693_150, 10**9, 10**40)
     start = time.perf_counter()
-    got = [geometric_exceeds(Fraction(1), q, half, n) for n in ns]
+    got = [geometric_exceeds([(Fraction(1), q)], half, n) for n in ns]
     assert time.perf_counter() - start < 1.0
     with mpmath.workprec(256):
         exact = [mpmath.power(mpmath.mpf(999_999) / 1_000_000, n) > 0.5 for n in ns]
@@ -442,11 +450,12 @@ def test_verify_theta_passes_and_fails():
 def test_verify_gamma_passes_and_fails():
     sched = geometric_schedule()
     deltas = [Fraction(1, 2) ** k for k in range(1, 21)]
-    assert ar.verify_gamma(sched, deltas, n_max=500).passed
+    rep = ar.verify_gamma(sched, deltas)
+    assert rep.passed and rep.samples == 20
     bad = ar.Schedule(sched.lambda_seq, sched.s_seq, sched.theta, sched.L,
                       sched.N0, ar.gamma_shifted(sched.gamma, -1))
-    rep = ar.verify_gamma(bad, deltas, n_max=500)
-    assert not rep.passed
+    rep = ar.verify_gamma(bad, deltas)
+    assert not rep.passed and rep.samples == 20
 
 
 # ---------------------------------------------------------------------------
@@ -546,10 +555,12 @@ def test_a_negative_table_value_is_rejected_where_built():
 
 def float_verify_theta(schedule, n_max):
     """The float check verify_theta replaced: a cumsum of theta(n_max) + 1
-    terms and a 1e-9 slack.  Returns the first failing n (None for a pass)
-    and the first n whose float margin |csum - n| is 1e-6 or less."""
+    terms, lambda as the floats an orbit runs on, and a 1e-9 slack.  Returns
+    the first failing n (None for a pass) and the first n whose float margin
+    |csum - n| is 1e-6 or less."""
     thetas = [ar.eval_nat(schedule.theta, n) for n in range(n_max + 1)]
-    lam = ar.seq_values_float(schedule.lambda_seq, max(thetas) + 1)
+    head, tail, const_from = seq_float_plan(schedule.lambda_seq, max(thetas) + 1)
+    lam = np.concatenate([head, np.full(max(thetas) + 1 - const_from, tail)])
     csum = np.cumsum(lam * (1.0 - lam))
     close = next((n for n, t in enumerate(thetas) if abs(csum[t] - n) <= 1e-6), None)
     failing = next((n for n, t in enumerate(thetas) if csum[t] < n - 1e-9), None)
@@ -731,9 +742,9 @@ def test_verify_gamma_memory_does_not_grow_with_gamma():
     late = ar.Schedule(sched.lambda_seq, sched.s_seq, sched.theta, sched.L,
                        sched.N0, ar.gamma_shifted(sched.gamma, 10**6))
     deltas = [Fraction(1, 2) ** k for k in range(1, 6)]
-    rep, peak = traced_peak(ar.verify_gamma, late, deltas, n_max=1000)
+    rep, peak = traced_peak(ar.verify_gamma, late, deltas)
     assert rep.passed
-    assert rep.samples == 5 * 1001
+    assert rep.samples == 5
     assert peak < 1 << 20
 
 
@@ -746,6 +757,110 @@ def test_gamma_witness_minimality():
     assert ar.eval_gamma(sched.gamma, Fraction(1, 16)) == 2
     assert max(a - alpha[2] for a in alpha[2:]) <= Fraction(1, 16)
     assert max(a - alpha[1] for a in alpha[1:]) > Fraction(1, 16)
+
+
+# ---------------------------------------------------------------------------
+# the exact gamma check: the tail A(m) against an oracle, ties, and what the
+# 1,001-term float window missed
+
+SEQ_KINDS = ("Constant", "Geometric", "Tabulated")
+SMALL = st.fractions(0, 1, max_denominator=12)
+
+
+@st.composite
+def sequences(draw, kind, ends):
+    """An averaging sequence of the given kind; its constant part is drawn
+    from ends half of the time, so tails vanish or reach 1 often enough."""
+    value = st.one_of(st.sampled_from(ends), SMALL)
+    if kind == "Constant":
+        return ar.seq_constant(draw(value))
+    if kind == "Geometric":
+        return ar.seq_geometric(draw(SMALL), draw(st.fractions(
+            Fraction(1, 12), Fraction(11, 12), max_denominator=12)))
+    return ar.seq_tabulated(draw(st.lists(SMALL, max_size=6)), draw(value))
+
+
+@pytest.mark.parametrize("lam_kind", SEQ_KINDS)
+@pytest.mark.parametrize("s_kind", SEQ_KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 9))
+def test_verify_gamma_matches_the_tail_oracle(s_kind, lam_kind, data, m):
+    # gamma(delta) = m - 1 for every delta, so the check reads A(m), whose
+    # start m lies before, at or past the end of a table of up to 6 terms
+    s = data.draw(sequences(s_kind, [0]))
+    lam = data.draw(sequences(lam_kind, [0, 1]))
+    sched = ar.Schedule(lam, s, ar.theta_linear(4), 1, 0,
+                        ar.gamma_shifted(ar.gamma_zero(), m - 1))
+    want = tail_sum(sched, m)
+    deltas = [data.draw(st.fractions(Fraction(1, 10**6), 2, max_denominator=10**6))]
+    if 0 < want < math.inf:
+        # the tie, and a hair to either side of it
+        deltas += [want, want + Fraction(1, 10**40), want - want / 10**40]
+    for delta in deltas:
+        rep = ar.verify_gamma(sched, [delta])
+        assert rep.samples == 1
+        assert rep.passed == (want <= delta), (delta, want)
+        if not rep.passed:
+            assert rep.failures[0].lhs == float(want)
+
+
+def test_verify_gamma_passes_every_tie():
+    # delta0 = eps / 8b is a power of two, and so is A(gamma(delta0) + 1)
+    # for s_n = 2^-(n+1) under a constant lambda = 1/2: the golden config
+    # meets every delta0 exactly, and gamma is still the least witness
+    config = ar.load_config(CONFIG_DIR / "ishikawa_geometric_s_euclidean.json")
+    sched = config.schedule
+    ties = 0
+    for eps in (*config.eps_grid, 2.0**-10, 2.0**-30):
+        delta = Fraction(eps) / (8 * Fraction(config.afp.b))
+        g = ar.eval_gamma(sched.gamma, delta)
+        ties += tail_sum(sched, g + 1) == delta
+        assert tail_sum(sched, g) > delta           # gamma is the least witness
+        assert ar.verify_gamma(sched, [delta]).passed
+    assert ties == len(config.eps_grid) + 2
+
+
+def test_verify_gamma_fails_what_the_float_window_passed():
+    half = Fraction(1, 2)
+    lam = ar.seq_constant(half)
+    # A(3) = 1/16 exceeds delta by 10^-12, inside the 1e-9 slack
+    geo = ar.Schedule(lam, ar.seq_geometric(half, half), ar.theta_linear(4), 2, 0,
+                      ar.gamma_shifted(ar.gamma_zero(), 2))
+    close = Fraction(1, 16) - Fraction(1, 10**12)
+    assert tail_sum(geo, 3) == Fraction(1, 16)
+    rep = ar.verify_gamma(geo, [close])
+    assert not rep.passed
+    assert dict(rep.failures[0].inputs) == {"delta": float(close), "gamma": 2}
+    assert ar.verify_gamma(geo, [Fraction(1, 16)]).passed
+    # s_n = 0 for n < 1,001, then 1/4: the window sees only zeros, and the
+    # tail diverges
+    late = ar.Schedule(lam, ar.seq_tabulated([0] * 1001, Fraction(1, 4)),
+                       ar.theta_linear(4), 1, 0, ar.gamma_zero())
+    rep = ar.verify_gamma(late, [Fraction(1, 2)])
+    assert not rep.passed and rep.failures[0].lhs == math.inf
+    # q = 999/1000: the first 1,000 terms of the tail hold 63 % of it
+    slow = ar.Schedule(lam, ar.seq_geometric(half, Fraction(999, 1000)),
+                       ar.theta_linear(4), 2, 0, ar.gamma_zero())
+    whole = tail_sum(slow, 1)
+    window = whole * (1 - Fraction(999, 1000) ** 1000)
+    assert window < whole * 4 / 5 < whole
+    assert not ar.verify_gamma(slow, [whole * 4 / 5]).passed
+    assert ar.verify_gamma(slow, [whole]).passed
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 97), st.integers(1, 96), st.integers(0, 97), st.integers(1, 96),
+       st.integers(0, 60))
+def test_geometric_exceeds_matches_a_difference_of_powers(a, q, l, u, n):
+    # f(n) = a q^n / (1 - q) - a l (q u)^n / (1 - q u): the tail from n of
+    # a q^k (1 - l u^k), nonincreasing in n, as alpha_tail builds it
+    a, q, l, u = Fraction(a, 97), Fraction(q, 97), Fraction(l, 97), Fraction(u, 97)
+    terms = [(a / (1 - q), q), (-a * l / (1 - q * u), q * u)]
+    exact = sum(c * r**n for c, r in terms)
+    for bound in (exact, exact * Fraction(96, 97), exact * Fraction(98, 97)):
+        assert geometric_exceeds(terms, bound, n) == (exact > bound), bound
+    if n > 0 and l * u ** (n - 1) < 1:         # the term at n - 1 is positive
+        assert geometric_exceeds(terms, exact, n - 1)
 
 
 # ---------------------------------------------------------------------------
