@@ -43,11 +43,11 @@ print("k <= theta(n) must reach n.")
 sched = ar.Schedule(ar.seq_constant(Fraction(1, 2)), ar.seq_constant(0),
                     ar.theta_linear(4), 1, 0, ar.gamma_zero())
 print(f"  lambda = 1/2 constant, theta(n) = 4n:"
-      f"  {ar.verify_theta(sched, n_max=1_000).summary_line()}")
+      f"  {ar.verify_theta(sched).summary_line()}")
 slow = ar.Schedule(sched.lambda_seq, sched.s_seq, ar.theta_linear(Fraction(1, 2)),
                    1, 0, sched.gamma)
 print(f"  theta(n) = n/2 is too slow:       "
-      f"  {ar.verify_theta(slow, n_max=1_000).summary_line()}")
+      f"  {ar.verify_theta(slow).summary_line()}")
 
 # ---------------------------------------------------------------------------
 print("\nCauchy modulus gamma: the partial sums of s_n (1 - lambda_n) must")

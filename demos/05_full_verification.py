@@ -28,7 +28,7 @@ print(f"   {ar.check_nonexpansive(cfg.space, cfg.mapping, samples=1_000, seed=cf
 
 # ---------------------------------------------------------------------------
 print("\n3. The schedule witnesses check out:")
-print(f"   {ar.verify_theta(cfg.schedule, n_max=2_000).summary_line()}")
+print(f"   {ar.verify_theta(cfg.schedule).summary_line()}")
 deltas = [2.0 ** -j for j in range(12)]
 print(f"   {ar.verify_gamma(cfg.schedule, deltas).summary_line()}")
 

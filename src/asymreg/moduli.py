@@ -30,12 +30,12 @@ Constructors for theta and gamma work in exact rational arithmetic via
 fractions.Fraction.  Every eta form evaluates to a rational never above
 eta (eval_eta_lower): exactly for the rational closed forms, and for
 EtaHilbert through an integer square root rounded up, so a bound built on
-it never rounds down.  verify_theta checks its defining inequality in
-integer arithmetic, exactly or (for geometric lambda) through a lower bound
-that is never too high.  For an affine theta over a Constant or Tabulated
-lambda it needs no loop up to n_max: past lambda's table both sides are
-affine in n up to theta's ceiling, which one integer inequality settles, or
-else a scan of one period of that ceiling.  verify_gamma decides its
+it never rounds down.  verify_theta decides its defining inequality for
+every n, in integers, exactly or (for geometric lambda) through a lower
+bound never too high: past lambda's table both sides are affine in n up to
+an affine theta's ceiling, so floor sums and a bisection find the least n
+that fails, and a bounded sum fails in closed form.  A Tabulated theta is
+checked on its table only.  verify_gamma decides its
 tail sum exactly, for every n, from alpha_tail's closed form: no witness
 check touches a float.
 """
@@ -46,7 +46,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .report import CheckReport
@@ -347,12 +347,12 @@ def eval_eta_lower(desc: ModulusDescriptor, r, eps: Fraction) -> Fraction:
         return desc.param("value")
     if desc.kind == ETA_FROM_ETA1:
         k = max(0, ceil_neg_log2(eps))
-        m = eval_eta1(desc.param("inner"), float(r), k)
+        m = eval_eta1(desc.param("inner"), r, k)
         return Fraction(1, 2 ** m)
     raise DescriptorError(f"{desc.kind!r} is not an eta descriptor")
 
 
-def eval_eta1(desc: ModulusDescriptor, r: float, k: int) -> int:
+def eval_eta1(desc: ModulusDescriptor, r, k: int) -> int:
     """Evaluate an eta1/eta2-family descriptor at radius r and precision k."""
     if k < 0:
         raise DescriptorDomainError("precision index k must be a natural")
@@ -435,11 +435,6 @@ def eval_nat(desc: ModulusDescriptor, n: int) -> int:
     if n < 0:
         raise DescriptorDomainError("argument must be a natural")
     return _nat_fn(desc)(n)
-
-
-def nat_values(desc: ModulusDescriptor, n_max: int) -> list[int]:
-    """eval_nat at n = 0 .. n_max, with the descriptor's parameters read once."""
-    return list(map(_nat_fn(desc), range(n_max + 1)))
 
 
 def _affine_parts(desc: ModulusDescriptor) -> tuple[int, int, int] | None:
@@ -606,8 +601,9 @@ def seq_mass(seq: ModulusDescriptor) -> Callable[[int], tuple[int, int]]:
         terms = [v * (1 - v) for v in head]
         tail_term = c * (1 - c)
         den = math.lcm(tail_term.denominator, *(x.denominator for x in terms))
-        prefix = [int(x * den) for x in accumulate(terms, initial=Fraction(0))]
-        last, per_tail = len(head), int(tail_term * den)
+        prefix = [x.numerator * (den // x.denominator)
+                  for x in accumulate(terms, initial=Fraction(0))]
+        last, per_tail = len(head), tail_term.numerator * (den // tail_term.denominator)
 
         def exact(t: int) -> tuple[int, int]:
             j = t + 1 if t < last else last
@@ -706,30 +702,31 @@ def alpha_tail(schedule: Schedule
 # ---------------------------------------------------------------------------
 # witness verification, in integers and Fractions
 
-def verify_theta(schedule: Schedule, n_max: int = 10_000) -> CheckReport:
-    """Check S(theta(n)) >= n for n <= n_max, S(t) = sum_{k=0..t}
-    lambda_k (1 - lambda_k), and report the least n that fails.  It checks
-    n = 0, 1, ... with seq_mass, up to that n or to _theta_scan_end, past
-    which no n <= n_max can be the least to fail: for an affine theta over a
-    Constant or Tabulated lambda, that bound is closed-form and takes no loop
-    up to n_max.  The check is exact for Constant and Tabulated lambda; for
-    Geometric lambda it never passes a witness that misses, and fails one
-    that clears n by less than about 2^-100.  Only a Tabulated theta is
-    listed in full, which takes memory O(n_max)."""
+def verify_theta(schedule: Schedule) -> CheckReport:
+    """Check S(theta(n)) >= n for every n, S(t) = sum_{k=0..t}
+    lambda_k (1 - lambda_k), and report the least n that fails, or one that
+    does if S is bounded: term by term with seq_mass, one sample each, at the
+    n of a Tabulated theta's table or of _theta_plan, and in closed form past
+    them, one sample more.  It is exact for Constant and Tabulated lambda;
+    for Geometric lambda it never passes a witness that misses."""
     report = CheckReport("theta-witness")
-    if n_max < 1:
-        raise DescriptorDomainError("n_max must be >= 1")
-    theta = schedule.theta
+    theta, mass = schedule.theta, seq_mass(schedule.lambda_seq)
+    table = theta.kind == TABULATED
     try:
-        # a table may miss an argument, which fails the check as a whole
-        theta_at = (nat_values(theta, n_max).__getitem__ if theta.kind == TABULATED
-                    else _nat_fn(theta))
+        theta_at = _nat_fn(theta)
+        if table:   # a table may miss an argument, which fails the check as a whole
+            last = max([0, *(k for k, _ in theta.param("points"))])
+            theta_at = list(map(theta_at, range(last + 1))).__getitem__
     except (DescriptorError, DescriptorDomainError) as exc:
         report.fail({"error": str(exc)}, 0.0, 0.0, 0.0)
         return report
-    mass = seq_mass(schedule.lambda_seq)
-    report.samples = n_max + 1
-    for n in range(_theta_scan_end(theta, schedule.lambda_seq, mass, n_max) + 1):
+    ns, note = ((range(last + 1), f"checked on its table only, n <= {last}") if table
+                else _theta_plan(theta, schedule.lambda_seq, mass))
+    report.samples = int(not table)     # the closed-form decision
+    if note:
+        report.note(note)
+    for n in ns:
+        report.samples += 1
         t = theta_at(n)
         num, den = mass(t)
         if num < n * den:
@@ -738,43 +735,67 @@ def verify_theta(schedule: Schedule, n_max: int = 10_000) -> CheckReport:
     return report
 
 
-def _theta_scan_end(theta: ModulusDescriptor, lambda_seq: ModulusDescriptor,
-                    mass: Callable[[int], tuple[int, int]], n_max: int) -> int:
-    """The last n that verify_theta checks term by term: the least n <= n_max
-    with S(theta(n)) < n, if there is one, lies at or below it.
+def _theta_plan(theta: ModulusDescriptor, lambda_seq: ModulusDescriptor,
+                mass: Callable[[int], tuple[int, int]]) -> tuple[Iterable[int], str | None]:
+    """(ns, note) for an affine theta(n) = max(0, ceil((step n + base) / d)):
+    the least n with S(theta(n)) < n, if any, is in ns, in order; or, with a
+    note, S(theta(n)) is bounded and ns is one n past the bound, which fails.
 
-    n_max unless theta(n) = max(0, ceil((step n + base) / d)) (_affine_parts)
-    and lambda has r = 1 in seq_parts, so that den S(t) = P_L + (t + 1 - h) T
-    for t >= h - 1, with h = len(head), P_L = den S(h - 1) and
-    T = den a (1 - a).  From n_h, the least n with theta(n) >= max(0, h - 1),
-        d (den S(theta(n)) - n den) = A n + C + T r_n,
-    A = step T - d den,  C = d P_L + base T + (1 - h) T d,
-    r_n = -(step n + base) mod d, which repeats with period d / g,
-    g = gcd(step, d), and reaches its least value rho = -base mod g in every
-    period.  For A < 0 this settles nothing.  For A >= 0 each class of n
-    modulo d / g is nondecreasing: if A n_h + C + T rho >= 0 no n >= n_h
-    fails, else the least n >= n_h that fails lies in n_h .. n_h + d/g - 1.
-    Below n_h, S(theta(n)) <= max(1, h - 1) / 4, so the term-by-term check
-    fails there within about h / 4 steps."""
-    head, _, r = seq_parts(lambda_seq)
-    affine = _affine_parts(theta)
-    if affine is None or r != 1:
-        return n_max
-    step, base, d = affine
+    S(theta(n)) <= S_inf = a / (1 - r) - a^2 / (1 - r^2) for r < 1 in
+    seq_parts, and <= S(theta(0)) for step <= 0.  Else, with h = len(head),
+    T = den a (1 - a) and K = den S(h - 1) - (h - 1) T, den S(t) = K + T t
+    for t >= h - 1, that is from n_h, the least n with
+    theta(n) >= max(0, h - 1).  Below n_h, S(theta(n)) <= max(1, h - 1) / 4,
+    so the scan fails within about h / 4 steps.  From n_h, n fails iff
+    c_n = floor((n den - K - 1) / T) - theta(n) + 1 >= 1 (for T > 0), and
+    c_n >= 0 where A n + C <= 0, A = step T - d den, C = d (K + 1) + base T.
+    Every n that fails lies in lo .. hi - 1: from -C / A for A < 0, where
+    each n with A n + C - d + T (d - 1) < 0 fails, and for A >= 0 in the
+    first period n_h .. n_h + d - 1 of c_n, up to -C / A.  _floor_sum sums
+    c_n over lo .. m - 1, and a bisection on m finds the least n that fails,
+    in O(log^2 (hi - lo)) steps."""
+    head, a, r = seq_parts(lambda_seq)
+    step, base, d = _affine_parts(theta)
+    if r < 1 or step <= 0:
+        bound = (a / (1 - r) - a * a / (1 - r * r) if r < 1
+                 else Fraction(*mass(eval_nat(theta, 0))))
+        return [math.floor(bound) + 1], f"S(theta(n)) <= {bound} for every n"
     h = len(head)
     p_l, den = mass(h - 1)
     t_mass = mass(h)[0] - p_l
-    slope = step * t_mass - d * den
-    if slope < 0:
-        return n_max
-    # slope >= 0 puts step > 0: theta(n) >= m from
-    # n = ceil(((m - 1) d + 1 - base) / step) on
+    k = p_l - (h - 1) * t_mass
+    # theta(n) >= m from n = ceil(((m - 1) d + 1 - base) / step) on
     n_h = max(0, -((base - 1 - (max(0, h - 1) - 1) * d) // step))
-    c = d * p_l + base * t_mass + (1 - h) * t_mass * d
-    g = math.gcd(step, d)
-    if slope * n_h + c + t_mass * (-base % g) >= 0:
-        return min(n_h, n_max + 1) - 1
-    return min(n_max, n_h + d // g - 1)
+    if t_mass == 0:
+        return chain(range(n_h), [max(n_h, k // den + 1)]), None
+    slope, c = step * t_mass - d * den, d * (k + 1) + base * t_mass
+    if slope < 0:
+        lo = max(n_h, -(c // slope))
+        hi = max(lo, (c - d + t_mass * (d - 1)) // -slope + 1) + 1
+    else:
+        lo, hi = n_h, n_h if c > 0 else n_h + d if slope == 0 else min(n_h + d, -c // slope + 1)
+
+    def fails_before(m: int) -> bool:       # c_n >= 1 for some n in lo .. m - 1
+        return (_floor_sum(m - lo, t_mass, den, lo * den - k - 1) + m - lo
+                + _floor_sum(m - lo, d, -step, -lo * step - base)) > 0
+    if hi <= lo or not fails_before(hi):
+        return range(n_h), None
+    while hi - lo > 1:      # none fails below lo, and one in lo .. hi - 1
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fails_before(mid) else (mid, hi)
+    return chain(range(n_h), [lo]), None
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0..n-1} floor((a i + b) / m) for n >= 0 and m >= 1, in
+    O(log m) steps of Euclid's algorithm on (a, m)."""
+    total = 0
+    while n:
+        (qa, a), (qb, b) = divmod(a, m), divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        top = a * n + b
+        n, b, m, a = top // m, top % m, a, m
+    return total
 
 
 def verify_gamma(schedule: Schedule, deltas: Sequence) -> CheckReport:

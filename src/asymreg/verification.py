@@ -466,7 +466,7 @@ def check_phi_soundness(config: ExperimentConfig, rr: RateReport,
     eps = rr.eps
     report = CheckReport(f"phi-soundness(eps={eps:g})")
     schedule, b = config.schedule, config.afp.b
-    report.merge(verify_theta(schedule, n_max=1_000))
+    report.merge(verify_theta(schedule))
     delta0 = as_fraction(eps) / (8 * as_fraction(b))
     report.merge(verify_gamma(schedule, [delta0]))
     if not report.passed:

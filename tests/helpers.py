@@ -40,6 +40,18 @@ def tail_sum(schedule, m: int):
     return head + v * q**start / (1 - q) - v * w * (q * u)**start / (1 - q * u)
 
 
+def partial_mass(lam, t: int) -> Fraction:
+    """S(t) = sum_{k=0..t} lambda_k (1 - lambda_k) exactly: term by term over
+    a table, then a closed form for a constant tail w or for c q^k."""
+    if lam.kind == "Geometric":
+        c, q = lam.param("c"), lam.param("q")
+        u = q ** (t + 1)
+        return c * (1 - u) / (1 - q) - c * c * (1 - u * u) / (1 - q * q)
+    head = lam.param("values") if lam.kind == "Tabulated" else ()
+    w = lam.param("tail" if lam.kind == "Tabulated" else "value")
+    return sum(v * (1 - v) for v in head[:t + 1]) + max(0, t + 1 - len(head)) * w * (1 - w)
+
+
 def theta_for_constant_lambda(lam):
     """Divergence witness for lambda_n = lam constant: theta(n) =
     ceil(n / (lam (1 - lam))).  Then (theta(n) + 1) lam (1 - lam) >= n
@@ -58,11 +70,11 @@ def gamma_for_geometric_s(c, q, lambda_seq):
 
 
 def verify_theta_loop(schedule, n_max: int) -> ar.CheckReport:
-    """moduli.verify_theta as a plain loop over every n <= n_max: the check
-    its closed-form scan bound must agree with."""
+    """The theta check as a plain loop over every n <= n_max: the oracle of
+    moduli.verify_theta, which decides every n."""
     report = ar.CheckReport("theta-witness")
     try:
-        thetas = moduli.nat_values(schedule.theta, n_max)
+        thetas = [ar.eval_nat(schedule.theta, n) for n in range(n_max + 1)]
     except (ar.DescriptorError, ar.DescriptorDomainError) as exc:
         report.fail({"error": str(exc)}, 0.0, 0.0, 0.0)
         return report

@@ -177,7 +177,7 @@ def test_criterion_6_witness_validators():
               ar.gamma_shifted(geo_gamma, 1)),
     ]
     for schedule in good:
-        rep = ar.verify_theta(schedule, n_max=10_000)
+        rep = ar.verify_theta(schedule)
         assert rep.passed, rep.to_json_dict()
         rep = ar.verify_gamma(schedule, deltas)
         assert rep.passed, rep.to_json_dict()
@@ -185,7 +185,7 @@ def test_criterion_6_witness_validators():
     # fault injection: theta divided by 8 no longer witnesses divergence
     slow = ar.Schedule(lam_half, s_zero, ar.theta_linear(half), 1, 0,
                        ar.gamma_zero())
-    assert not ar.verify_theta(slow, n_max=10_000).passed
+    assert not ar.verify_theta(slow).passed
     # fault injection: gamma lowered by 1 admits a too-early window
     eager = ar.Schedule(lam_half, s_geo, ar.theta_linear(4), 2, 0,
                         ar.gamma_shifted(geo_gamma, -1))

@@ -219,6 +219,23 @@ def test_run_bad_theta_fails(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_sweep_fails_a_theta_that_misses_only_past_n_1000(tmp_path, capsys):
+    # theta(n) = ceil(7999 n / 2000 + 1/2) over lambda = 1/2 clears every
+    # n < 5000, and fails first at n = 5000, where phi reads theta near
+    # 262,144 at eps = 1/16
+    doc = ar.config_to_dict(ar.load_config(KM))
+    doc["schedule"]["theta"] = {"kind": "ThetaLinear", "a": "7999/2000", "b": "1/2"}
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == 1
+    capsys.readouterr()
+    data = json.loads((tmp_path / "sweep" / "sweep.json").read_text())
+    assert [row["verdict"] for row in data["rows"]] == ["fail"] * 4
+    for check in data["checks"]:
+        assert check["check_name"].startswith("phi-soundness")
+        assert [f["inputs"] for f in check["failures"]] == [{"n": 5000, "theta_n": 19998}]
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -523,7 +540,7 @@ print(codes, "numpy" in sys.modules)
     assert done.stdout.splitlines() == ["[0, 0, 1] False", "[0] True"]
     doc = json.loads((tmp_path / "ishikawa_geometric_s_euclidean" / "sweep.json").read_text())
     assert doc["verdict"] == "unverified-at-scale"
-    assert [check["samples"] for check in doc["checks"]] == [1002] * 4
+    assert [check["samples"] for check in doc["checks"]] == [2] * 4
 
 
 @pytest.mark.parametrize("n0, loads", [(10**9, True), (693_147, True), (693_146, False)])

@@ -20,7 +20,6 @@ from asymreg.moduli import (
     ceil_log2_frac,
     ceil_neg_log2,
     eval_eta_lower,
-    nat_values,
     seq_float_plan,
     seq_mass,
     seq_parts,
@@ -29,6 +28,7 @@ from asymreg.moduli import (
 from helpers import (
     eval_eta,
     gamma_for_geometric_s,
+    partial_mass,
     seq_value,
     tail_sum,
     theta_for_constant_lambda,
@@ -440,10 +440,10 @@ def test_validate_schedule_n0_window():
 
 
 def test_verify_theta_passes_and_fails():
-    assert ar.verify_theta(km_schedule(), n_max=200).passed
+    assert ar.verify_theta(km_schedule()).passed
     bad = ar.Schedule(ar.seq_constant(Fraction(1, 2)), ar.seq_constant(0),
                       ar.theta_linear(Fraction(1, 2)), 1, 0, ar.gamma_zero())
-    rep = ar.verify_theta(bad, n_max=200)
+    rep = ar.verify_theta(bad)
     assert not rep.passed
 
 
@@ -464,21 +464,26 @@ def test_verify_gamma_passes_and_fails():
 @settings(max_examples=50)
 @given(st.integers(0, 10**6), st.integers(1, 10**6), st.integers(0, 10**6),
        st.integers(1, 10**6))
-def test_nat_values_match_eval_nat_for_theta_linear(p, q, r, s):
+def test_eval_nat_of_theta_linear_is_the_exact_ceiling(p, q, r, s):
     desc = ar.theta_linear(Fraction(p, q), Fraction(r, s))
-    assert nat_values(desc, 300) == [ar.eval_nat(desc, n) for n in range(301)]
+    for n in range(301):
+        assert ar.eval_nat(desc, n) == math.ceil(Fraction(p, q) * n + Fraction(r, s))
 
 
-def test_nat_values_match_eval_nat():
-    for desc in (ar.theta_linear(4), ar.theta_linear(0, Fraction(5, 2)),
-                 ar.omega_affine(3, -7), ar.omega_affine(0, 2),
-                 ar.tabulated([(2, 9), (0, 1), (1, 4)])):
-        assert nat_values(desc, 2) == [ar.eval_nat(desc, n) for n in range(3)]
+def test_eval_nat_on_tables_and_roles():
+    for desc, want in ((ar.theta_linear(4), [0, 4, 8]),
+                       (ar.theta_linear(0, Fraction(5, 2)), [3, 3, 3]),
+                       (ar.omega_affine(3, -7), [0, 0, 0]),
+                       (ar.omega_affine(3, -4), [0, 0, 2]),
+                       (ar.omega_affine(0, 2), [2, 2, 2]),
+                       (ar.tabulated([(2, 9), (0, 1), (1, 4)]), [1, 4, 9])):
+        assert [ar.eval_nat(desc, n) for n in range(3)] == want
     table = ar.tabulated([(0, 1), (1, 4), (3, 9)])
+    assert [ar.eval_nat(table, n) for n in (0, 1, 3)] == [1, 4, 9]
     with pytest.raises(ar.DescriptorDomainError, match="argument 2 outside"):
-        nat_values(table, 5)
+        ar.eval_nat(table, 2)
     with pytest.raises(ar.DescriptorError):
-        nat_values(ar.gamma_zero(), 5)
+        ar.eval_nat(ar.gamma_zero(), 5)
 
 
 MASS_SEQUENCES = [
@@ -529,19 +534,26 @@ def test_geometric_mass_stays_below_the_limit_at_huge_t():
 
 
 def test_verify_theta_geometric_cost_does_not_grow_with_the_exponent():
-    # S_inf = 1124.9..., and theta(n) = 8n clears every n <= 1000; an exact
-    # q^(theta(1000) + 1) would have about 10^5 bits
+    # S_inf = 6748500/5999 = 1124.9..., so theta(n) = 8n, which clears every
+    # n <= 1000, fails at n = 1125 whatever it is: the check reads S_inf and
+    # S(theta(1125)) from below, where an exact q^(theta(1125) + 1) would
+    # have about 10^5 bits
     sched = ar.Schedule(ar.seq_geometric(Fraction(1, 2), Fraction(2999, 3000)),
                         ar.seq_constant(0), ar.theta_linear(8), 1, 0, ar.gamma_zero())
-    assert ar.verify_theta(sched, n_max=1000).passed
-    assert not ar.verify_theta(sched, n_max=1125).passed
+    start = time.perf_counter()
+    rep = ar.verify_theta(sched)
+    assert time.perf_counter() - start < 0.05
+    assert dict(rep.failures[0].inputs) == {"n": 1125, "theta_n": 9000}
+    assert rep.notes == ["S(theta(n)) <= 6748500/5999 for every n"]
+    assert rep.samples == 2
+    assert partial_mass(sched.lambda_seq, 8 * 1000) >= 1000
 
 
 def test_verify_theta_geometric_passes_n_zero_at_a_zero_mass():
     # lambda_0 = c = 1 gives S(0) = 0 exactly, which clears n = 0
     sched = ar.Schedule(ar.seq_geometric(1, Fraction(9, 10)), ar.seq_constant(0),
                         ar.tabulated([(0, 0), (1, 50)]), 1, 0, ar.gamma_zero())
-    assert ar.verify_theta(sched, n_max=1).passed
+    assert ar.verify_theta(sched).passed
 
 
 def test_a_negative_table_value_is_rejected_where_built():
@@ -593,14 +605,22 @@ DIFF_THETAS = [
 
 
 def test_verify_theta_matches_the_float_check():
+    # the float check reads n <= 200, and every table theta ends at 200; a
+    # bounded S (a Geometric lambda under an affine theta) names an n that
+    # fails, not the least one
     compared = 0
     for lam in DIFF_LAMBDAS:
         for theta in DIFF_THETAS:
             sched = ar.Schedule(lam, ar.seq_constant(0), theta, 1, 0, ar.gamma_zero())
             failing, close = float_verify_theta(sched, 200)
-            rep = ar.verify_theta(sched, n_max=200)
+            rep = ar.verify_theta(sched)
             got = dict(rep.failures[0].inputs)["n"] if rep.failures else None
-            assert rep.samples == 201
+            if got is not None and got > 200:
+                got = None
+            if any("for every n" in note for note in rep.notes):
+                assert failing is not None and got is not None and failing <= got
+                compared += 1
+                continue
             if close is None or (failing is not None and failing < close):
                 # every float margin up to the verdict exceeds 1e-6
                 compared += 1
@@ -620,7 +640,7 @@ def test_verify_theta_rejects_a_witness_the_float_slack_let_through():
     sched = ar.Schedule(lam, ar.seq_constant(0), ar.tabulated([(0, 0), (1, 3)]),
                         1, 0, ar.gamma_zero())
     assert float_verify_theta(sched, 1)[0] is None
-    rep = ar.verify_theta(sched, n_max=1)
+    rep = ar.verify_theta(sched)
     assert not rep.passed
     failure = rep.failures[0]
     assert dict(failure.inputs) == {"n": 1, "theta_n": 3}
@@ -635,9 +655,11 @@ def test_verify_theta_passes_a_witness_that_meets_n_exactly():
     short = ar.tabulated([(n, max(0, 4 * n - 2)) for n in range(51)])
     for seq in (ar.seq_constant(Fraction(1, 2)), lam):
         sched = ar.Schedule(seq, ar.seq_constant(0), exact, 1, 0, ar.gamma_zero())
-        assert ar.verify_theta(sched, n_max=50).passed
+        rep = ar.verify_theta(sched)
+        assert rep.passed and rep.samples == 51
+        assert rep.notes == ["checked on its table only, n <= 50"]
         sched = ar.Schedule(seq, ar.seq_constant(0), short, 1, 0, ar.gamma_zero())
-        assert dict(ar.verify_theta(sched, n_max=50).failures[0].inputs)["n"] == 1
+        assert dict(ar.verify_theta(sched).failures[0].inputs)["n"] == 1
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -654,7 +676,7 @@ def test_verify_theta_memory_does_not_grow_with_theta():
     lam = Fraction(1, 1000)
     sched = ar.Schedule(ar.seq_constant(lam), ar.seq_constant(0),
                         theta_for_constant_lambda(lam), 1, 0, ar.gamma_zero())
-    rep, peak = traced_peak(ar.verify_theta, sched, n_max=1000)
+    rep, peak = traced_peak(ar.verify_theta, sched)
     assert rep.passed
     assert peak < 1 << 20
 
@@ -667,10 +689,10 @@ small_fractions = st.builds(lambda d, k: Fraction(k % (d + 1), d),
 def affine_theta_schedules(draw):
     """An affine theta over a Constant or Tabulated lambda: ThetaLinear with
     b > 0, OmegaAffine with a shift, and theta near the exact witness
-    n / (a (1 - a)) of lambda's tail, scaled below it (A < 0), to it (A = 0)
-    or past it by 1/M (A > 0).  A zero head and b just under its length
-    give A > 0 with a lower bound that fails, where the residue scan of
-    d / g = M terms decides."""
+    n / (a (1 - a)) of lambda's tail, scaled below it (A < 0, by a factor
+    down to 1 - 1/500), to it (A = 0) or past it by 1/M (A > 0).  A zero
+    head and b just under its length give A > 0 with some n past the head
+    where theta's ceiling falls short, so the bisection decides."""
     tail = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(2, 7),
                                  Fraction(3, 10)]) | small_fractions)
     head = draw(st.lists(small_fractions, max_size=8))
@@ -683,7 +705,8 @@ def affine_theta_schedules(draw):
         theta = ar.omega_affine(draw(st.integers(-3, 40)), draw(st.integers(-40, 40)))
     elif shape == "near":
         scale = draw(st.sampled_from([Fraction(9, 10), Fraction(99, 100), 1,
-                                      Fraction(101, 100), Fraction(3, 2)]))
+                                      Fraction(101, 100), Fraction(3, 2)])
+                     | st.integers(2, 500).map(lambda m: 1 - Fraction(1, m)))
         theta = ar.theta_linear(exact * scale, draw(small_fractions))
     else:
         head = [0] * draw(st.integers(1, 6))
@@ -693,47 +716,132 @@ def affine_theta_schedules(draw):
     return ar.Schedule(lam, ar.seq_constant(0), theta, 1, 0, ar.gamma_zero())
 
 
+@st.composite
+def lambda_seqs(draw, kinds=("Constant", "Tabulated", "Geometric"), tails=small_fractions):
+    """A Constant, a Tabulated (head of up to 8 terms) or a Geometric lambda."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "Geometric":
+        return ar.seq_geometric(draw(small_fractions), Fraction(draw(st.integers(1, 19)), 20))
+    tail = draw(tails)
+    if kind == "Constant":
+        return ar.seq_constant(tail)
+    return ar.seq_tabulated(draw(st.lists(small_fractions, max_size=8)), tail)
+
+
+@st.composite
+def other_theta_schedules(draw):
+    """theta with step <= 0 (OmegaAffine with slope <= 0, ThetaLinear with
+    a = 0) over any lambda; an affine theta over a Geometric lambda, or over
+    a lambda whose tail is 0 or 1 (T = 0, so A < 0); and a Tabulated theta
+    n -> k n + j_n over any lambda, with or without a gap."""
+    shape = draw(st.sampled_from(["flat", "geometric", "dead tail", "table"]))
+    slope = draw(st.integers(-5, 0) if shape == "flat" else st.integers(1, 40))
+    theta = (ar.omega_affine(slope, draw(st.integers(-5, 40))) if draw(st.booleans())
+             else ar.theta_linear(max(0, slope) * draw(small_fractions),
+                                  draw(small_fractions) * draw(st.integers(0, 30))))
+    if shape == "table":
+        points = [(n, slope * n + j) for n, j in
+                  enumerate(draw(st.lists(st.integers(0, 5), min_size=1, max_size=61)))]
+        if draw(st.integers(0, 3)) == 0:
+            del points[draw(st.integers(0, len(points) - 1))]
+        theta = ar.tabulated(points)
+    if shape == "geometric":
+        lam = draw(lambda_seqs(kinds=["Geometric"]))
+    else:
+        lam = draw(lambda_seqs(tails=st.sampled_from([0, 1]) if shape == "dead tail"
+                               else small_fractions))
+    return ar.Schedule(lam, ar.seq_constant(0), theta, 1, 0, ar.gamma_zero())
+
+
 @settings(max_examples=400, deadline=None)
-@given(affine_theta_schedules(), st.integers(1, 2000))
-def test_verify_theta_matches_the_loop(sched, n_max):
-    assert (ar.verify_theta(sched, n_max).to_json_dict()
-            == verify_theta_loop(sched, n_max).to_json_dict())
+@given(affine_theta_schedules() | other_theta_schedules())
+def test_verify_theta_matches_the_loop(sched):
+    # a least n agrees with the loop run up to it; a pass holds under the
+    # loop to 3000, or over a table; a bounded S names an n that fails exactly
+    rep = ar.verify_theta(sched)
+    failure = dict(rep.failures[0].inputs) if rep.failures else {}
+    table = sched.theta.kind == "Tabulated"
+    last = max([0, *(k for k, _ in sched.theta.param("points"))]) if table else 3000
+    if "n" not in failure:
+        assert rep.to_json_dict() == {**verify_theta_loop(sched, last).to_json_dict(),
+                                      "notes": rep.notes, "samples": rep.samples}
+    elif rep.notes and rep.notes[0].startswith("S(theta(n)) <="):
+        n, t = failure["n"], failure["theta_n"]
+        assert t == ar.eval_nat(sched.theta, n)
+        assert partial_mass(sched.lambda_seq, t) < n
+        assert rep.samples == 2
+    else:
+        assert rep.failures == verify_theta_loop(sched, failure["n"]).failures
 
 
-def test_verify_theta_scan_decides_past_the_lower_bound():
-    # A > 0 but A n_h + C + T rho < 0: the scan of one period d / g of
-    # theta's ceiling from n_h (75 terms from 1, 50 from 0) finds the least
-    # failing n, or that none fails
+def test_verify_theta_fails_a_bounded_sum_in_closed_form():
+    # theta(n) <= theta(0) bounds S(theta(n)) by S(theta(0)): over lambda =
+    # 1/2, S(7) = 2 for theta = 7 and S(3) = 1 for theta = ceil(5/2), so
+    # n = 3 and n = 2 fail, with no scan for the least n
+    lam = ar.seq_constant(Fraction(1, 2))
+    for theta, n, bound in ((ar.omega_affine(0, 7), 3, "2"),
+                            (ar.omega_affine(-2, 7), 3, "2"),
+                            (ar.theta_linear(0, Fraction(5, 2)), 2, "1")):
+        rep = ar.verify_theta(ar.Schedule(lam, ar.seq_constant(0), theta, 1, 0,
+                                          ar.gamma_zero()))
+        assert dict(rep.failures[0].inputs)["n"] == n
+        assert rep.notes == [f"S(theta(n)) <= {bound} for every n"]
+        assert rep.samples == 2
+
+
+def test_verify_theta_finds_the_least_n_past_the_table():
+    # past n_h, the least n that fails comes from a bisection over floor sums,
+    # not from a scan: the first two have A > 0 (a head of 1, 1, 1/4 that
+    # fails at 7, and one of 0, 0, 0 that never fails), the rest A < 0 over
+    # lambda = 1/2, where theta(n) = ceil(a n + 1/2) fails first at the least
+    # n with a n + 1/2 <= 4 n - 2 (at 5000 after clearing every n <= 1000
+    # for a = 7999/2000, and at 2.5 / (4 - a) for the others)
     def schedule(head, tail, a, b):
         return ar.Schedule(ar.seq_tabulated(head, tail), ar.seq_constant(0),
                            ar.theta_linear(a, b), 1, 0, ar.gamma_zero())
-    fails = schedule([1, 1, Fraction(1, 4)], Fraction(5, 8), Fraction(323, 75), Fraction(17, 20))
-    passes = schedule([0, 0, 0], Fraction(1, 2), Fraction(201, 50), Fraction(3, 2))
-    for sched, end, first in ((fails, 75, 7), (passes, 49, None)):
-        assert moduli._theta_scan_end(sched.theta, sched.lambda_seq,
-                                      seq_mass(sched.lambda_seq), 2000) == end
-        rep = ar.verify_theta(sched, 2000)
-        assert rep.to_json_dict() == verify_theta_loop(sched, 2000).to_json_dict()
-        assert (dict(rep.failures[0].inputs)["n"] if rep.failures else None) == first
+    half = Fraction(1, 2)
+    cases = [(schedule([1, 1, Fraction(1, 4)], Fraction(5, 8), Fraction(323, 75),
+                       Fraction(17, 20)), [0, 7]),
+             (schedule([0, 0, 0], half, Fraction(201, 50), Fraction(3, 2)), []),
+             (schedule([], half, Fraction(7999, 2000), half), [5000])]
+    for places in (6, 12, 40):
+        a = 4 - Fraction(1, 10**places)
+        cases.append((schedule([], half, a, half), [5 * 10**places // 2]))
+    for sched, ns in cases:
+        got, note = moduli._theta_plan(sched.theta, sched.lambda_seq,
+                                       seq_mass(sched.lambda_seq))
+        assert list(got) == ns and note is None
+        start = time.perf_counter()
+        rep = ar.verify_theta(sched)
+        assert time.perf_counter() - start < 0.05
+        assert rep.samples == 1 + len(ns)
+        if ns and ns[-1] <= 5000:
+            assert rep.failures == verify_theta_loop(sched, 5000).failures
+        elif ns:
+            n = ns[-1]
+            assert dict(rep.failures[0].inputs) == {"n": n, "theta_n": 4 * n - 2}
+        else:
+            assert rep.passed and verify_theta_loop(sched, 3000).passed
 
 
 def test_verify_theta_decides_an_exact_witness_without_a_loop():
     # theta(n) = ceil(n / (lambda (1 - lambda)) + b) has A = 0: one inequality
-    # settles every n <= 10^9, where the loop would take about 20 minutes.
+    # settles every n, with no loop at all.
     # Over lambda = 0, 0, then 1/2, S(4n + 1) = n: theta(n) = ceil(4n + 1/6)
     # meets it only through the ceiling, r_n = rho = 5 for every n.  Only
     # n = 0 < n_h = 1 is checked term by term, over the table of four 1/2.
-    for lam, a, b, end in (
-            (ar.seq_constant(Fraction(1, 3)), Fraction(9, 2), 0, -1),
-            (ar.seq_tabulated([Fraction(1, 2)] * 4, Fraction(1, 2)), 4, 0, 0),
-            (ar.seq_tabulated([0, 0], Fraction(1, 2)), 4, Fraction(1, 6), -1)):
+    for lam, a, b, head_n in (
+            (ar.seq_constant(Fraction(1, 3)), Fraction(9, 2), 0, 0),
+            (ar.seq_tabulated([Fraction(1, 2)] * 4, Fraction(1, 2)), 4, 0, 1),
+            (ar.seq_tabulated([0, 0], Fraction(1, 2)), 4, Fraction(1, 6), 0)):
         sched = ar.Schedule(lam, ar.seq_constant(0), ar.theta_linear(a, b), 1, 0,
                             ar.gamma_zero())
-        assert moduli._theta_scan_end(sched.theta, lam, seq_mass(lam), 10**9) == end
+        ns, note = moduli._theta_plan(sched.theta, lam, seq_mass(lam))
+        assert list(ns) == list(range(head_n)) and note is None
         start = time.perf_counter()
-        rep = ar.verify_theta(sched, n_max=10**9)
+        rep = ar.verify_theta(sched)
         assert time.perf_counter() - start < 0.05
-        assert rep.passed and rep.samples == 10**9 + 1
+        assert rep.passed and rep.samples == head_n + 1
 
 
 def test_verify_gamma_memory_does_not_grow_with_gamma():

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import mpmath
@@ -93,6 +94,18 @@ def hilbert_inputs(eps, b=1.0, L=1):
 def test_hilbert_modulus_p():
     # eta argument eps/(L(b+1)) = 1/4, eta = 1 - sqrt(1 - 1/64)
     assert ar.compute_p(hilbert_inputs(0.5)) == 510 == hilbert_p_oracle(0.5, 1.0, 1)
+
+
+@pytest.mark.parametrize("b, p", [
+    # eta(r, eps) = 2^-(k + ceil(r)), k = ceil(-log2 eps): for b just above 1,
+    # r = b + 1 = 2 + 2^-52 has ceil(r) = 3, which r rounded to the float 2.0
+    # turned into 2 (P = 129)
+    (math.nextafter(1.0, 2.0), 257), (1.0, 64), (0.3, 42), (2.2, 820)])
+def test_p_reads_the_radius_unrounded(b, p):
+    eta = ar.eta1_to_eta(ar.eta3_to_eta2(ar.eta3_k_plus_ceil()))
+    sched = km_schedule()
+    ri = ar.RateInputs(eps=0.5, eta=eta, b=b, N0=0, L=1, theta=sched.theta, gamma=sched.gamma)
+    assert ar.compute_p(ri) == p
 
 
 @pytest.mark.parametrize("eps, p", [
