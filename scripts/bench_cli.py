@@ -35,9 +35,10 @@ directory for run and sweep; see cli_digest.digest_main), and reports:
   every repeat got the same hashes.
 
 The output file holds these per case, with the median of each time and the
-largest peak RSS over the repeats, next to the Python and numpy versions and
-the machine.  --src points the same cases at another checkout, such as the
-parent commit unpacked with `git archive`.
+largest peak RSS over the repeats, next to the Python and numpy versions,
+the machine, and src_lines: the line count of DIR's asymreg/*.py, as
+`wc -l` counts them.  --src points the same cases at another checkout, such
+as the parent commit unpacked with `git archive`.
 """
 
 from __future__ import annotations
@@ -158,6 +159,8 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "machine": f"{platform.system()} {platform.machine()}, {os.cpu_count()} CPUs",
+        "src_lines": sum(path.read_bytes().count(b"\n")
+                         for path in (src / "asymreg").glob("*.py")),
         "cases": results,
     }
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -2,7 +2,7 @@
 
 Subcommands:
   verify-space  sample the axioms and the uniform convexity implication
-  rate          compute P, gamma0, phi (and delta(k)) from a config, no simulation
+  rate          compute the certified rates (and delta(k)) from a config, no simulation
   run           simulate one orbit, write the trajectory CSV, audit the step
                 inequalities, optionally check phi soundness for one eps
   sweep         certify and verify the whole eps grid off one shared orbit
@@ -27,7 +27,7 @@ from .geometry import EUCLIDEAN
 from .iteration import run_trajectory, trajectory_to_csv
 from .mappings import DomainError
 from .moduli import eta_to_eta1
-from .rates import RateError, evaluated
+from .rates import RateError, RateReport, evaluated
 # Unused here; perfbench/spans._SPANNED still wraps these names in this module.
 from .rates import compute_delta, compute_phi, epsilon_shortcut, inputs_for  # noqa: F401
 from .report import FAIL, PASS, UNVERIFIED_AT_SCALE, CheckReport
@@ -183,30 +183,22 @@ def _space_checks(space, n: int, seed: int) -> list[CheckReport]:
     return reports
 
 
-def _rate_doc(config: ExperimentConfig, eps: float, k_list) -> dict:
-    rr = certify(config, eps, k_list)
+def _cmd_rate(config: ExperimentConfig, args) -> int:
+    rr = certify(config, args.eps, args.k or ())
     if rr.delta_errors:
         raise next(iter(rr.delta_errors.values()))
-    doc = {"eps": eps, "P": rr.P, "gamma0": rr.gamma0, "phi": rr.phi}
-    if rr.note:
-        doc["note"] = rr.note
-    if rr.deltas:
-        doc["deltas"] = rr.to_json_dict()["deltas"]
-    return doc
-
-
-def _cmd_rate(config: ExperimentConfig, args) -> int:
-    doc = _rate_doc(config, args.eps, args.k or ())
     if args.json:
-        print(json.dumps(doc, sort_keys=True))
+        doc = {"eps": args.eps, **rr.indices(), "note": rr.note,
+               "deltas": rr.to_json_dict()["deltas"] or None}
+        print(json.dumps({key: v for key, v in doc.items() if v is not None}, sort_keys=True))
         return 0
     print(f"eps = {args.eps:g}")
-    for key in ("P", "gamma0", "phi"):
-        print(f"{key} = {doc[key]}")
-    for k, v in sorted(doc.get("deltas", {}).items(), key=lambda kv: int(kv[0])):
-        print(f"delta({k}) = {v}")
-    if "note" in doc:
-        print(doc["note"])
+    for key, value in rr.indices().items():
+        print(f"{key} = {value}")
+    for k, delta in sorted(rr.deltas.items()):
+        print(f"delta({k}) = {delta}")
+    if rr.note:
+        print(rr.note)
     return 0
 
 
@@ -258,16 +250,12 @@ def _cmd_sweep(config: ExperimentConfig, args) -> int:
     for eps, certified in zip(grid, rates):
         rr, rep = check_phi_soundness(config, certified, trajectory=traj)
         reports.append(rep)
-        rows.append({
-            "eps": eps, "P": rr.P, "gamma0": rr.gamma0, "phi": rr.phi,
-            "first_hit": rr.empirical_first_hit,
-            "tightness": rr.tightness_ratio,
-            "verdict": rep.verdict,
-        })
+        rows.append({"eps": eps, **rr.indices(), "first_hit": rr.empirical_first_hit,
+                     "tightness": rr.tightness_ratio, "verdict": rep.verdict})
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    header = ["eps", "P", "gamma0", "phi", "first_hit", "tightness", "verdict"]
+    header = ["eps", *RateReport.INDICES, "first_hit", "tightness", "verdict"]
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
@@ -287,11 +275,8 @@ def _cmd_sweep(config: ExperimentConfig, args) -> int:
     if args.json:
         print(doc)
     else:
-        print(",".join(header))
-        for line in lines[1:]:
-            print(line)
-        for r in reports:
-            print(r.summary_line())
+        print("\n".join(lines))
+        _emit(reports, False)
     return _exit_code(reports)
 
 

@@ -50,7 +50,6 @@ from .mappings import (
     whole_space,
 )
 from .moduli import (
-    ROLE_ETA,
     ROLE_GAMMA,
     ROLE_NATURAL,
     DescriptorError,
@@ -224,12 +223,20 @@ def _write(section: str, record) -> dict:
     return out
 
 
+def _read(data, path: str, *role, parse=descriptor_from_dict) -> ModulusDescriptor:
+    """parse(data, *role), a modulus by default, with its error reported at path."""
+    try:
+        return parse(data, *role)
+    except (ValueError, TypeError) as exc:
+        raise _err(path, str(exc)) from exc
+
+
 # field -> (reader, writer); a name means the same in every section.  A reader
 # makes the JSON checks of its field, the constructor all others.  Fields in
 # _OPTIONAL may be left out, as their constructors have a default for them.
 _FIELDS = {
     "dim": (lambda data, path: data, int),
-    "modulus": (lambda data, path: _parse_descriptor(data, path, ROLE_ETA), descriptor_to_dict),
+    "modulus": (_read, descriptor_to_dict),
     "center": (_as_coords, list),
     "angle": (parse_angle, float),
     "radius": (_as_number, float),
@@ -239,25 +246,16 @@ _FIELDS = {
 _OPTIONAL = {"dim", "modulus", "domain"}
 
 
-def _parse_descriptor(data, path: str, role: str | None = None) -> ModulusDescriptor:
-    """The descriptor at path: a modulus of a kind that plays role, or an
-    averaging sequence when no role is given."""
-    try:
-        return sequence_from_dict(data) if role is None else descriptor_from_dict(data, role)
-    except (ValueError, TypeError) as exc:
-        raise _err(path, str(exc)) from exc
-
-
 def _parse_schedule(data, path: str) -> Schedule:
     data = _object(data, path)
     _unknown_keys(data, {"lambda", "s", "theta", "L", "N0", "gamma"}, path)
     schedule = Schedule(
-        lambda_seq=_parse_descriptor(_get(data, "lambda", path), f"{path}.lambda"),
-        s_seq=_parse_descriptor(_get(data, "s", path), f"{path}.s"),
-        theta=_parse_descriptor(_get(data, "theta", path), f"{path}.theta", ROLE_NATURAL),
+        lambda_seq=_read(_get(data, "lambda", path), f"{path}.lambda", parse=sequence_from_dict),
+        s_seq=_read(_get(data, "s", path), f"{path}.s", parse=sequence_from_dict),
+        theta=_read(_get(data, "theta", path), f"{path}.theta", ROLE_NATURAL),
         L=_as_int(_get(data, "L", path), f"{path}.L", minimum=1),
         N0=_as_int(data.get("N0", 0), f"{path}.N0", minimum=0),
-        gamma=_parse_descriptor(_get(data, "gamma", path), f"{path}.gamma", ROLE_GAMMA),
+        gamma=_read(_get(data, "gamma", path), f"{path}.gamma", ROLE_GAMMA),
     )
     try:
         validate_schedule(schedule)

@@ -19,8 +19,9 @@ guarantees some N in [k, delta(k)] with d(x_N, T x_N) < eps.
 
 The quotient defining P is evaluated in exact rational arithmetic on a
 rational never above eta (moduli.eval_eta_lower), so P never rounds down,
-for every modulus.  verification.certify is the one place that applies
-these formulas to a config, with the shortcut eps > 2b and the step cap.
+for every modulus.  _CERTIFICATES lists the certificates: the shortcut
+eps > 2b, then these rates.  verification.certify, its one reader, applies
+the first that applies to a config, and adds the step cap.
 """
 
 from __future__ import annotations
@@ -79,11 +80,12 @@ def inputs_for(eps: float, eta: ModulusDescriptor, b: float,
 
 @dataclass
 class RateReport:
-    """The certified rates for one eps.  verification.certify also fills in
-    that eps, the step cap, the end of the soundness window
-    [phi, window_end], the shortcut note, and the k whose delta(k) raised;
-    those stay out of the JSON."""
+    """The certified rates for one eps, as a row of _CERTIFICATES gives them:
+    the indices, delta(k) or the RateError of each k, and a note.  certify
+    adds the row's name, the eps, the step cap and the end of the soundness
+    window [phi, window_end]; those stay out of the JSON."""
 
+    INDICES = ("P", "gamma0", "phi")   # the index fields, in print order
     P: int
     gamma0: int
     phi: int
@@ -95,12 +97,14 @@ class RateReport:
     window_end: int | None = None
     note: str | None = None
     delta_errors: dict[int, RateError] = field(default_factory=dict)
+    certificate: str | None = None
+
+    def indices(self) -> dict[str, int]:
+        return {key: getattr(self, key) for key in self.INDICES}
 
     def to_json_dict(self) -> dict:
         return {
-            "P": self.P,
-            "gamma0": self.gamma0,
-            "phi": self.phi,
+            **self.indices(),
             "deltas": {str(k): v for k, v in sorted(self.deltas.items())},
             "empirical_first_hit": self.empirical_first_hit,
             "tightness_ratio": self.tightness_ratio,
@@ -116,11 +120,12 @@ def evaluated(field_name: str, fn, *args):
         raise RateError(f"{field_name}: {exc}") from exc
 
 
-def epsilon_shortcut(inputs: RateInputs) -> int | None:
-    """All residuals are capped by 2b, so eps > 2b is witnessed at once:
-    returns 0 in that case, None when the main formula applies."""
+def epsilon_shortcut(inputs: RateInputs, ks=()) -> RateReport | None:
+    """All residuals are capped by 2b, so eps > 2b is witnessed at every
+    index: phi = 0 and delta(k) = k.  None when eps <= 2b."""
     if inputs.eps > 2.0 * inputs.b:
-        return 0
+        return RateReport(P=0, gamma0=0, phi=0, deltas={k: k for k in ks},
+                          note="eps exceeds the residual cap 2b")
     return None
 
 
@@ -151,13 +156,20 @@ def compute_gamma0(inputs: RateInputs) -> int:
     return evaluated("schedule.gamma", eval_gamma, inputs.gamma, delta)
 
 
-def compute_phi(inputs: RateInputs) -> RateReport:
-    """The rate phi = theta(P + gamma0 + 1 + N0).  Reads nothing but the
-    inputs tuple, so configs sharing it get bit-identical reports."""
+def compute_phi(inputs: RateInputs, ks=()) -> RateReport:
+    """The rate phi = theta(P + gamma0 + 1 + N0), and compute_delta from the
+    same P for each k in ks, or the RateError it raised.  Reads nothing but
+    its arguments, so configs sharing them get bit-identical reports."""
     p = compute_p(inputs)
     gamma0 = compute_gamma0(inputs)
     phi = evaluated("schedule.theta", eval_nat, inputs.theta, p + gamma0 + 1 + inputs.N0)
-    return RateReport(P=p, gamma0=gamma0, phi=phi)
+    rr = RateReport(P=p, gamma0=gamma0, phi=phi)
+    for k in ks:
+        try:
+            rr.deltas[k] = compute_delta(inputs, k, p)
+        except RateError as exc:
+            rr.delta_errors[k] = exc
+    return rr
 
 
 def compute_delta(inputs: RateInputs, k: int, p: int) -> int:
@@ -170,3 +182,13 @@ def compute_delta(inputs: RateInputs, k: int, p: int) -> int:
         raise RateError(f"theta({p + k + inputs.N0}) = {delta} < k = {k}; "
                         "theta is not a divergence witness")
     return delta
+
+
+# certificate -> (the hypotheses H1-H6 of the paper's theorem it rests on,
+# its rates).  The rates function of (RateInputs, ks), ks the naturals k to
+# bound delta(k) for, gives a RateReport, or None where the certificate does
+# not apply.  certify takes the first row that applies; paper always does.
+_CERTIFICATES = {
+    "shortcut": (("H2", "H3"), epsilon_shortcut),
+    "paper": (("H1", "H2", "H3", "H4", "H5", "H6"), compute_phi),
+}

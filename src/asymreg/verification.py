@@ -39,8 +39,9 @@ from .geometry import (
     raw_ops,
     raw_points,
 )
-# Unused here; perfbench/spans._COUNTED still wraps this name in this module.
+# Unused here; perfbench/spans._COUNTED and _SPANNED still wrap these names in this module.
 from .geometry import combine  # noqa: F401
+from .rates import compute_delta, compute_phi, epsilon_shortcut  # noqa: F401
 from .iteration import Trajectory, run_trajectory
 from .mappings import WHOLE_SPACE, MappingSpec, apply_map, ball_member, raw_apply_fn
 from .moduli import (
@@ -52,7 +53,7 @@ from .moduli import (
     verify_gamma,
     verify_theta,
 )
-from .rates import RateError, RateReport, compute_delta, compute_phi, epsilon_shortcut, inputs_for
+from .rates import _CERTIFICATES, RateError, RateReport, inputs_for
 from .report import CheckReport
 
 # numpy is imported inside the functions that make arrays, so that a process
@@ -422,32 +423,26 @@ def step_cap(config: ExperimentConfig) -> int:
 
 
 def certify(config: ExperimentConfig, eps: float, ks=()) -> RateReport:
-    """The certified rates of config at eps: P, gamma0, phi and delta(k) for
-    each k in ks (all from one P), the step cap and the end of the soundness
-    window [phi, phi + SOUNDNESS_WINDOW] within it.  Residuals never exceed
-    2b, so eps > 2b is certified at once, with phi = 0 and delta(k) = k.  A
-    negative k, or one whose delta(k) raises, lands in delta_errors; a rate
-    with more digits than str() converts raises RateError."""
+    """The certified rates of config at eps, from the first row of
+    rates._CERTIFICATES that applies: its indices and delta(k) for each k in
+    ks, its name as rr.certificate, the step cap and the end of the
+    soundness window [phi, phi + SOUNDNESS_WINDOW] within it.  A negative k,
+    or one whose delta(k) raises, lands in delta_errors; a rate with more
+    digits than str() converts raises RateError."""
     ri = inputs_for(eps, config.space.modulus, config.afp.b, config.schedule)
     ks = sorted(set(int(k) for k in ks))
     errors = {k: RateError("k must be a natural") for k in ks if k < 0}
     ks = [k for k in ks if k >= 0]
-    if epsilon_shortcut(ri) == 0:
-        rr = RateReport(P=0, gamma0=0, phi=0, deltas={k: k for k in ks},
-                        note="eps exceeds the residual cap 2b")
-    else:
-        rr = compute_phi(ri)
-        for k in ks:
-            try:
-                rr.deltas[k] = compute_delta(ri, k, rr.P)
-            except RateError as exc:
-                errors[k] = exc
-    top = max(rr.P, rr.phi, *rr.deltas.values())
+    for name, (_hypotheses, rates) in _CERTIFICATES.items():
+        if (rr := rates(ri, ks)) is not None:
+            break
+    rr.certificate = name
+    top = max([*rr.indices().values(), *rr.deltas.values()])
     limit = sys.get_int_max_str_digits()   # 0: no limit; 10^limit has over 3 limit bits
     if limit and top.bit_length() > 3 * limit and top >= 10 ** limit:
         raise RateError(f"eps = {eps:g}: a rate of {top.bit_length()} bits has more "
                         f"than {limit} decimal digits")
-    rr.delta_errors = errors
+    rr.delta_errors = {**errors, **rr.delta_errors}
     rr.eps = eps
     rr.step_cap = step_cap(config)
     rr.window_end = min(rr.phi + SOUNDNESS_WINDOW, rr.step_cap)

@@ -33,6 +33,44 @@ def test_rate_text_output(capsys):
     assert "delta(100) = 2448" in out
 
 
+@pytest.mark.parametrize("args, want", [
+    (["--eps", "0.5", "--k", "0", "--k", "100"],
+     "eps = 0.5\nP = 512\ngamma0 = 0\nphi = 2052\ndelta(0) = 2048\ndelta(100) = 2448\n"),
+    (["--eps", "3.0", "--k", "7"],
+     "eps = 3\nP = 0\ngamma0 = 0\nphi = 0\ndelta(7) = 7\neps exceeds the residual cap 2b\n"),
+], ids=["paper", "shortcut"])
+def test_rate_text_output_is_pinned_byte_for_byte(capsys, args, want):
+    assert main(["rate", "--config", KM, *args]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_a_third_certificate_takes_one_row(tmp_path, monkeypatch, capsys):
+    # a row ahead of paper that applies at every eps: certify, both forms of
+    # rate and the sweep show its rates, with no other edit
+    def fixed(inputs, ks):
+        return ar.RateReport(P=1, gamma0=2, phi=7, deltas={k: k + 7 for k in ks})
+    table = ar.rates._CERTIFICATES
+    rest = list(table.items())[1:]
+    for name, _row in rest:
+        monkeypatch.delitem(table, name)
+    monkeypatch.setitem(table, "fixed", (("H2", "H3"), fixed))
+    for name, row in rest:
+        monkeypatch.setitem(table, name, row)
+
+    rr = ar.certify(ar.load_config(KM), 0.5, [0])
+    assert (rr.certificate, rr.phi, rr.deltas, rr.window_end) == ("fixed", 7, {0: 7}, 1007)
+    assert main(["rate", "--config", KM, "--eps", "0.5", "--k", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == \
+        {"eps": 0.5, "P": 1, "gamma0": 2, "phi": 7, "deltas": {"0": 7}}
+    assert main(["rate", "--config", KM, "--eps", "0.5", "--k", "0"]) == 0
+    assert capsys.readouterr().out == "eps = 0.5\nP = 1\ngamma0 = 2\nphi = 7\ndelta(0) = 7\n"
+    main(["sweep", "--config", KM, "--out", str(tmp_path), "--json"])
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(row["P"], row["gamma0"], row["phi"]) for row in rows] == [(1, 2, 7)] * 4
+    with open(tmp_path / "sweep.csv", newline="") as f:
+        assert {row["phi"] for row in csv.DictReader(f)} == {"7"}
+
+
 def test_rate_json_output(capsys):
     assert main(["rate", "--config", KM, "--eps", "0.25", "--k", "0",
                  "--json"]) == 0

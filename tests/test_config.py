@@ -211,7 +211,7 @@ DISK = {"kind": "PoincareDisk", "dim": 2}
      "config.space.modulus: EtaFromEta1: Tabulated: table value must be >= 0, got -1"),
     # a kind in the wrong role
     ({"space__modulus": {"kind": "Eta1Affine", "a": 2, "b": 3}},
-     "config.space.modulus: kind 'Eta1Affine' does not play the role 'eta'"),
+     "config.space.modulus: modulus 'Eta1Affine' does not play the role 'eta'"),
     ({"schedule__gamma": {"kind": "GammaFromDyadic",
                           "inner": {"kind": "EtaQuadratic", "denominator": 8}}},
      "config.schedule.gamma: GammaFromDyadic: inner 'EtaQuadratic' does not play the "

@@ -142,16 +142,32 @@ def test_hilbert_eta_lower_bound(eps):
 
 def test_epsilon_shortcut():
     sched = km_schedule()
-    assert ar.epsilon_shortcut(ar.inputs_for(2.5, Q8, 1, sched)) == 0
+    rr = ar.epsilon_shortcut(ar.inputs_for(2.5, Q8, 1, sched), [0, 7])
+    assert (rr.P, rr.gamma0, rr.phi, rr.deltas) == (0, 0, 0, {0: 0, 7: 7})
+    assert rr.note == "eps exceeds the residual cap 2b"
     assert ar.epsilon_shortcut(ar.inputs_for(2.0, Q8, 1, sched)) is None
     assert ar.epsilon_shortcut(ar.inputs_for(0.5, Q8, 1, sched)) is None
+
+
+def test_every_certificate_rests_on_named_hypotheses():
+    assert list(ar.rates._CERTIFICATES) == ["shortcut", "paper"]
+    for hypotheses, _rates in ar.rates._CERTIFICATES.values():
+        assert hypotheses and set(hypotheses) <= {f"H{i}" for i in range(1, 7)}
+
+
+def test_certify_names_the_row_it_applied_and_keeps_it_out_of_the_json(km_config):
+    for eps, name in ((3.0, "shortcut"), (0.5, "paper")):
+        rr = ar.certify(km_config, eps, [0])
+        assert rr.certificate == name
+        assert set(rr.to_json_dict()) == {*rr.INDICES, "deltas", "empirical_first_hit",
+                                          "tightness_ratio"}
 
 
 def test_eta_argument_domain_error():
     # eps = 5, b = 1, L = 1: the eta argument 5/2 leaves (0, 2] and the
     # shortcut (eps > 2b) is the only sound answer
     ri = ar.inputs_for(5.0, Q8, 1, km_schedule())
-    assert ar.epsilon_shortcut(ri) == 0
+    assert ar.epsilon_shortcut(ri).phi == 0
     with pytest.raises(ar.EtaDomainError):
         ar.compute_p(ri)
 
