@@ -113,12 +113,7 @@ def make_point(space: SpaceModel, coords) -> Point:
         if n2 >= 1.0 - DISK_MARGIN:
             raise PointOutsideModelError(
                 f"point with |z|^2 = {n2!r} is not interior to the disk")
-    return Point(space.kind, raw_point(space, coords))
-
-
-def raw_point(space: SpaceModel, coords):
-    """The raw value of the point of space with these coordinates, unchecked."""
-    return complex(*coords) if space.dim == 2 else tuple(coords)
+    return Point(space.kind, complex(*coords) if space.dim == 2 else coords)
 
 
 def check_point(space: SpaceModel, p: Point):
@@ -137,10 +132,11 @@ def check_point(space: SpaceModel, p: Point):
 # raw kernels.  The disk and the Euclidean plane use complex numbers, other
 # Euclidean dimensions use plain tuples, as Point.raw holds them; the
 # iteration loop and check_nonexpansive call these kernels directly.
-# Every combine returns x itself when t == 0 or x == y: a degenerate
-# geodesic is its endpoint, bitwise, which the iteration's stationarity
-# cut-off and its lambda_n = 0 steps rely on.  The fused dist_combine kernels
-# return d(x, y) alongside; on the disk they share one Mobius translation.
+# Each model has two: dist, and dist_combine, which returns d(x, y) with the
+# point (1 - t) x (+) t y (on the disk from one Mobius translation); every
+# caller that needs W alone takes its second half.  It returns x itself when
+# t == 0 or x == y: a degenerate geodesic is its endpoint, bitwise, which the
+# iteration's stationarity cut-off and its lambda_n = 0 steps rely on.
 
 def _p_dist(x: complex, y: complex) -> float:
     w = abs((y - x) / (1.0 - x.conjugate() * y))
@@ -169,20 +165,8 @@ def _p_dist_combine(x: complex, y: complex, t: float) -> tuple[float, complex]:
     return d, z
 
 
-def _p_combine(x: complex, y: complex, t: float) -> complex:
-    if t == 0.0 or x == y:      # answer known without the translation
-        return x
-    return _p_dist_combine(x, y, t)[1]
-
-
 def _e_dist_c(x: complex, y: complex) -> float:
     return abs(x - y)
-
-
-def _e_combine_c(x: complex, y: complex, t: float) -> complex:
-    if t == 0.0 or x == y:
-        return x
-    return (1.0 - t) * x + t * y
 
 
 def _e_dist_combine_c(x: complex, y: complex, t: float) -> tuple[float, complex]:
@@ -195,26 +179,23 @@ def _e_dist_t(x: tuple, y: tuple) -> float:
     return math.dist(x, y)
 
 
-def _e_combine_t(x: tuple, y: tuple, t: float) -> tuple:
-    if t == 0.0 or x == y:
-        return x
-    s = 1.0 - t
-    return tuple([s * a + t * b for a, b in zip(x, y)])
-
-
 def _e_dist_combine_t(x: tuple, y: tuple, t: float) -> tuple[float, tuple]:
-    return math.dist(x, y), _e_combine_t(x, y, t)
+    if t == 0.0 or x == y:
+        return math.dist(x, y), x
+    s = 1.0 - t
+    return math.dist(x, y), tuple([s * a + t * b for a, b in zip(x, y)])
 
 
 def raw_ops(space: SpaceModel):
-    """(dist, combine, dist_combine) on the raw representation of the model;
-    dist_combine(x, y, t) is (d(x, y), (1 - t) x (+) t y) sharing the work
-    of both, bitwise equal to the pair (dist(x, y), combine(x, y, t))."""
+    """(dist, dist_combine) on the raw representation of the model:
+    dist_combine(x, y, t) is (d(x, y), (1 - t) x (+) t y), the model's one
+    convexity map W with the distance it shares its work with, and
+    dist_combine(x, y, t)[1] is W alone."""
     if space.kind == POINCARE_DISK:
-        return _p_dist, _p_combine, _p_dist_combine
+        return _p_dist, _p_dist_combine
     if space.dim == 2:
-        return _e_dist_c, _e_combine_c, _e_dist_combine_c
-    return _e_dist_t, _e_combine_t, _e_dist_combine_t
+        return _e_dist_c, _e_dist_combine_c
+    return _e_dist_t, _e_dist_combine_t
 
 
 # ---------------------------------------------------------------------------
@@ -286,4 +267,4 @@ def combine(space: SpaceModel, x: Point, y: Point, lam: float) -> Point:
     xr, yr = check_point(space, x), check_point(space, y)
     if not 0.0 <= lam <= 1.0:
         raise ParameterRangeError(f"lambda = {lam!r} outside [0, 1]")
-    return Point(space.kind, raw_ops(space)[1](xr, yr, lam))
+    return Point(space.kind, raw_ops(space)[1](xr, yr, lam)[1])

@@ -22,7 +22,7 @@ with T x_n != x_n.  Each step compares x_{n+1} with x_n, which finds period
 current index after windows of a sixteenth of the steps since const_from,
 which finds any period p once a window reaches p (after R. P. Brent, BIT
 20, 1980).  Before the schedule is constant the runner stops only where
-T x_n == x_n: every raw combine returns x when both endpoints are equal,
+T x_n == x_n: the raw dist_combine returns x when both endpoints are equal,
 so that state is fixed whatever the schedule does next.  So a trajectory
 is a prefix plus a cycle: each recorded array keeps [0, c+p), and
 `Trajectory.fold` reads any index.
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .geometry import Point, SpaceModel, check_point, raw_ops
-from .mappings import ApproxFixedPointSpec, DomainError, MappingSpec, ball_member, raw_apply_fn
+from .mappings import ApproxFixedPointSpec, DomainError, MappingSpec, raw_apply_fn
 from .moduli import Schedule, seq_float_plan
 
 # numpy is imported inside the functions that make arrays, so that a process
@@ -131,19 +131,18 @@ class Trajectory:
 
 def ishikawa_step(space: SpaceModel, m: MappingSpec, x: Point,
                   lam: float, s: float) -> tuple[Point, Point]:
-    """One update: returns (x_next, y).  On a ClosedBall domain, x and y
-    must pass mappings.ball_member, as in run_trajectory; else DomainError."""
+    """One update: returns (x_next, y), from the kernels run_trajectory uses.
+    T is mappings.raw_apply_fn, so on a ClosedBall domain x and y outside
+    it raise DomainError."""
     xr = check_point(space, x)
     if not 0.0 <= lam <= 1.0:
         raise IterationError(f"lambda = {lam!r} outside [0, 1]")
     if not 0.0 <= s <= 1.0:
         raise IterationError(f"s = {s!r} outside [0, 1]")
     f = raw_apply_fn(space, m)
-    if (inside := ball_member(space, m.domain)) is not None:
-        f = _confined(f, inside)
-    combine_fn = raw_ops(space)[1]
-    y = combine_fn(xr, f(xr), s)
-    x_next = combine_fn(xr, f(y), lam)
+    dist_combine = raw_ops(space)[1]
+    y = dist_combine(xr, f(xr), s)[1]
+    x_next = dist_combine(xr, f(y), lam)[1]
     return Point(space.kind, x_next), Point(space.kind, y)
 
 
@@ -151,15 +150,6 @@ def _same_bits(a, b) -> bool:
     """Whether a and b, already ==, are equal to the bit: == takes -0.0 for
     0.0, repr does not, and a float's repr round-trips exactly."""
     return repr(a) == repr(b)
-
-
-def _confined(f, inside):
-    """f, raising DomainError at a point that inside rejects."""
-    def g(z):
-        if not inside(z):
-            raise DomainError("point outside the mapping's domain")
-        return f(z)
-    return g
 
 
 def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
@@ -175,19 +165,17 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
     keeps the indices [0, c+p), which hold every value of the orbit, and
     the p states of its cycle.
 
-    On a ClosedBall domain, each x_n and y_n that T is applied to must pass
-    mappings.ball_member; else DomainError names the step n.  A whole-space
-    map runs the loop unguarded.
+    T is mappings.raw_apply_fn: on a ClosedBall domain it raises DomainError
+    at an x_n or y_n outside the ball, and the runner's DomainError names the
+    step n.  On the whole space T is the bare map, and the loop is unguarded.
     """
     import numpy as np
     x = check_point(space, x0)
     if steps < 0:
         raise IterationError("steps must be a natural")
 
-    dist_fn, combine_fn, dist_combine = raw_ops(space)
+    dist_fn, dist_combine = raw_ops(space)
     f = raw_apply_fn(space, m)
-    if (inside := ball_member(space, m.domain)) is not None:
-        f = _confined(f, inside)
 
     lam_head, lam_tail, lam_k = lam_plan = seq_float_plan(schedule.lambda_seq, steps)
     s_head, s_tail, s_k = s_plan = seq_float_plan(schedule.s_seq, steps)
@@ -255,10 +243,10 @@ def run_trajectory(space: SpaceModel, m: MappingSpec, x0: Point,
             # p steps from the checkpoint x_c give the cycle's states
             ring, inner_ring, x = [], [], mark
             for _ in range(period):
-                y = combine_fn(x, f(x), s_tail)
+                y = dist_combine(x, f(x), s_tail)[1]
                 ring.append(x)
                 inner_ring.append(y)
-                x = combine_fn(x, f(y), lam_tail)
+                x = dist_combine(x, f(y), lam_tail)[1]
     except DomainError:
         raise DomainError(f"the orbit leaves the mapping's domain at step n = {n}") from None
 

@@ -9,7 +9,8 @@ rotation, hence an isometry), and the metric projection onto a closed ball.
 Each mapping and domain (whole space or closed ball) kind is built by its one
 constructor, from Python and from a config alike; it checks that an angle is
 finite and a radius positive and finite.  `ball_member` is the one test of
-membership in a ClosedBall domain, within r (1 + SLACK) + SLACK.
+membership in a ClosedBall domain, within r (1 + SLACK) + SLACK, and
+`raw_apply_fn` guards T with it, so every caller of T gets that rule.
 
 An ApproxFixedPointSpec records a start point x, a bound b, and an exact
 fixed point z with d(x, z) <= b.  Then the residual at the start obeys
@@ -123,7 +124,24 @@ def _require_center(space: SpaceModel, m: MappingSpec):
 
 
 def raw_apply_fn(space: SpaceModel, m: MappingSpec) -> Callable:
-    """Specialized T on the raw representation of the model."""
+    """T on the raw representation of the model.  On a ClosedBall domain C,
+    T raises DomainError at a point that fails ball_member, as T is defined
+    on C only; on the whole space it is the bare map, unguarded."""
+    t = _bare_map(space, m)
+    inside = ball_member(space, m.domain)
+    if inside is None:
+        return t
+
+    def confined(z):
+        if not inside(z):
+            raise DomainError("point outside the mapping's domain")
+        return t(z)
+
+    return confined
+
+
+def _bare_map(space: SpaceModel, m: MappingSpec) -> Callable:
+    """T on the raw representation of the model, specialized to its kind."""
     kind = m.kind
     if kind == IDENTITY:
         return lambda z: z
@@ -169,13 +187,13 @@ def raw_apply_fn(space: SpaceModel, m: MappingSpec) -> Callable:
     if kind == METRIC_PROJECTION:
         c = _require_center(space, m)
         radius = m.radius
-        dist_fn, combine_fn, _ = raw_ops(space)
+        dist_fn, dist_combine = raw_ops(space)
 
         def project(z):
             d = dist_fn(c, z)
             if d <= radius:
                 return z
-            return combine_fn(c, z, radius / d)
+            return dist_combine(c, z, radius / d)[1]
 
         return project
 
@@ -199,10 +217,8 @@ def in_domain(space: SpaceModel, m: MappingSpec, x: Point) -> bool:
 
 
 def apply_map(space: SpaceModel, m: MappingSpec, x: Point) -> Point:
-    xr = check_point(space, x)
-    if not in_domain(space, m, x):
-        raise DomainError("point outside the mapping's domain")
-    return Point(space.kind, raw_apply_fn(space, m)(xr))
+    """T x, through raw_apply_fn: DomainError when x lies outside a ClosedBall domain."""
+    return Point(space.kind, raw_apply_fn(space, m)(check_point(space, x)))
 
 
 def declared_fixed_point(space: SpaceModel, m: MappingSpec) -> Point | None:

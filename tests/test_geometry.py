@@ -12,9 +12,6 @@ import asymreg as ar
 from asymreg.geometry import (
     _ATANH_GUARD,
     DISK_MARGIN,
-    _e_combine_c,
-    _e_combine_t,
-    _p_combine,
     raw_ops,
 )
 
@@ -111,12 +108,12 @@ DEGENERATE_COORDS = ((0.3, 0.1), (1 / 3, -0.45), (0.2, 0.6), (-0.8, 2 / 3))
 def test_degenerate_combine_returns_x_bitwise(t):
     for a, b in DEGENERATE_COORDS:
         z = complex(a, b)
-        out = _e_combine_c(z, complex(a, b), t)
+        out = raw_ops(E2)[1](z, complex(a, b), t)[1]
         assert _bits((out.real, out.imag)) == _bits((a, b))
         tup = (a, b, a * b, b, a)
-        assert _bits(_e_combine_t(tup, tuple(tup), t)) == _bits(tup)
+        assert _bits(raw_ops(ar.euclidean(5))[1](tup, tuple(tup), t)[1]) == _bits(tup)
         w = complex(a / 2, b / 2)
-        out = _p_combine(w, complex(a / 2, b / 2), t)
+        out = raw_ops(D)[1](w, complex(a / 2, b / 2), t)[1]
         assert _bits((out.real, out.imag)) == _bits((w.real, w.imag))
         for space, coords in ((E2, (a, b)), (ar.euclidean(5), tup),
                               (D, (a / 2, b / 2))):
@@ -333,14 +330,14 @@ def _kernel_cases(name, rng):
 @pytest.mark.parametrize("name", sorted(REF_OPS))
 def test_dist_combine_matches_separate_formulas_bitwise(name):
     space, ref_dist, ref_combine = REF_OPS[name]
-    dist_fn, combine_fn, fused = raw_ops(space)
+    dist_fn, fused = raw_ops(space)
     clamped = guarded = equal = 0
     for x, y, t in _kernel_cases(name, random.Random(2024)):
         d, z = fused(x, y, t)
         want = (_raw_bits(ref_dist(x, y)), _raw_bits(ref_combine(x, y, t)))
         assert (_raw_bits(d), _raw_bits(z)) == want, (x, y, t)
         assert (_raw_bits(dist_fn(x, y)),
-                _raw_bits(combine_fn(x, y, t))) == want, (x, y, t)
+                _raw_bits(fused(x, y, t)[1])) == want, (x, y, t)
         equal += x == y
         if name == "disk":
             clamped += _ref_p_clamps(x, y, t)
@@ -356,7 +353,7 @@ def test_dist_combine_t0_returns_x_itself():
     for space, x, y in ((E2, complex(-0.0, 1.5), complex(2.0, -1.0)),
                         (ar.euclidean(5), (-0.0, 1.0, 2.0, 3.0, 4.0),
                          (1.0, 1.0, 1.0, 1.0, 1.0))):
-        d, z = raw_ops(space)[2](x, y, 0.0)
+        d, z = raw_ops(space)[1](x, y, 0.0)
         assert z is x
         assert d == raw_ops(space)[0](x, y)
 

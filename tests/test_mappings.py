@@ -125,6 +125,30 @@ def test_closed_ball_domain():
         ar.closed_ball((0.0, 0.0), 0.0)
 
 
+@pytest.mark.parametrize("space,inside,outside", [
+    (E2, 0.6 - 0.8j, 1.1 + 0.0j),
+    (E3, (0.6, -0.8, 0.0), (0.0, 0.0, 1.1)),
+    (D, 0.3 + 0.0j, -0.6 + 0.0j),
+], ids=["plane", "R3", "disk"])
+def test_raw_apply_fn_is_t_on_its_domain_ball_only(space, inside, outside):
+    # T is defined on C only: raw_apply_fn raises outside the ball and gives
+    # the whole-space map's value, bitwise, inside it (on its edge included)
+    center = (0.0,) * space.dim
+    rotation = ar.poincare_rotation if space is D else ar.euclidean_rotation
+    bare = raw_apply_fn(space, rotation(center, math.pi / 2))
+    radius = ar.dist(space, ar.make_point(space, center), ar.Point(space.kind, inside))
+    t = raw_apply_fn(space, rotation(center, math.pi / 2, ar.closed_ball(center, radius)))
+    assert t(inside) == bare(inside)
+    with pytest.raises(ar.DomainError, match=r"^point outside the mapping's domain$"):
+        t(outside)
+    bare(outside)       # the whole-space map takes the point the ball's T rejects
+
+
+def test_raw_apply_fn_on_the_whole_space_is_the_bare_map():
+    z = 0.3 + 2.0j
+    assert raw_apply_fn(E2, ar.identity())(z) is z
+
+
 # What a config may not name, the constructors do not build either; each
 # message starts with the field's name, where config reports it.
 @pytest.mark.parametrize("build,message", [

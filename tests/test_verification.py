@@ -399,8 +399,11 @@ def _capture(monkeypatch):
 @pytest.mark.parametrize("space", [E2, E5, D], ids=["E2", "E5", "disk"])
 def test_batch_terms_match_the_scalar_kernels(monkeypatch, space):
     n = 2000
-    d, comb, _ = raw_ops(space)
+    d, dist_combine = raw_ops(space)
     draws, terms = _capture(monkeypatch)
+
+    def comb(x, y, t):
+        return dist_combine(x, y, t)[1]
 
     assert ar.check_space_axioms(space, samples=n, seed=11).passed
     x, y, z, w = (raw_points(space, block) for block in draws[0])
